@@ -1,9 +1,9 @@
 """Batch front end: validated JSON configs in, CSV/JSON/SVG artifacts out.
 
 Commands: critical, growth, evolve, cr, verify.  Each takes --config and
---out; sweeps fan out over worker threads (--threads or MRT_THREADS) with
-deterministic output ordering.  Exit codes: 0 success, 1 verify failures,
-2 config errors, 3 solver breakdown.
+--out; growth fans its modes out over worker threads (--threads or
+MRT_THREADS) with deterministic output ordering.  Exit codes: 0 success,
+1 verify failures, 2 config errors, 3 solver breakdown.
 
 Numbers are serialized with 17 significant digits so every CSV round-trips
 losslessly; infinities appear as "inf"/"-inf" in both CSV and JSON.  Charts

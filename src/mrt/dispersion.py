@@ -2,12 +2,17 @@
 
 The growth rate of an unstable mode is the unique positive fixed point of
 Λ = sqrt(α(Λ)), where α(s) is the largest eigenvalue of the shifted pencil
-(E - sV, J).  α is nonincreasing in s, so h(s) = α(s) - s² has exactly one
-sign change on (0, ∞) whenever α(0) > 0, and bisection pins it to the last
-floating-point bit.  Eigenvalues along the way are evaluated as Rayleigh
-quotients of refined eigenvectors through the factored quadrature terms,
-which keeps the fixed-point defect at the rounding level of the energies
-rather than of the assembled matrices.
+(E - sV, J).  α is nonincreasing in s and positive exactly below
+frak_s = λmax(E, V), so h(s) = α(s) - s² has exactly one sign change on
+(0, ∞) whenever α(0) > 0, and it lies in (0, min(frak_s, sqrt(α(0)))].
+One eigensolve gives frak_s, and bisection on that bracket pins Λ to the
+last floating-point bit.  Eigenvalues along the way are evaluated as
+Rayleigh quotients of refined eigenvectors through the factored quadrature
+terms, which keeps the fixed-point defect at the rounding level of the
+energies rather than of the assembled matrices.
+
+The compressible certificate of compute_cr is likewise one
+Schur-complement eigenproblem per mode (see eigcore.psd_ratio_sup).
 
 For the incompressible problem the transverse stream component φ never
 helps the numerator (its energy block is nonpositive), so the maximization
@@ -23,9 +28,9 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import (BracketExhausted, BracketFailure, InputError, NoGrowth,
-                     SolverFailure, ZeroMode)
-from .eigcore import max_rayleigh, psd_ratio_sup, refine_top, solve_gsym, top_pair
+from .errors import (BracketExhausted, InputError, NoGrowth, SolverFailure,
+                     ZeroMode)
+from .eigcore import max_rayleigh, psd_ratio_sup, refine_top, top_pair
 from .grid1d import Grid1D
 from .modeforms import (FormTerm, ModeForms, ModeSpec, assemble_cr_forms,
                         assemble_quotient, qform_value_ld)
@@ -40,13 +45,15 @@ class DispersionResult:
 
     status is "unstable" (Lambda > 0), "stable", or "stable-marginal" (the
     energy quotient vanishes to solver precision, the borderline field
-    strength).  frak_s is the right endpoint of {s : α(s) > 0}, an upper
-    bound for every growth quantity of the mode, and is None whenever the
-    mode is not unstable.  fixed_point_residual is |α(Λ) - Λ²| at the
-    returned Λ; alpha_samples records every (s, α(s)) pair the solve
-    evaluated, in order; maximizer is the J-normalized eigenvector at
-    s = Λ in the reduced layout; eig_residual its relative pencil defect
-    ‖(E - ΛV)x - α(Λ)Jx‖ against the term sizes.
+    strength).  frak_s = λmax(E, V) is the right endpoint of
+    {s : α(s) > 0}, an upper bound for every growth quantity of the mode,
+    and is None whenever the mode is not unstable.  fixed_point_residual is
+    |α(Λ) - Λ²| at the returned Λ; alpha_samples records every (s, α(s))
+    pair the solve evaluated, in order; evaluations counts the eigensolves
+    of the solve, one per sample plus the frak_s one; maximizer is the
+    J-normalized eigenvector at s = Λ in the reduced layout; eig_residual
+    its relative pencil defect ‖(E - ΛV)x - α(Λ)Jx‖ against the term
+    sizes.
     """
 
     mode: ModeSpec
@@ -164,35 +171,20 @@ def _embed_maximizer(forms: ModeForms, pen: "_Pencil", x: np.ndarray) -> np.ndar
     return y / nrm
 
 
-def _laplacian_floor(g1) -> float:
-    """Smallest Dirichlet eigenvalue of -Δ on the grid; 2D grids bring
-    their own (tensor-sum) version."""
-    if hasattr(g1, "laplacian_floor"):
-        return float(g1.laplacian_floor())
-    gram = g1.deriv_flux.T @ (g1.flux_weights[:, None] * g1.deriv_flux)
-    r = solve_gsym(0.5 * (gram + gram.T), np.diag(g1.quad), subset=(0, 0))
-    return float(r.eigenvalues[0])
-
-
-def _bracket_ceiling(forms: ModeForms, scale: float) -> float:
-    p = forms.profile
-    params = forms.params
-    c5 = params.g * max(float(np.max(p.drho)), 0.0) / _laplacian_floor(forms.grid)
-    return max(10.0 * c5 / params.mu, 1e6 * scale)
-
-
 def solve_growth_rate(forms: ModeForms, tol: Optional[float] = None,
                       check_phi: bool = False) -> DispersionResult:
     """Fixed point Λ of Λ = sqrt(α(Λ)), or a stability verdict.
 
     The probe point is s₀ = 1e-6·scale with scale = sqrt(max(α(0), 1)); a
-    mode is unstable when α exceeds s² there or at 0.  The bisection bracket
-    grows by doubling and must find a sign change of h(s) = α(s) - s² below
-    10·c₅/μ (c₅ the buoyancy-to-Poincaré ratio of the profile), else
-    BracketFailure.  Of all bisection evaluations the s with smallest |h|
-    is returned; the contract is |h(Λ)| ≤ tol² with tol = 1e-8·scale by
-    default, relaxed to the one-ulp resolution of h when double precision
-    cannot express tol² at that Λ; past both, SolverFailure.
+    mode is unstable when α exceeds 0 there.  For an unstable mode frak_s =
+    λmax(E, V) comes from one eigensolve (V is SPD), and since α is
+    nonincreasing and positive exactly below frak_s, Λ lies in
+    (lo, min(frak_s, sqrt(α(0)))] with lo = s₀ when h(s) = α(s) - s² is
+    positive at the probe and lo = 0 otherwise; h ≤ 0 at the upper end is
+    checked, else SolverFailure.  Of all bisection evaluations the s with
+    smallest |h| is returned; the contract is |h(Λ)| ≤ tol² with tol =
+    1e-8·scale by default, relaxed to the one-ulp resolution of h when
+    double precision cannot express tol² at that Λ; past both, SolverFailure.
 
     :param check_phi: run the incompressible maximization on the full
         (v₃, φ) space and record the maximizer's φ mass ratio, asserting it
@@ -206,11 +198,11 @@ def solve_growth_rate(forms: ModeForms, tol: Optional[float] = None,
         samples.append((s, float(val)))
         return val, x
 
-    a0, _ = alpha_at(0.0)
-    a0 = float(a0)
+    a0_ld, x0 = alpha_at(0.0)
+    a0 = float(a0_ld)
     s0 = 1e-6 * math.sqrt(max(a0, 1.0))
-    alpha_probe, _ = alpha_at(s0)
-    alpha_probe = float(alpha_probe)
+    probe_ld, x_probe = alpha_at(s0)
+    alpha_probe = float(probe_ld)
     scale = math.sqrt(max(alpha_probe, 1.0))
     if tol is None:
         tol = 1e-8 * scale
@@ -234,28 +226,17 @@ def solve_growth_rate(forms: ModeForms, tol: Optional[float] = None,
         val, x = alpha_at(s)
         return val - np.longdouble(s) * np.longdouble(s), x
 
-    ceiling = _bracket_ceiling(forms, scale)
-    lo = s0
-    h_lo, x_lo = h(s0)
-    if h_lo > 0.0:
-        hi = 2.0 * s0
-        h_hi, x_hi = h(hi)
-        while h_hi > 0.0:
-            lo, h_lo, x_lo = hi, h_hi, x_hi
-            hi *= 2.0
-            if hi > ceiling:
-                raise BracketFailure(
-                    f"no sign change of alpha(s) - s^2 below ceiling {ceiling:.3e}")
-            h_hi, x_hi = h(hi)
+    frak = _frak_s(pen)
+    h_probe = probe_ld - np.longdouble(s0) * np.longdouble(s0)
+    if h_probe > 0.0:
+        lo, h_lo, x_lo = s0, h_probe, x_probe
     else:
-        # growth rate below the probe: walk the bracket down instead
-        hi, h_hi, x_hi = s0, h_lo, x_lo
-        lo = 0.5 * s0
-        h_lo, x_lo = h(lo)
-        while h_lo <= 0.0:
-            hi, h_hi, x_hi = lo, h_lo, x_lo
-            lo *= 0.5
-            h_lo, x_lo = h(lo)
+        lo, h_lo, x_lo = 0.0, a0_ld, x0
+    hi = min(frak, math.sqrt(max(a0, 0.0)))
+    h_hi, x_hi = h(hi)
+    if h_hi > 0.0:
+        raise SolverFailure(
+            f"alpha(s) - s^2 = {float(h_hi):.3e} > 0 at the bracket end {hi:.6e}")
 
     if abs(h_hi) < abs(h_lo):
         best_s, best_h, best_x = hi, h_hi, x_hi
@@ -289,15 +270,27 @@ def solve_growth_rate(forms: ModeForms, tol: Optional[float] = None,
     alpha_lam = lam * lam + float(best_h)
     eig_res = _pencil_residual(pen, lam, alpha_lam, best_x)
 
-    frak, extra = _alpha_right_endpoint(pen, lam, alpha_lam)
     return DispersionResult(mode=forms.mode, status="unstable", Lambda=lam,
                             frak_s=frak, alpha0=a0, scale=scale, tol=tol,
                             fixed_point_residual=float(abs(best_h)),
                             alpha_samples=tuple(samples),
                             maximizer=_embed_maximizer(forms, pen, best_x),
                             eig_residual=eig_res,
-                            evaluations=len(samples) + extra, phi_dropped=True,
+                            evaluations=len(samples) + 1, phi_dropped=True,
                             phi_mass_ratio=phi_ratio)
+
+
+def _frak_s(pen: _Pencil) -> float:
+    """λmax(E, V), the right endpoint of {s : α(s) > 0}.
+
+    Reported as the factored Rayleigh quotient of the refined top vector,
+    like α itself, which puts α(frak_s) at the rounding level of the
+    energies rather than of the assembled matrices.
+    """
+    val, x = max_rayleigh(pen.E, pen.V)
+    if pen.tE is None:
+        return val
+    return float(qform_value_ld(pen.tE, x) / qform_value_ld(pen.tV, x))
 
 
 def _pencil_residual(pen: _Pencil, s: float, alpha: float, x: np.ndarray) -> float:
@@ -307,37 +300,6 @@ def _pencil_residual(pen: _Pencil, s: float, alpha: float, x: np.ndarray) -> flo
            + abs(alpha) * np.linalg.norm(pen.J, ord=np.inf))
     den *= max(float(np.max(np.abs(x))), np.finfo(float).tiny)
     return float(np.max(np.abs(r))) / max(den, np.finfo(float).tiny)
-
-
-def _alpha_right_endpoint(pen: _Pencil, s_pos: float, alpha_pos: float):
-    """Right endpoint of {α > 0} by bisection from a point where α > 0."""
-    evals = 0
-    lo = s_pos
-    if alpha_pos <= 0.0:
-        lo = 0.5 * s_pos
-    hi = max(2.0 * s_pos, s_pos + 1.0)
-    while True:
-        val, _ = pen.alpha(hi)
-        evals += 1
-        if val <= 0.0:
-            break
-        lo = hi
-        hi *= 2.0
-        if evals > 120:
-            raise SolverFailure("alpha never became negative while expanding")
-    for _ in range(_MAX_BISECT):
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
-            break
-        val, _ = pen.alpha(mid)
-        evals += 1
-        if val > 0.0:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 1e-10 * hi:
-            break
-    return 0.5 * (lo + hi), evals
 
 
 def _phi_mass_ratio(forms: ModeForms, s: float) -> float:
@@ -484,11 +446,14 @@ def compute_cr(eq: CompressibleEquilibrium, params: PhysicalParams,
     """Stability ratio sup of the compressible energy against the field terms.
 
     Per mode: the smallest c with E_c ⪯ c·(field penalty form), by
-    psd_ratio_sup; negative means E_c is negative definite with margin, +inf
-    means the penalty cannot control the energy for that mode (including a
-    failed downward bracket search, which gets a diagnostic note).  The
-    aggregate is the supremum; each row carries λ_max(E_c; J) as an
-    independent sign certificate.
+    psd_ratio_sup as one Schur-complement eigenproblem on the range of the
+    penalty; negative means E_c is negative definite with margin, +inf
+    means the penalty cannot control the energy for that mode (E_c
+    positive on the penalty's kernel, or null there but coupled to its
+    range), and a penalty that
+    vanishes on the whole mode space also gives +inf, with a diagnostic
+    note.  The aggregate is the supremum; each row carries λ_max(E_c; J) as
+    an independent sign certificate.
     """
     rows = []
     agg = -math.inf

@@ -19,8 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import cholesky, cho_factor, cho_solve, eigh, solve_triangular, LinAlgError
 
-from .errors import (BracketExhausted, InputError, NotPositiveDefinite,
-                     NotSymmetric, SolverFailure)
+from .errors import (BracketExhausted, NotPositiveDefinite, NotSymmetric,
+                     SolverFailure)
 
 _SYM_TOL = 1e-12
 _COND_LIMIT = 1e15
@@ -142,24 +142,23 @@ def max_rayleigh(A: np.ndarray, B: np.ndarray) -> tuple[float, np.ndarray]:
     return float((x @ (A @ x)) / (x @ (B @ x))), x
 
 
-def psd_ratio_sup(N: np.ndarray, D: np.ndarray, B: np.ndarray,
-                  bracket: tuple | None = None,
-                  rel_tol: float = 1e-12) -> float:
-    """inf{c : N - c D is negative semidefinite}, by bisection on c.
+def psd_ratio_sup(N: np.ndarray, D: np.ndarray, B: np.ndarray) -> float:
+    """inf{c : N - c D is negative semidefinite}, as one eigenproblem.
 
-    g(c) = lam_max(N - cD; B) is nonincreasing in c because D is PSD, so the
-    set {g <= 0} is a half line and its left endpoint is the answer.  The
-    result is positive exactly when N is positive somewhere that D is too;
-    it is +inf when N stays positive on the way up to the expansion ceiling
-    (N positive on the kernel of D, no c works); and the search signals
-    BracketExhausted when g never becomes positive on the way down, the
-    degenerate case N ⪯ 0 with D vanishing wherever N comes close to zero.
+    In the eigenbasis of the PSD form D, split its kernel K (eigenvalues
+    d ≤ 1e-12·‖D‖) from its range R.  No c moves N on K, so the ratio is
+    +inf if N_KK has a positive eigenvalue, or a null direction (|ν| ≤
+    1e-12·‖N‖) that N couples to R.  Null directions N leaves uncoupled
+    drop out; on the rest of K, N_KK is negative definite, and Haynsworth
+    inertia additivity makes N - cD ⪯ 0 equivalent to the Schur complement
+    N_RR - N_RK N_KK⁻¹ N_KR - c·diag(d_R) ⪯ 0.  The answer is the top
+    eigenvalue of that complement against diag(d_R).  The result is
+    positive exactly when N is positive somewhere that D is too.  B, the
+    mass form of the certificate pencil (N - cD; B), does not enter the
+    ratio.
 
-    :param bracket: starting (cLo, cHi); expanded outward as needed.
-        Defaults to a norm-ratio-sized symmetric interval.
-    :param rel_tol: relative endpoint gap at which bisection stops.
     :raises NotPositiveDefinite: D has an eigenvalue below -1e-10 * ||D||.
-    :raises BracketExhausted: no sign change found expanding downward.
+    :raises BracketExhausted: D vanishes, so no c changes N - cD at all.
     """
     N = _require_symmetric(N, "N")
     D = _require_symmetric(D, "D")
@@ -169,55 +168,23 @@ def psd_ratio_sup(N: np.ndarray, D: np.ndarray, B: np.ndarray,
     if dmin < -1e-10 * (dnorm + np.finfo(float).tiny):
         raise NotPositiveDefinite(f"penalty form has eigenvalue {dmin:.3e} < 0")
 
-    nN = float(np.linalg.norm(N, ord=np.inf))
-    nB = max(float(np.linalg.norm(B, ord=np.inf)), np.finfo(float).tiny)
-    ker = dvecs[:, dvals <= 1e-12 * (dnorm + np.finfo(float).tiny)]
-    if ker.shape[1]:
-        # N positive on an exact kernel of D cannot be pushed down by any c
-        NK = ker.T @ N @ ker
-        BK = ker.T @ B @ ker
-        rk = solve_gsym(0.5 * (NK + NK.T), 0.5 * (BK + BK.T),
-                        subset=(ker.shape[1] - 1, ker.shape[1] - 1))
-        if float(rk.eigenvalues[-1]) > 1e-10 * (nN + np.finfo(float).tiny) / nB:
+    in_range = dvals > 1e-12 * (dnorm + np.finfo(float).tiny)
+    if not in_range.any():
+        raise BracketExhausted("penalty form vanishes: N - cD is the same for every c")
+    K, R = dvecs[:, ~in_range], dvecs[:, in_range]
+    S = R.T @ N @ R
+    if K.shape[1]:
+        # N_KK = Z diag(nu) Z^T.  A null direction of N_KK that N does not
+        # couple to R drops out of N - cD altogether (at xi1 = 0 neither cr
+        # form sees the v1 component); a positive or a coupled null
+        # direction keeps N - cD positive for every c.
+        tol = 1e-12 * (float(np.linalg.norm(N, ord=np.inf)) + np.finfo(float).tiny)
+        nu, Z = np.linalg.eigh(K.T @ N @ K)
+        C = Z.T @ (K.T @ N @ R)
+        null = nu >= -tol
+        if nu[-1] > tol or np.any(np.abs(C[null]) > tol):
             return float("inf")
-    # the bracket scale needs a floor so a (near-)zero D cannot overflow it
-    scale = (nN + 1.0) / max(dnorm, 1e-16 * (nN + 1.0))
-    if bracket is None:
-        bracket = (-scale, scale)
-    c_lo, c_hi = float(bracket[0]), float(bracket[1])
-    if not c_lo < c_hi:
-        raise InputError(f"bracket ({c_lo}, {c_hi}) is not increasing")
-    ceiling = 1e14 * max(scale, abs(c_lo), abs(c_hi))
-
-    def g_pos(c: float) -> tuple[bool, float]:
-        # "definitely above zero": the semidefinite test carries the same
-        # relative slack as the D check, else exact-zero kernel blocks (the
-        # rank-deficient modes) would chatter the sign at rounding level
-        r = solve_gsym(N - c * D, B, subset=(N.shape[0] - 1, N.shape[0] - 1))
-        val = float(r.eigenvalues[-1])
-        return val > 1e-10 * (nN + abs(c) * dnorm) / nB, val
-
-    # upper end: need g(hi) <= 0, else the ratio is unbounded above
-    hi = c_hi
-    while g_pos(hi)[0]:
-        hi = max(2.0 * abs(hi), scale) if hi >= 0.0 else scale
-        if hi > ceiling:
-            return float("inf")
-    # lower end: need g(lo) > 0, else nothing tops out below the bracket
-    lo = c_lo
-    while True:
-        ok, gval = g_pos(lo)
-        if ok:
-            break
-        hi = min(hi, lo)
-        lo = -max(2.0 * abs(lo), scale) if lo <= 0.0 else -scale
-        if lo < -ceiling:
-            raise BracketExhausted(
-                f"ratio sup not bracketed: g({-ceiling:.3e}-side) = {gval:.3e} <= 0")
-    while hi - lo > rel_tol * max(1.0, abs(lo), abs(hi)):
-        mid = 0.5 * (lo + hi)
-        if g_pos(mid)[0]:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+        W = C[~null] / np.sqrt(-nu[~null])[:, None]
+        S = S + W.T @ W
+    lam, _ = top_pair(0.5 * (S + S.T), np.diag(dvals[in_range]))
+    return lam

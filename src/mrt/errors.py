@@ -49,12 +49,8 @@ class NotPositiveDefinite(SolverError):
     """Mass-side matrix of a generalized eigenproblem failed Cholesky."""
 
 
-class BracketFailure(SolverError):
-    """Root bracketing for the growth-rate fixed point never saw a sign change."""
-
-
 class BracketExhausted(SolverError):
-    """A bisection ceiling was reached without the target condition holding."""
+    """A ratio has no finite bracket: its denominator form vanishes."""
 
 
 class NoGrowth(SolverError):

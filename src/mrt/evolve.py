@@ -36,7 +36,7 @@ from scipy.linalg import cho_factor, cho_solve, eig as dense_eig
 from .errors import IncompatibleData, InputError, SolverFailure
 from .modeforms import ModeForms, _coeff_at, _embed
 
-_SCHEMES = ("trapezoidal", "newmark")
+_SCHEMES = ("trapezoidal",)
 
 
 class _Workspace:
@@ -233,11 +233,7 @@ def _project_component(arr, length: int, phase: str, tol: float, name: str):
     if a.shape != (length,):
         raise IncompatibleData(f"{name} has shape {a.shape}, expected ({length},)")
     if not np.iscomplexobj(a):
-        if phase == "imag":
-            # a real array for an imaginary-phase slot means zero carrier
-            # unless the caller already passed the carrier itself; treat the
-            # values as the carrier
-            return a.astype(float)
+        # a real array is the carrier itself, whatever the slot's phase
         return a.astype(float)
     keep = a.imag if phase == "imag" else a.real
     drop = a.real if phase == "imag" else a.imag

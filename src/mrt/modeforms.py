@@ -104,11 +104,6 @@ def qform_value_ld(terms, x: np.ndarray) -> np.longdouble:
     return total
 
 
-def qform_value(terms, x: np.ndarray) -> float:
-    """Value of a factored quadratic form at x (see qform_value_ld)."""
-    return float(qform_value_ld(terms, x))
-
-
 def _symmetrize(M: np.ndarray) -> np.ndarray:
     return 0.5 * (M + M.T)
 

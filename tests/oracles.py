@@ -157,3 +157,28 @@ def scalar_growth_bisection(alpha, lo: float, hi: float,
         else:
             hi = mid
     return 0.5 * (lo + hi)
+
+
+def psd_ratio_bisection(N: np.ndarray, D: np.ndarray, B: np.ndarray,
+                        lo: float, hi: float, iters: int = 200) -> float:
+    """inf{c : N - cD is negative semidefinite} by plain bisection on c.
+
+    The sign of the top eigenvalue of (N - cD, B), from the longhand
+    Cholesky + Jacobi route, decides each step with no slack.  D must be
+    PSD so that eigenvalue is nonincreasing in c, and the bracket must have
+    it positive at lo and nonpositive at hi.
+    """
+    def top(c):
+        return gsym_eigenvalues_reference(N - c * D, B)[-1]
+
+    if top(lo) <= 0.0 or top(hi) > 0.0:
+        raise ValueError("bracket does not straddle the ratio")
+    for _ in range(iters):
+        mid = 0.5 * (lo + hi)
+        if mid <= lo or mid >= hi:
+            break
+        if top(mid) > 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)

@@ -1,5 +1,9 @@
 """Critical numbers, growth rates, and growing modes of the slab."""
 
+import json
+import math
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy.linalg import eigh
@@ -13,9 +17,12 @@ from mrt.dispersion import (
     quotient_proof_sequence,
     solve_growth_rate,
 )
+from mrt.cli import (_build_grid, _build_modes, _build_params, _build_profile,
+                     validate_config)
+from mrt.eigcore import psd_ratio_sup
 from mrt.errors import NoGrowth, ZeroMode
 from mrt.grid1d import Grid1D
-from mrt.modeforms import ModeSpec, assemble_incompressible
+from mrt.modeforms import ModeSpec, assemble_cr_forms, assemble_incompressible
 from mrt.profiles import (
     PhysicalParams,
     build_equilibrium,
@@ -88,10 +95,12 @@ def test_frak_s_is_right_endpoint(forms_std):
     res = solve_growth_rate(forms_std)
     assert res.frak_s is not None
     assert res.Lambda < res.frak_s
-    val, _ = alpha_of_s(forms_std, 1.05 * res.frak_s)
-    assert val <= 1e-10 * max(1.0, abs(res.alpha0))
-    val_in, _ = alpha_of_s(forms_std, 0.5 * res.frak_s)
-    assert val_in > 0.0
+    for f in (1.05, 1.0 + 1e-9):
+        val, _ = alpha_of_s(forms_std, f * res.frak_s)
+        assert val <= 1e-10 * max(1.0, abs(res.alpha0))
+    for f in (0.5, 1.0 - 1e-9):
+        val_in, _ = alpha_of_s(forms_std, f * res.frak_s)
+        assert val_in > 0.0
 
 
 def test_threshold_dichotomy(affine64, params_std):
@@ -228,6 +237,55 @@ def test_cr_sign_tracks_field_strength(steep_eq):
     rep2 = compute_cr(weak, params, g1, sweep)
     assert rep2.aggregate > 0.0
     assert any(r.quotient > 0.0 for r in rep2.per_mode)
+
+
+def _parker_cr(**overrides):
+    """Inputs of `mrt cr` on configs/parker_cr.json, built as the CLI does."""
+    path = Path(__file__).resolve().parents[1] / "configs" / "parker_cr.json"
+    cfg = validate_config({**json.loads(path.read_text()), **overrides})
+    g1 = _build_grid(cfg)
+    params = _build_params(cfg)
+    eq = build_equilibrium(_build_profile(cfg, g1), params,
+                           cfg["pressure_const"], cfg["sign"])
+    return eq, params, g1, _build_modes(cfg)
+
+
+def test_cr_exact_sign_parker():
+    # regression: the ratio used to be the endpoint of a bisection whose
+    # semidefinite test carried a norm-scaled slack, which biased it by up
+    # to 6e-5 relative on this configuration; the exact ratio is where the
+    # top eigenvalue of (N - cD, J) changes sign
+    eq, params, g1, modes = _parker_cr()
+    rep = compute_cr(eq, params, g1, modes)
+    for mode, row in zip(modes, rep.per_mode):
+        forms = assemble_cr_forms(mode, eq, params, g1)
+        n = forms.J.shape[0]
+
+        def top(c):
+            M = forms.E - c * forms.D
+            return eigh(0.5 * (M + M.T), forms.J, eigvals_only=True,
+                        subset_by_index=(n - 1, n - 1))[0]
+
+        c = row.value
+        assert math.isfinite(c)
+        assert top(c - 1e-9 * abs(c)) > 0.0
+        assert top(c + 1e-9 * abs(c)) <= 0.0
+
+
+def test_cr_xi1_zero_drops_null_block():
+    # at xi1 = 0 both cr forms vanish on the v1 block, so N_KK is singular;
+    # with beta < 0 the ratio is finite and equals the ratio with that
+    # block deleted (it used to come out +inf, "unbounded")
+    eq, params, g1, modes = _parker_cr(n=32, beta=-0.5, modes=[[0, 1]])
+    row, = compute_cr(eq, params, g1, modes).per_mode
+    forms = assemble_cr_forms(modes[0], eq, params, g1)
+    keep = np.any(forms.E != 0.0, axis=1) | np.any(forms.D != 0.0, axis=1)
+    assert np.count_nonzero(~keep) == 32
+    sub = np.ix_(keep, keep)
+    ref = psd_ratio_sup(forms.E[sub], forms.D[sub], forms.J[sub])
+    assert row.note == ""
+    assert math.isfinite(ref)
+    assert abs(row.value - ref) <= 1e-9 * abs(ref)
 
 
 def test_compressible_growth_resolution_floor(steep_eq):

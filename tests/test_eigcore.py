@@ -11,6 +11,7 @@ from mrt.errors import BracketExhausted, NotPositiveDefinite, NotSymmetric
 from oracles import (
     gsym_eigenvalues_reference,
     hermitian_top_eigenvalue,
+    psd_ratio_bisection,
     rayleigh_ascent,
     rayleigh_monte_carlo,
 )
@@ -149,11 +150,18 @@ def test_psd_ratio_sup_diagonal_cases():
     # D singular but N negative on its kernel: finite answer c = -1
     c = psd_ratio_sup(np.diag([-1.0, -2.0]), np.diag([1.0, 0.0]), I2)
     assert abs(c - (-1.0)) <= 1e-9
+    # N null on the kernel and uncoupled from the range: that direction
+    # drops out and the answer is still c = -1
+    c = psd_ratio_sup(np.diag([-1.0, 0.0]), np.diag([1.0, 0.0]), I2)
+    assert abs(c - (-1.0)) <= 1e-9
 
 
 def test_psd_ratio_sup_unbounded():
     # N positive on the kernel of D: no finite c works
     c = psd_ratio_sup(np.eye(2), np.diag([1.0, 0.0]), np.eye(2))
+    assert c == np.inf
+    # N null on the kernel but coupled to the range: (t e2 + e1) grows like 2t
+    c = psd_ratio_sup(np.array([[-1.0, 1.0], [1.0, 0.0]]), np.diag([1.0, 0.0]), np.eye(2))
     assert c == np.inf
 
 
@@ -166,3 +174,21 @@ def test_psd_ratio_sup_bracket_exhausted():
     # D = 0 makes g(c) constant and negative: no sign change to bracket
     with pytest.raises(BracketExhausted):
         psd_ratio_sup(-np.eye(2), np.zeros((2, 2)), np.eye(2))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_psd_ratio_sup_vs_bisection_oracle(seed):
+    # D with a two-dimensional kernel on which N is negative definite: the
+    # Schur-complement value against slack-free longhand bisection
+    n = 6
+    A, B = _random_pencil(100 + seed, n)
+    rng = np.random.default_rng(seed)
+    Q = np.linalg.qr(rng.standard_normal((n, n)))[0]
+    d = np.concatenate([rng.uniform(0.5, 2.0, n - 2), np.zeros(2)])
+    D = Q @ np.diag(d) @ Q.T
+    K = Q[:, n - 2:]
+    N = A - 3.0 * K @ K.T
+    N, D = 0.5 * (N + N.T), 0.5 * (D + D.T)
+    c = psd_ratio_sup(N, D, B)
+    ref = psd_ratio_bisection(N, D, B, -100.0, 100.0)
+    assert abs(c - ref) <= 1e-9 * max(1.0, abs(ref))
