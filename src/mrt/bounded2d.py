@@ -13,6 +13,10 @@ tensor product of the 1D eliminations, which keeps it sparse and exact.
 First derivatives live on staggered midpoint grids, second derivatives on
 the nodes, and the mixed derivative on cell corners; the two discrete
 paths to div w are then the same matrix, so div w = 0 holds to rounding.
+
+The critical-strength quotient and the growth problem share one term
+builder, _box_terms: buoyancy, stretching, viscous and mass forms as
+factored terms over sparse operators, which modeforms._dense assembles.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ import scipy.sparse as sp
 
 from .eigcore import max_rayleigh
 from .errors import InputError, TooFewNodes
-from .modeforms import FormTerm, ModeForms, _coeff_at
+from .modeforms import FormTerm, ModeForms, _coeff_at, _dense
 from .profiles import DensityProfile, PhysicalParams
 
 
@@ -101,28 +105,41 @@ class Rect2D:
         return out
 
 
-def _reduced_gram(op, w: np.ndarray, basis) -> np.ndarray:
-    A = op @ basis
-    M = (A.T @ sp.diags(w) @ A).toarray()
-    return 0.5 * (M + M.T)
+def _box_terms(r: Rect2D, p: DensityProfile, params: PhysicalParams, i: int):
+    """Buoyancy, stretching, viscous and mass terms on the clamped basis.
 
-
-def _coeff_grids(r: Rect2D, p: DensityProfile):
+    buoyancy g∫ρ̄′w₃² (w₃ = −∂₁ψ), stretching λ₀∫|∂ᵢ∇ψ|² for field
+    direction i, viscous μ∫|∇w|², mass ∫ρ̄|w|²; each operator is the sparse
+    stencil times the basis, on its own staggered points.
+    """
+    if i not in (1, 3):
+        raise InputError(f"field direction must be 1 or 3, got {i}")
     g = p.grid
     rho_n = _coeff_at(r.nodes_z, g, p.rho, p.rho_fn, p.table)
     rho_f = _coeff_at(r.flux_z, g, p.rho, p.rho_fn, p.table)
     drho_n = _coeff_at(r.nodes_z, g, p.drho, p.drho_fn)
-    return rho_n, rho_f, drho_n
-
-
-def _weight_vectors(r: Rect2D, rho_n, rho_f, drho_n):
     hxz = r.hx * r.hz
-    w_dx_rho = hxz * np.kron(np.ones(r.nx + 1), rho_n)
-    w_dx_drho = hxz * np.kron(np.ones(r.nx + 1), drho_n)
-    w_dz_rho = hxz * np.kron(np.ones(r.nx), rho_f)
     w_node = hxz * np.ones(r.nx * r.nz)
     w_corner = hxz * np.ones((r.nx + 1) * (r.nz + 1))
-    return w_dx_rho, w_dx_drho, w_dz_rho, w_node, w_corner
+
+    Z = r.basis
+    dx, dz, dxx, dzz, dxz = (op @ Z for op in
+                             (r.op_dx, r.op_dz, r.op_dxx, r.op_dzz, r.op_dxz))
+    buoy = (FormTerm(params.g, hxz * np.kron(np.ones(r.nx + 1), drho_n), dx),)
+    stretch = (
+        FormTerm(params.lambda0, w_node, dxx if i == 1 else dzz),
+        FormTerm(params.lambda0, w_corner, dxz),
+    )
+    viscous = (
+        FormTerm(params.mu, w_node, dxx),
+        FormTerm(params.mu, w_node, dzz),
+        FormTerm(2.0 * params.mu, w_corner, dxz),
+    )
+    mass = (
+        FormTerm(1.0, hxz * np.kron(np.ones(r.nx), rho_f), dz),
+        FormTerm(1.0, hxz * np.kron(np.ones(r.nx + 1), rho_n), dx),
+    )
+    return buoy, stretch, viscous, mass
 
 
 def assemble_2d_quotient(r: Rect2D, p: DensityProfile, params: PhysicalParams,
@@ -133,22 +150,12 @@ def assemble_2d_quotient(r: Rect2D, p: DensityProfile, params: PhysicalParams,
     J: ∫ρ̄|w|².  All assembled on the clamped basis; D is positive definite
     there, so the critical strength √max(0, λmax(E, D)) is finite.
     """
-    if i not in (1, 3):
-        raise InputError(f"field direction must be 1 or 3, got {i}")
-    rho_n, rho_f, drho_n = _coeff_grids(r, p)
-    w_dx_rho, w_dx_drho, w_dz_rho, w_node, w_corner = \
-        _weight_vectors(r, rho_n, rho_f, drho_n)
-    Z = r.basis
-    num = params.g * _reduced_gram(r.op_dx, w_dx_drho, Z)
-    mass = (_reduced_gram(r.op_dz, w_dz_rho, Z)
-            + _reduced_gram(r.op_dx, w_dx_rho, Z))
-    second = r.op_dxx if i == 1 else r.op_dzz
-    den = params.lambda0 * (_reduced_gram(second, w_node, Z)
-                            + _reduced_gram(r.op_dxz, w_corner, Z))
-    layout = {"psi": slice(0, r.nred)}
-    return ModeForms(kind="quotient2d", mode=None, grid=r, layout=layout,
-                     E=num, V=None, J=mass, D=den,
-                     profile=p, params=params)
+    buoy, stretch, _, mass = _box_terms(r, p, params, i)
+    n = r.nred
+    return ModeForms(kind="quotient2d", mode=None, grid=r,
+                     layout={"psi": slice(0, n)},
+                     E=_dense(buoy, n), V=None, J=_dense(mass, n),
+                     D=_dense(stretch, n), profile=p, params=params)
 
 
 def critical_m_2d(r: Rect2D, p: DensityProfile, params: PhysicalParams,
@@ -163,49 +170,19 @@ def _growth_forms_2d(r: Rect2D, p: DensityProfile, params: PhysicalParams,
                      m: float, i: int) -> ModeForms:
     """Energy/dissipation/mass forms of the 2D growth problem.
 
-    E = g∫ρ̄′w₃² − λ₀m²∫|∂ᵢw|², V = μ∫|∇w|², J = ∫ρ̄|w|²; the factored
-    term lists are kept so the fixed-point solve can evaluate Rayleigh
-    quotients through the quadrature factors.
+    E = g∫ρ̄′w₃² − m²·λ₀∫|∂ᵢw|², V = μ∫|∇w|², J = ∫ρ̄|w|², from the same
+    terms as the quotient; the factored term tuples are kept so the
+    fixed-point solve can evaluate Rayleigh quotients through the
+    quadrature factors.
     """
-    if i not in (1, 3):
-        raise InputError(f"field direction must be 1 or 3, got {i}")
-    rho_n, rho_f, drho_n = _coeff_grids(r, p)
-    w_dx_rho, w_dx_drho, w_dz_rho, w_node, w_corner = \
-        _weight_vectors(r, rho_n, rho_f, drho_n)
-    Z = r.basis
-    P_dx = (r.op_dx @ Z).toarray()
-    P_dz = (r.op_dz @ Z).toarray()
-    P_dxx = (r.op_dxx @ Z).toarray()
-    P_dzz = (r.op_dzz @ Z).toarray()
-    P_dxz = (r.op_dxz @ Z).toarray()
-    P_second = P_dxx if i == 1 else P_dzz
-
-    lam_m2 = params.lambda0 * m * m
-    terms_E = (
-        FormTerm(params.g, w_dx_drho, P_dx),
-        FormTerm(-lam_m2, w_node, P_second),
-        FormTerm(-lam_m2, w_corner, P_dxz),
-    )
-    terms_V = (
-        FormTerm(params.mu, w_node, P_dxx),
-        FormTerm(params.mu, w_node, P_dzz),
-        FormTerm(2.0 * params.mu, w_corner, P_dxz),
-    )
-    terms_J = (
-        FormTerm(1.0, w_dz_rho, P_dz),
-        FormTerm(1.0, w_dx_rho, P_dx),
-    )
-
-    def dense(terms):
-        M = np.zeros((r.nred, r.nred))
-        for t in terms:
-            M += t.matrix(r.nred)
-        return 0.5 * (M + M.T)
-
-    layout = {"psi": slice(0, r.nred)}
-    return ModeForms(kind="rect2d", mode=None, grid=r, layout=layout,
-                     E=dense(terms_E), V=dense(terms_V), J=dense(terms_J),
-                     terms_E=terms_E, terms_V=terms_V, terms_J=terms_J,
+    buoy, stretch, viscous, mass = _box_terms(r, p, params, i)
+    terms_E = buoy + tuple(t.scaled(-(m * m)) for t in stretch)
+    n = r.nred
+    return ModeForms(kind="rect2d", mode=None, grid=r,
+                     layout={"psi": slice(0, n)},
+                     E=_dense(terms_E, n), V=_dense(viscous, n),
+                     J=_dense(mass, n),
+                     terms_E=terms_E, terms_V=viscous, terms_J=mass,
                      profile=p, params=params)
 
 

@@ -32,7 +32,7 @@ from .errors import (BracketExhausted, InputError, NoGrowth, SolverFailure,
                      ZeroMode)
 from .eigcore import max_rayleigh, psd_ratio_sup, refine_top, top_pair
 from .grid1d import Grid1D
-from .modeforms import (FormTerm, ModeForms, ModeSpec, assemble_cr_forms,
+from .modeforms import (ModeForms, ModeSpec, assemble_cr_forms,
                         assemble_quotient, qform_value_ld)
 from .profiles import (CompressibleEquilibrium, DensityProfile, PhysicalParams)
 
@@ -103,7 +103,11 @@ class CriticalReport:
 
 
 class _Pencil:
-    """Restriction of a ModeForms to the maximizing block, with term lists."""
+    """Restriction of a ModeForms to the maximizing block, with term tuples.
+
+    The incompressible v₃ block comes first in its layout, so the terms that
+    read only that block apply unchanged to the restricted vector.
+    """
 
     def __init__(self, forms: ModeForms, drop_phi: bool = True):
         self.forms = forms
@@ -112,9 +116,9 @@ class _Pencil:
             self.E = forms.E[sv, sv]
             self.V = forms.V[sv, sv]
             self.J = forms.J[sv, sv]
-            self.tE = _restrict_terms(forms.terms_E, "v3", sv)
-            self.tV = _restrict_terms(forms.terms_V, "v3", sv)
-            self.tJ = _restrict_terms(forms.terms_J, "v3", sv)
+            self.tE, self.tV, self.tJ = (
+                tuple(t for t in terms if t.cols == sv)
+                for terms in (forms.terms_E, forms.terms_V, forms.terms_J))
             self.slice = sv
         else:
             self.E, self.V, self.J = forms.E, forms.V, forms.J
@@ -132,8 +136,6 @@ class _Pencil:
         A = self.E if s == 0.0 else self.E - s * self.V
         lam, v = top_pair(A, self.J)
         x = refine_top(A, self.J, lam, v)
-        if self.tE is None:
-            return np.longdouble((x @ (A @ x)) / (x @ (self.J @ x))), x
         num = qform_value_ld(self.tE, x)
         if s != 0.0:
             num = num - np.longdouble(s) * qform_value_ld(self.tV, x)
@@ -142,18 +144,6 @@ class _Pencil:
     def alpha(self, s: float) -> tuple[float, np.ndarray]:
         val, x = self.alpha_ld(s)
         return float(val), x
-
-
-def _restrict_terms(terms, block, sl):
-    if terms is None:
-        return None
-    out = []
-    for t in terms:
-        if t.block != block:
-            continue
-        Q = None if t.Q is None else t.Q[:, sl]
-        out.append(FormTerm(t.coef, t.w, t.P[:, sl], Q, t.block))
-    return tuple(out)
 
 
 def alpha_of_s(forms: ModeForms, s: float,
@@ -287,9 +277,7 @@ def _frak_s(pen: _Pencil) -> float:
     like α itself, which puts α(frak_s) at the rounding level of the
     energies rather than of the assembled matrices.
     """
-    val, x = max_rayleigh(pen.E, pen.V)
-    if pen.tE is None:
-        return val
+    _, x = max_rayleigh(pen.E, pen.V)
     return float(qform_value_ld(pen.tE, x) / qform_value_ld(pen.tV, x))
 
 
@@ -321,6 +309,16 @@ def _phi_mass_ratio(forms: ModeForms, s: float) -> float:
 # critical field strengths
 # --------------------------------------------------------------------------
 
+def _limit_quotient(profile: DensityProfile, params: PhysicalParams,
+                    g1: Grid1D) -> tuple[float, np.ndarray]:
+    """Top pair of g∫ρ̄′ψ² / λ₀∫(ψ′)² over ψ vanishing at the walls; the
+    vector is normalized in the denominator form."""
+    num = params.g * np.diag(g1.quad * profile.drho)
+    den = params.lambda0 * (
+        g1.deriv_flux.T @ (g1.flux_weights[:, None] * g1.deriv_flux))
+    return max_rayleigh(num, 0.5 * (den + den.T))
+
+
 def critical_M(profile: DensityProfile, params: PhysicalParams,
                g1: Grid1D) -> CriticalReport:
     """Critical vertical field strength of the slab.
@@ -330,10 +328,7 @@ def critical_M(profile: DensityProfile, params: PhysicalParams,
     quotient is the critical number itself; a field strictly above it damps
     every mode, strictly below it some mode grows.
     """
-    num = params.g * np.diag(g1.quad * profile.drho)
-    den = params.lambda0 * (
-        g1.deriv_flux.T @ (g1.flux_weights[:, None] * g1.deriv_flux))
-    val, _ = max_rayleigh(num, 0.5 * (den + den.T))
+    val, _ = _limit_quotient(profile, params, g1)
     mc = math.sqrt(max(val, 0.0))
     return CriticalReport(kind="critical_M", per_mode=(),
                           aggregate=mc, unbounded=False,
@@ -373,10 +368,7 @@ def quotient_proof_sequence(profile: DensityProfile, params: PhysicalParams,
     curvature; a no-slip basis would force a wall layer whose curvature
     diverges and destroy the second-order rate.
     """
-    num = params.g * np.diag(g1.quad * profile.drho)
-    gram = g1.deriv_flux.T @ (g1.flux_weights[:, None] * g1.deriv_flux)
-    den = params.lambda0 * 0.5 * (gram + gram.T)
-    val, a = max_rayleigh(num, den)
+    val, a = _limit_quotient(profile, params, g1)
     if val <= 0.0:
         raise NoGrowth("profile carries no buoyant layer; quotient nonpositive")
     # a is den-normalized, so the denominator of its quotient is 1 and the

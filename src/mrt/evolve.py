@@ -34,9 +34,16 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve, eig as dense_eig
 
 from .errors import IncompatibleData, InputError, SolverFailure
-from .modeforms import ModeForms, _coeff_at, _embed
+from .modeforms import ModeForms, _coeff_at
 
 _SCHEMES = ("trapezoidal",)
+
+
+def _embed(op: np.ndarray, sl: slice, n: int) -> np.ndarray:
+    """op padded with zero columns to act on the full stacked vector."""
+    out = np.zeros((op.shape[0], n))
+    out[:, sl] = op
+    return out
 
 
 class _Workspace:

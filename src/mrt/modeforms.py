@@ -8,11 +8,16 @@ complex fields reduce to real unknowns:
 * compressible: û₃ = v₃, û₁ = i·v₁, û₂ = i·v₂, all Dirichlet, so the
   divergence becomes the real combination d(v) = −ξ₁v₁ − ξ₂v₂ + v₃′.
 
-Forms are kept both as dense symmetric matrices and as lists of factored
+Forms are kept both as dense symmetric matrices and as tuples of factored
 terms coef·Σ w_k (P x)_k (Q x)_k.  The factored path evaluates energies as
 weighted sums over quadrature points with compensated accumulation, which is
 what lets the growth-rate fixed point land at the last-bit level; the dense
 path feeds the eigensolver.
+
+A term's operators read only the columns of the stacked unknown it names
+(one block, or all of them for the few operators that couple blocks), and
+they may be dense arrays or scipy sparse matrices; _dense is the one
+assembler that turns terms into a dense matrix, block by block.
 
 First-derivative products are assembled on the staggered flux grid, never by
 squaring the nodal central difference (see grid1d).
@@ -20,10 +25,11 @@ squaring the nodal central difference (see grid1d).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
+import scipy.sparse as sp
 
 from .errors import InputError, ZeroMode
 from .grid1d import Grid1D
@@ -69,19 +75,31 @@ class ModeSpec:
 
 @dataclass(frozen=True)
 class FormTerm:
-    """One factored contribution coef * sum_k w[k] (P x)_k (Q x)_k."""
+    """One factored contribution coef · Σ_k w[k] (P y)_k (Q y)_k, y = x[cols].
+
+    P and Q hold only the columns that cols names, so a single-block operator
+    is stored at its own width; cols defaults to every column.  They may be
+    dense arrays or scipy sparse matrices.  Q = None means Q = P.
+    """
 
     coef: float
     w: np.ndarray
-    P: np.ndarray
-    Q: Optional[np.ndarray] = None
-    block: Optional[str] = None
+    P: object
+    Q: Optional[object] = None
+    cols: slice = field(default_factory=lambda: slice(None))
 
-    def matrix(self, n: int) -> np.ndarray:
+    def scaled(self, c: float) -> "FormTerm":
+        return replace(self, coef=c * self.coef)
+
+    def matrix(self) -> np.ndarray:
+        """coef·PᵀWQ (symmetrized when Q is given) on the columns cols."""
         Q = self.P if self.Q is None else self.Q
-        M = self.P.T @ (self.w[:, None] * Q)
+        if sp.issparse(self.P):
+            M = (self.P.T @ sp.diags(self.w) @ Q).toarray()
+        else:
+            M = self.P.T @ (self.w[:, None] * Q)
         if self.Q is not None:
-            M = 0.5 * (M + M.T)
+            M = _symmetrize(M)
         return self.coef * M
 
 
@@ -94,12 +112,15 @@ def qform_value_ld(terms, x: np.ndarray) -> np.longdouble:
     running the derivative matvecs and quadrature sums in long double drops
     the remaining noise floor a further few orders.  The growth-rate fixed
     point needs exactly this to certify |Λ² − α(Λ)| at the 1e-16 level.
+    Sparse operators give the same sums as their dense form: the skipped
+    entries are exact zeros.
     """
     xl = np.asarray(x, dtype=np.longdouble)
     total = np.longdouble(0.0)
     for t in terms:
-        Px = t.P.astype(np.longdouble) @ xl
-        Qx = Px if t.Q is None else t.Q.astype(np.longdouble) @ xl
+        y = xl[t.cols]
+        Px = t.P.astype(np.longdouble) @ y
+        Qx = Px if t.Q is None else t.Q.astype(np.longdouble) @ y
         total += np.longdouble(t.coef) * np.sum(t.w.astype(np.longdouble) * Px * Qx)
     return total
 
@@ -109,9 +130,10 @@ def _symmetrize(M: np.ndarray) -> np.ndarray:
 
 
 def _dense(terms, n: int) -> np.ndarray:
+    """The n×n symmetric matrix of a term tuple, each term added on its block."""
     M = np.zeros((n, n))
     for t in terms:
-        M += t.matrix(n)
+        M[t.cols, t.cols] += t.matrix()
     return _symmetrize(M)
 
 
@@ -162,72 +184,63 @@ def _coeff_at(points: np.ndarray, grid: Grid1D, nodal: np.ndarray,
     return np.interp(points, grid.nodes, nodal)
 
 
-def _embed(op: np.ndarray, sl: slice, n: int) -> np.ndarray:
-    out = np.zeros((op.shape[0], n))
-    out[:, sl] = op
-    return out
-
-
 # --------------------------------------------------------------------------
 # incompressible assembly
 # --------------------------------------------------------------------------
 
 def _incompressible_pieces(mode: ModeSpec, p: DensityProfile,
                            params: PhysicalParams, g1: Grid1D):
-    """Shared term lists for the divergence-free reduction.
+    """Shared term tuples for the divergence-free reduction.
 
-    Returns layout plus factored term lists for: mass (ρ̄-weighted), unit
+    Returns layout plus factored term tuples for: mass (ρ̄-weighted), unit
     mass (nodal and flux variants), the field-line bending form
     ∫((v₃′)² + (v₃″)²/|ξ|² + (φ′)²), and the buoyancy numerator g∫ρ̄′v₃².
-    The bending curvature factor is evaluated on the flux grid (curv_flux),
-    where the evolution module's recovered field perturbation lives.
+    Every term reads one block.  The bending curvature factor is evaluated
+    on the flux grid (curv_flux), where the evolution module's recovered
+    field perturbation lives.
     """
     if mode.xi_norm2 == 0.0:
         raise ZeroMode("incompressible reduction needs |xi| > 0")
     n = g1.n
     na = n - 2
-    N = na + n
     sv = slice(0, na)
-    sp = slice(na, N)
-    layout = {"v3": sv, "phi": sp}
+    sphi = slice(na, na + n)
+    layout = {"v3": sv, "phi": sphi}
     xi2 = mode.xi_norm2
 
     Z = g1.clamped
-    GZ = _embed(g1.deriv_flux @ Z, sv, N)
-    CFZ = _embed(g1.curv_flux @ Z, sv, N)
-    AZ = _embed(g1.value_flux @ Z, sv, N)
-    Znodal = _embed(Z, sv, N)
-    Iphi = _embed(np.eye(n), sp, N)
-    Gphi = _embed(g1.deriv_flux, sp, N)
-    Aphi = _embed(g1.value_flux, sp, N)
+    GZ = g1.deriv_flux @ Z
+    CFZ = g1.curv_flux @ Z
+    AZ = g1.value_flux @ Z
+    Iphi = np.eye(n)
 
     rho_f = _coeff_at(g1.flux_points, g1, p.rho, p.rho_fn, p.table)
     wf = g1.flux_weights
 
     mass = (
-        FormTerm(1.0, g1.quad * p.rho, Znodal, block="v3"),
-        FormTerm(1.0 / xi2, wf * rho_f, GZ, block="v3"),
-        FormTerm(1.0, g1.quad * p.rho, Iphi, block="phi"),
+        FormTerm(1.0, g1.quad * p.rho, Z, cols=sv),
+        FormTerm(1.0 / xi2, wf * rho_f, GZ, cols=sv),
+        FormTerm(1.0, g1.quad * p.rho, Iphi, cols=sphi),
     )
     unit_mass = (
-        FormTerm(1.0, g1.quad.copy(), Znodal, block="v3"),
-        FormTerm(1.0 / xi2, wf.copy(), GZ, block="v3"),
-        FormTerm(1.0, g1.quad.copy(), Iphi, block="phi"),
+        FormTerm(1.0, g1.quad, Z, cols=sv),
+        FormTerm(1.0 / xi2, wf, GZ, cols=sv),
+        FormTerm(1.0, g1.quad, Iphi, cols=sphi),
     )
     # same norm assembled against flux-point values; the energy uses this
     # variant so its bilinear pairing matches the evolution forcing exactly
     unit_flux = (
-        FormTerm(1.0, wf.copy(), AZ, block="v3"),
-        FormTerm(1.0 / xi2, wf.copy(), GZ, block="v3"),
-        FormTerm(1.0, wf.copy(), Aphi, block="phi"),
+        FormTerm(1.0, wf, AZ, cols=sv),
+        FormTerm(1.0 / xi2, wf, GZ, cols=sv),
+        FormTerm(1.0, wf, g1.value_flux, cols=sphi),
     )
     bend = (
-        FormTerm(1.0, wf.copy(), GZ, block="v3"),
-        FormTerm(1.0 / xi2, wf.copy(), CFZ, block="v3"),
-        FormTerm(1.0, wf.copy(), Gphi, block="phi"),
+        FormTerm(1.0, wf, GZ, cols=sv),
+        FormTerm(1.0 / xi2, wf, CFZ, cols=sv),
+        FormTerm(1.0, wf, g1.deriv_flux, cols=sphi),
     )
     buoy = (
-        FormTerm(params.g, g1.quad * p.drho, Znodal, block="v3"),
+        FormTerm(params.g, g1.quad * p.drho, Z, cols=sv),
     )
     return layout, mass, unit_mass, unit_flux, bend, buoy
 
@@ -249,29 +262,17 @@ def assemble_incompressible(mode: ModeSpec, p: DensityProfile,
     xi2 = mode.xi_norm2
 
     if mode.field_dir == 3:
-        terms_E = buoy + tuple(
-            FormTerm(-params.lambda0 * m2 * t.coef, t.w, t.P, t.Q, t.block)
-            for t in bend)
+        terms_E = buoy + tuple(t.scaled(-params.lambda0 * m2) for t in bend)
     else:
-        terms_E = buoy + tuple(
-            FormTerm(-params.lambda0 * m2 * mode.xi[0] ** 2 * t.coef, t.w, t.P, t.Q, t.block)
-            for t in unit_flux)
-    terms_V = tuple(
-        FormTerm(params.mu * xi2 * t.coef, t.w, t.P, t.Q, t.block) for t in unit_mass
-    ) + tuple(
-        FormTerm(params.mu * t.coef, t.w, t.P, t.Q, t.block) for t in bend
-    )
+        terms_E = buoy + tuple(t.scaled(-params.lambda0 * m2 * mode.xi[0] ** 2)
+                               for t in unit_flux)
+    terms_V = tuple(t.scaled(params.mu * xi2) for t in unit_mass) + \
+        tuple(t.scaled(params.mu) for t in bend)
 
-    E = _dense(terms_E, N)
-    V = _dense(terms_V, N)
-    J = _dense(mass, N)
-    aux = {
-        "unit_mass": _dense(unit_mass, N),
-        "bend": _dense(bend, N),
-        "buoy": _dense(buoy, N),
-    }
+    aux = {"unit_mass": _dense(unit_mass, N), "bend": _dense(bend, N)}
     return ModeForms(kind="incompressible", mode=mode, grid=g1, layout=layout,
-                     E=E, V=V, J=J,
+                     E=_dense(terms_E, N), V=_dense(terms_V, N),
+                     J=_dense(mass, N),
                      terms_E=terms_E, terms_V=terms_V, terms_J=mass,
                      aux=aux, profile=p, params=params)
 
@@ -289,12 +290,10 @@ def assemble_quotient(mode: ModeSpec, p: DensityProfile, params: PhysicalParams,
         _incompressible_pieces(mode, p, params, g1)
     N = layout["phi"].stop
     if i == 3:
-        terms_D = tuple(FormTerm(params.lambda0 * t.coef, t.w, t.P, t.Q, t.block)
-                        for t in bend)
+        terms_D = tuple(t.scaled(params.lambda0) for t in bend)
     else:
-        terms_D = tuple(
-            FormTerm(params.lambda0 * mode.xi[0] ** 2 * t.coef, t.w, t.P, t.Q, t.block)
-            for t in unit_flux)
+        terms_D = tuple(t.scaled(params.lambda0 * mode.xi[0] ** 2)
+                        for t in unit_flux)
     return ModeForms(kind="quotient", mode=mode, grid=g1, layout=layout,
                      E=_dense(buoy, N), V=None, J=_dense(mass, N),
                      D=_dense(terms_D, N),
@@ -307,23 +306,24 @@ def assemble_quotient(mode: ModeSpec, p: DensityProfile, params: PhysicalParams,
 # compressible assembly
 # --------------------------------------------------------------------------
 
+def _coupled_ops(mode: ModeSpec, g1: Grid1D):
+    """The compressible operators that read more than one block, at full
+    width: d(v) = −ξ₁v₁ − ξ₂v₂ + v₃′, r(v) = −ξ₂v₂ + v₃′, and v₃ (the
+    partner of d(v) in the 2gρ̄ d(v) v₃ term), all on the flux grid."""
+    A, G = g1.value_flux, g1.deriv_flux
+    O = np.zeros_like(A)
+    xi1, xi2c = mode.xi
+    d = np.hstack([-xi1 * A, -xi2c * A, G])
+    r = np.hstack([O, -xi2c * A, G])
+    return d, r, np.hstack([O, O, A])
+
+
 def _compressible_pieces(mode: ModeSpec, eq: CompressibleEquilibrium,
                          params: PhysicalParams, g1: Grid1D):
     n = g1.n
-    N = 3 * n
-    s1, s2, s3 = slice(0, n), slice(n, 2 * n), slice(2 * n, N)
-    layout = {"v1": s1, "v2": s2, "v3": s3}
-    xi1, xi2c = mode.xi
-    I = np.eye(n)
-
-    A1 = _embed(g1.value_flux, s1, N)
-    A2 = _embed(g1.value_flux, s2, N)
-    A3 = _embed(g1.value_flux, s3, N)
-    G1 = _embed(g1.deriv_flux, s1, N)
-    G2 = _embed(g1.deriv_flux, s2, N)
-    G3 = _embed(g1.deriv_flux, s3, N)
-    d_op = -xi1 * A1 - xi2c * A2 + G3
-    r_op = -xi2c * A2 + G3
+    layout = {"v1": slice(0, n), "v2": slice(n, 2 * n), "v3": slice(2 * n, 3 * n)}
+    d, r, A3 = _coupled_ops(mode, g1)
+    ops = dict(A=g1.value_flux, G=g1.deriv_flux, I=np.eye(n), d=d, r=r, A3=A3)
 
     p = eq.profile
     fx = g1.flux_points
@@ -336,13 +336,11 @@ def _compressible_pieces(mode: ModeSpec, eq: CompressibleEquilibrium,
         mc2_f = np.interp(fx, g1.nodes, eq.field) ** 2
     wf = g1.flux_weights
 
-    ops = dict(A1=A1, A2=A2, A3=A3, G1=G1, G2=G2, G3=G3, d=d_op, r=r_op,
-               I1=_embed(I, s1, N), I2=_embed(I, s2, N), I3=_embed(I, s3, N))
     coeffs = dict(rho_f=rho_f, drho_f=drho_f, prho_f=prho_f, mc2_f=mc2_f, wf=wf)
     return layout, ops, coeffs
 
 
-def _compressible_energy_terms(mode, params, ops, coeffs):
+def _compressible_energy_terms(mode, params, layout, ops, coeffs):
     """E_c, assembled entirely on the flux grid.
 
     Flux placement of every term (buoyancy included) keeps the assembled
@@ -352,12 +350,13 @@ def _compressible_energy_terms(mode, params, ops, coeffs):
     """
     xi1 = mode.xi[0]
     wf = coeffs["wf"]
+    A, s2, s3 = ops["A"], layout["v2"], layout["v3"]
     return (
-        FormTerm(params.g, wf * coeffs["drho_f"], ops["A3"]),
+        FormTerm(params.g, wf * coeffs["drho_f"], A, cols=s3),
         FormTerm(2.0 * params.g, wf * coeffs["rho_f"], ops["d"], ops["A3"]),
         FormTerm(-1.0, wf * coeffs["prho_f"], ops["d"]),
-        FormTerm(-params.lambda0 * xi1 ** 2, wf * coeffs["mc2_f"], ops["A2"]),
-        FormTerm(-params.lambda0 * xi1 ** 2, wf * coeffs["mc2_f"], ops["A3"]),
+        FormTerm(-params.lambda0 * xi1 ** 2, wf * coeffs["mc2_f"], A, cols=s2),
+        FormTerm(-params.lambda0 * xi1 ** 2, wf * coeffs["mc2_f"], A, cols=s3),
         FormTerm(-params.lambda0, wf * coeffs["mc2_f"], ops["r"]),
     )
 
@@ -373,35 +372,24 @@ def assemble_compressible(mode: ModeSpec, eq: CompressibleEquilibrium,
     if params.mu0 is None:
         raise InputError("compressible forms need mu0")
     layout, ops, coeffs = _compressible_pieces(mode, eq, params, g1)
-    n = g1.n
-    N = 3 * n
+    N = 3 * g1.n
     p = eq.profile
     xi2 = mode.xi_norm2
     wf = coeffs["wf"]
+    blocks = tuple(layout.values())
 
-    terms_J = tuple(FormTerm(1.0, g1.quad * p.rho, ops[k], block=b)
-                    for k, b in (("I1", "v1"), ("I2", "v2"), ("I3", "v3")))
-    terms_E = _compressible_energy_terms(mode, params, ops, coeffs)
-    terms_V = tuple(
-        FormTerm(params.mu * xi2, g1.quad.copy(), ops[k], block=b)
-        for k, b in (("I1", "v1"), ("I2", "v2"), ("I3", "v3"))
-    ) + tuple(
-        FormTerm(params.mu, wf.copy(), ops[k], block=b)
-        for k, b in (("G1", "v1"), ("G2", "v2"), ("G3", "v3"))
-    ) + (
-        FormTerm(params.mu0, wf.copy(), ops["d"]),
-    )
+    terms_J = tuple(FormTerm(1.0, g1.quad * p.rho, ops["I"], cols=b) for b in blocks)
+    terms_E = _compressible_energy_terms(mode, params, layout, ops, coeffs)
+    unit = tuple(FormTerm(1.0, g1.quad, ops["I"], cols=b) for b in blocks)
+    grad = tuple(t.scaled(xi2) for t in unit) + \
+        tuple(FormTerm(1.0, wf, ops["G"], cols=b) for b in blocks)
+    terms_V = tuple(t.scaled(params.mu) for t in grad) + \
+        (FormTerm(params.mu0, wf, ops["d"]),)
 
-    unit = tuple(FormTerm(1.0, g1.quad.copy(), ops[k], block=b)
-                 for k, b in (("I1", "v1"), ("I2", "v2"), ("I3", "v3")))
-    grad = tuple(FormTerm(xi2, g1.quad.copy(), ops[k], block=b)
-                 for k, b in (("I1", "v1"), ("I2", "v2"), ("I3", "v3"))) + \
-        tuple(FormTerm(1.0, wf.copy(), ops[k], block=b)
-              for k, b in (("G1", "v1"), ("G2", "v2"), ("G3", "v3")))
     aux = {
         "unit_mass": _dense(unit, N),
         "grad": _dense(grad, N),
-        "divsq": FormTerm(1.0, wf.copy(), ops["d"]).matrix(N),
+        "divsq": FormTerm(1.0, wf, ops["d"]).matrix(),
     }
     return ModeForms(kind="compressible", mode=mode, grid=g1, layout=layout,
                      E=_dense(terms_E, N), V=_dense(terms_V, N),
@@ -416,18 +404,19 @@ def assemble_cr_forms(mode: ModeSpec, eq: CompressibleEquilibrium,
 
     Dform = λ₀∫(ξ₁²v₂² + ξ₁²v₃² + (−ξ₂v₂+v₃′)²); its kernel at ξ₁ ≠ 0 is the
     v₁-only subspace, where E_c = −ξ₁²∫p′(ρ̄)ρ̄v₁² < 0, so the ratio supremum
-    is finite there.
+    is finite there.  The penalty needs no background coefficient, so its
+    terms come straight from the grid operators.
     """
     base = assemble_compressible(mode, eq, params, g1)
     xi1 = mode.xi[0]
-    layout, ops, coeffs = _compressible_pieces(mode, eq, params, g1)
-    wf = coeffs["wf"]
+    A, wf = g1.value_flux, g1.flux_weights
+    _, r, _ = _coupled_ops(mode, g1)
     terms_D = (
-        FormTerm(params.lambda0 * xi1 ** 2, wf.copy(), ops["A2"]),
-        FormTerm(params.lambda0 * xi1 ** 2, wf.copy(), ops["A3"]),
-        FormTerm(params.lambda0, wf.copy(), ops["r"]),
+        FormTerm(params.lambda0 * xi1 ** 2, wf, A, cols=base.layout["v2"]),
+        FormTerm(params.lambda0 * xi1 ** 2, wf, A, cols=base.layout["v3"]),
+        FormTerm(params.lambda0, wf, r),
     )
-    return ModeForms(kind="crForms", mode=mode, grid=g1, layout=layout,
+    return ModeForms(kind="crForms", mode=mode, grid=g1, layout=base.layout,
                      E=base.E, V=base.V, J=base.J, D=_dense(terms_D, base.size),
                      terms_E=base.terms_E, terms_V=base.terms_V,
                      terms_J=base.terms_J, aux=base.aux,

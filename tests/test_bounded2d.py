@@ -2,9 +2,13 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from mrt.bounded2d import (
     Rect2D,
+    _box_terms,
+    _growth_forms_2d,
+    assemble_2d_quotient,
     critical_m_2d,
     divergence_defect,
     growth_rate_2d,
@@ -12,6 +16,7 @@ from mrt.bounded2d import (
 )
 from mrt.errors import InputError, TooFewNodes
 from mrt.grid1d import Grid1D
+from mrt.modeforms import _dense, qform_value_ld
 from mrt.profiles import PhysicalParams, make_affine_profile
 
 # frozen square-box values, rho' = 1, g = lambda0 = 1, field direction 1
@@ -109,3 +114,29 @@ def test_wide_box_approaches_slab(params):
     r = Rect2D((-4.0, 4.0), (-1.0, 1.0), 48, 12)
     v = critical_m_2d(r, prof, params, 1)
     assert 0.0 < v < 2.0 / np.pi
+
+
+@pytest.mark.parametrize("i", [1, 3])
+def test_box_terms_qform_matches_dense(params, i):
+    # sparse operators: the long-double factored value against the dense
+    # assembly
+    r = Rect2D((-1.0, 1.0), (-1.0, 1.0), 12, 10)
+    rng = np.random.default_rng(i)
+    for terms in _box_terms(r, _profile(), params, i):
+        assert all(sp.issparse(t.P) for t in terms)
+        x = rng.standard_normal(r.nred)
+        ref = float(x @ _dense(terms, r.nred) @ x)
+        assert abs(float(qform_value_ld(terms, x)) - ref) <= 1e-12 * abs(ref)
+
+
+@pytest.mark.parametrize("i", [1, 3])
+def test_growth_forms_share_quotient_terms(params, i):
+    # growth energy = quotient numerator - m^2 * quotient denominator
+    r = _square(12)
+    prof = _profile()
+    m = 0.2
+    q = assemble_2d_quotient(r, prof, params, i)
+    gr = _growth_forms_2d(r, prof, params, m, i)
+    ref = q.E - m * m * q.D
+    assert np.max(np.abs(gr.E - ref)) <= 1e-13 * np.max(np.abs(ref))
+    assert np.array_equal(gr.J, q.J)

@@ -2,6 +2,7 @@
 
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,6 +28,14 @@ def test_validate_config_defaults():
     assert cfg["scheme"] == "chebyshev"
     assert cfg["n"] == 96
     assert cfg["modes"] == [[1, 0]]
+
+
+@pytest.mark.parametrize(
+    "path", sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.json")),
+    ids=lambda p: p.name)
+def test_shipped_configs_validate(path):
+    raw = json.loads(path.read_text())
+    assert validate_config(raw)["problem"] == raw["problem"]
 
 
 def test_validate_config_rejections():

@@ -9,10 +9,12 @@ from mrt.errors import InputError, ZeroMode
 from mrt.grid1d import Grid1D
 from mrt.modeforms import (
     ModeSpec,
+    _dense,
     assemble_compressible,
     assemble_cr_forms,
     assemble_incompressible,
     assemble_quotient,
+    qform_value_ld,
 )
 from mrt.profiles import PhysicalParams, build_equilibrium, make_affine_profile
 
@@ -222,3 +224,34 @@ def test_compressible_field_term_oracle(symbolic_eq):
     Eb = assemble_compressible(ModeSpec.from_integers(1.0, 1, 3), eq, params, g1).E
     # with v2 = 0 the r-term is xi2-independent, so the forms agree on y
     assert abs(float(y @ (Ea @ y)) - float(y @ (Eb @ y))) <= 1e-10
+
+
+def _assert_qform_matches_dense(terms, n, seed):
+    # the factored long-double value and the block-assembled matrix are two
+    # routes to the same form
+    rng = np.random.default_rng(seed)
+    for _ in range(3):
+        x = rng.standard_normal(n)
+        ref = float(x @ _dense(terms, n) @ x)
+        assert abs(float(qform_value_ld(terms, x)) - ref) <= 1e-12 * abs(ref)
+
+
+@pytest.mark.parametrize("field_dir", [3, 1])
+def test_qform_value_ld_incompressible(affine64, params_std, field_dir):
+    mode = ModeSpec.from_integers(1.0, 2, 1, field_dir=field_dir, m=0.3)
+    forms = assemble_incompressible(mode, affine64, params_std, affine64.grid)
+    # every incompressible operator is stored at the width of its block
+    for t in forms.terms_E + forms.terms_V + forms.terms_J:
+        assert t.P.shape[1] == t.cols.stop - t.cols.start
+    for terms in (forms.terms_E, forms.terms_V, forms.terms_J):
+        _assert_qform_matches_dense(terms, forms.size, field_dir)
+
+
+def test_qform_value_ld_compressible(symbolic_eq):
+    # E carries the full-width coupled operators next to single-block ones
+    eq, params, g1 = symbolic_eq
+    forms = assemble_compressible(ModeSpec.from_integers(1.0, 1, 2), eq, params, g1)
+    widths = {t.P.shape[1] for t in forms.terms_E}
+    assert widths == {g1.n, forms.size}
+    for terms in (forms.terms_E, forms.terms_V, forms.terms_J):
+        _assert_qform_matches_dense(terms, forms.size, 5)
