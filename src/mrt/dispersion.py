@@ -16,8 +16,10 @@ Schur-complement eigenproblem per mode (see eigcore.psd_ratio_sup).
 
 For the incompressible problem the transverse stream component φ never
 helps the numerator (its energy block is nonpositive), so the maximization
-runs on the vertical-displacement block alone; ``check_phi`` re-enables the
-full space and asserts the maximizer carries no φ mass.
+runs on the vertical-displacement block alone.
+
+A growing mode e^{Λt}(u, ϱ, N) takes its density and field carriers from
+the rate laws of evolve.RateLaws, divided by Λ.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ import numpy as np
 from .errors import (BracketExhausted, InputError, NoGrowth, SolverFailure,
                      ZeroMode)
 from .eigcore import max_rayleigh, psd_ratio_sup, refine_top, top_pair
+from .evolve import RateLaws
 from .grid1d import Grid1D
 from .modeforms import (ModeForms, ModeSpec, assemble_cr_forms,
                         assemble_quotient, qform_value_ld)
@@ -68,8 +71,6 @@ class DispersionResult:
     maximizer: Optional[np.ndarray] = None
     eig_residual: Optional[float] = None
     evaluations: int = 0
-    phi_dropped: bool = False
-    phi_mass_ratio: Optional[float] = None
 
     @property
     def unstable(self) -> bool:
@@ -109,9 +110,9 @@ class _Pencil:
     read only that block apply unchanged to the restricted vector.
     """
 
-    def __init__(self, forms: ModeForms, drop_phi: bool = True):
+    def __init__(self, forms: ModeForms):
         self.forms = forms
-        if forms.kind == "incompressible" and drop_phi:
+        if forms.kind == "incompressible":
             sv = forms.layout["v3"]
             self.E = forms.E[sv, sv]
             self.V = forms.V[sv, sv]
@@ -141,17 +142,12 @@ class _Pencil:
             num = num - np.longdouble(s) * qform_value_ld(self.tV, x)
         return num / qform_value_ld(self.tJ, x), x
 
-    def alpha(self, s: float) -> tuple[float, np.ndarray]:
-        val, x = self.alpha_ld(s)
-        return float(val), x
 
-
-def alpha_of_s(forms: ModeForms, s: float,
-               check_phi: bool = False) -> tuple[float, np.ndarray]:
+def alpha_of_s(forms: ModeForms, s: float) -> tuple[float, np.ndarray]:
     """Largest J-eigenvalue of E - sV and its J-normalized maximizer."""
-    pen = _Pencil(forms, drop_phi=not check_phi)
-    val, x = pen.alpha(s)
-    return val, _embed_maximizer(forms, pen, x)
+    pen = _Pencil(forms)
+    val, x = pen.alpha_ld(s)
+    return float(val), _embed_maximizer(forms, pen, x)
 
 
 def _embed_maximizer(forms: ModeForms, pen: "_Pencil", x: np.ndarray) -> np.ndarray:
@@ -161,8 +157,8 @@ def _embed_maximizer(forms: ModeForms, pen: "_Pencil", x: np.ndarray) -> np.ndar
     return y / nrm
 
 
-def solve_growth_rate(forms: ModeForms, tol: Optional[float] = None,
-                      check_phi: bool = False) -> DispersionResult:
+def solve_growth_rate(forms: ModeForms,
+                      tol: Optional[float] = None) -> DispersionResult:
     """Fixed point Λ of Λ = sqrt(α(Λ)), or a stability verdict.
 
     The probe point is s₀ = 1e-6·scale with scale = sqrt(max(α(0), 1)); a
@@ -175,12 +171,8 @@ def solve_growth_rate(forms: ModeForms, tol: Optional[float] = None,
     smallest |h| is returned; the contract is |h(Λ)| ≤ tol² with tol =
     1e-8·scale by default, relaxed to the one-ulp resolution of h when
     double precision cannot express tol² at that Λ; past both, SolverFailure.
-
-    :param check_phi: run the incompressible maximization on the full
-        (v₃, φ) space and record the maximizer's φ mass ratio, asserting it
-        is negligible; costs extra and changes nothing else.
     """
-    pen = _Pencil(forms, drop_phi=True)
+    pen = _Pencil(forms)
     samples: list = []
 
     def alpha_at(s: float) -> tuple[np.longdouble, np.ndarray]:
@@ -200,17 +192,12 @@ def solve_growth_rate(forms: ModeForms, tol: Optional[float] = None,
         np.linalg.norm(pen.J, ord=np.inf), np.finfo(float).tiny)
     marg_tol = 1e-9 * max(escale, np.finfo(float).tiny)
 
-    phi_ratio = None
-    if check_phi and forms.kind == "incompressible":
-        phi_ratio = _phi_mass_ratio(forms, max(a0, 0.0))
-
     if alpha_probe <= 0.0:
         status = "stable-marginal" if abs(a0) <= marg_tol else "stable"
         return DispersionResult(mode=forms.mode, status=status, Lambda=None,
                                 frak_s=None, alpha0=a0, scale=scale, tol=tol,
                                 alpha_samples=tuple(samples),
-                                evaluations=len(samples), phi_dropped=True,
-                                phi_mass_ratio=phi_ratio)
+                                evaluations=len(samples))
 
     def h(s: float) -> tuple[np.longdouble, np.ndarray]:
         val, x = alpha_at(s)
@@ -266,8 +253,7 @@ def solve_growth_rate(forms: ModeForms, tol: Optional[float] = None,
                             alpha_samples=tuple(samples),
                             maximizer=_embed_maximizer(forms, pen, best_x),
                             eig_residual=eig_res,
-                            evaluations=len(samples) + 1, phi_dropped=True,
-                            phi_mass_ratio=phi_ratio)
+                            evaluations=len(samples) + 1)
 
 
 def _frak_s(pen: _Pencil) -> float:
@@ -288,21 +274,6 @@ def _pencil_residual(pen: _Pencil, s: float, alpha: float, x: np.ndarray) -> flo
            + abs(alpha) * np.linalg.norm(pen.J, ord=np.inf))
     den *= max(float(np.max(np.abs(x))), np.finfo(float).tiny)
     return float(np.max(np.abs(r))) / max(den, np.finfo(float).tiny)
-
-
-def _phi_mass_ratio(forms: ModeForms, s: float) -> float:
-    """J-mass fraction the full-space maximizer carries on the φ block."""
-    A = forms.E - s * forms.V
-    lam, v = top_pair(A, forms.J)
-    x = refine_top(A, forms.J, lam, v)
-    sp = forms.layout["phi"]
-    xp = np.zeros_like(x)
-    xp[sp] = x[sp]
-    ratio = math.sqrt(max(xp @ (forms.J @ xp), 0.0) / (x @ (forms.J @ x)))
-    if ratio > 1e-8:
-        raise SolverFailure(
-            f"transverse block unexpectedly active: mass ratio {ratio:.3e}")
-    return ratio
 
 
 # --------------------------------------------------------------------------
@@ -473,14 +444,18 @@ def compute_cr(eq: CompressibleEquilibrium, params: PhysicalParams,
 
 @dataclass(frozen=True)
 class GrowingMode:
-    """Velocity, density, and field perturbations of one growing solution.
+    """One growing solution e^{Λt}(u, ϱ, N) of the linearized problem.
 
-    u holds the three complex velocity components on the nodes; rho the
-    density perturbation (nodes for the incompressible problem, flux points
-    for the compressible one); N the three field-perturbation components on
-    the flux grid.  non_vanishing maps named functionals to their L² sizes;
-    every one of them must be positive for a genuine growing mode.
-    eig_residual is the relative strong-form defect of the eigenpair.
+    y is the J-normalized maximizer at s = Λ in the reduced layout and u its
+    three complex velocity components on the nodes.  rho and N are the rate
+    laws of evolve.RateLaws over Λ: rho = R_ρ y/Λ, real, on the nodes
+    (incompressible) or the flux grid (compressible); N = phase·R_N y/Λ,
+    the three complex field components on the flux grid in the phase
+    convention of the evolve module.  Seeded into evolve.init_state they
+    give ẏ(0) = Λy up to the eigenpair residual.  non_vanishing maps named
+    functionals to their L² sizes; every one of them must be positive for a
+    genuine growing mode.  eig_residual is the relative strong-form defect
+    of the eigenpair, checked independently of the reduced forms.
     """
 
     Lambda: float
@@ -495,7 +470,10 @@ class GrowingMode:
 
 def build_growing_mode(forms: ModeForms,
                        result: Optional[DispersionResult] = None) -> GrowingMode:
-    """Reconstruct the growing solution behind a dispersion result.
+    """The growing solution behind a dispersion result.
+
+    Its density and field carriers are the transport and induction rates of
+    the maximizer over Λ, from the operators the time integrator uses.
 
     :param result: a previous solve for these forms; computed afresh if
         omitted.
@@ -505,18 +483,18 @@ def build_growing_mode(forms: ModeForms,
         result = solve_growth_rate(forms)
     if not result.unstable:
         raise NoGrowth(f"mode is {result.status}; no growing solution exists")
-    lam = result.Lambda
-
-    if result.maximizer is not None and result.maximizer.shape == (forms.size,):
-        y = result.maximizer
-    else:
-        pen = _Pencil(forms, drop_phi=True)
-        _, x = pen.alpha(lam)
-        y = _embed_maximizer(forms, pen, x)
-
+    lam, y = result.Lambda, result.maximizer
+    laws = RateLaws(forms)
+    rho_rate, n_rate = laws.rates(y)
+    rho = rho_rate / lam
+    u = laws.velocity(y)
     if forms.kind == "incompressible":
-        return _incompressible_mode(forms, lam, y)
-    return _compressible_mode(forms, lam, y)
+        nv, res = _incompressible_checks(forms, lam, u, rho)
+    else:
+        nv, res = _compressible_checks(forms, lam, y, laws.d @ y)
+    return GrowingMode(Lambda=lam, y=y, u=u, rho=rho,
+                       N=tuple(ph * (r / lam) for ph, r in zip(laws.phase, n_rate)),
+                       non_vanishing=nv, eig_residual=res, forms=forms)
 
 
 def _l2(g1_w: np.ndarray, *fields) -> float:
@@ -526,46 +504,21 @@ def _l2(g1_w: np.ndarray, *fields) -> float:
     return math.sqrt(tot)
 
 
-def _incompressible_mode(forms: ModeForms, lam: float, y: np.ndarray) -> GrowingMode:
+def _incompressible_checks(forms: ModeForms, lam: float, u, rho):
     g1 = forms.grid
     mode = forms.mode
-    p = forms.profile
-    xi1, xi2 = mode.xi
-    xin2 = mode.xi_norm2
-    m = mode.m
-
-    v3 = g1.clamped @ y[forms.layout["v3"]]
-    dv3 = g1.d1 @ v3
-    u3 = v3.astype(complex)
-    u1 = 1j * xi1 * dv3 / xin2
-    u2 = 1j * xi2 * dv3 / xin2
-    rho = (-p.drho * v3 / lam).astype(complex)
-
-    dv3_f = g1.deriv_flux @ v3
-    if mode.field_dir == 3:
-        d2v3_f = g1.curv_flux @ v3
-        N1 = 1j * m * xi1 * d2v3_f / (xin2 * lam)
-        N2 = 1j * m * xi2 * d2v3_f / (xin2 * lam)
-        N3 = (m * dv3_f / lam).astype(complex)
-    else:
-        N1 = (-m * xi1 * xi1 * dv3_f / (xin2 * lam)).astype(complex)
-        N2 = (-m * xi1 * xi2 * dv3_f / (xin2 * lam)).astype(complex)
-        N3 = 1j * m * xi1 * (g1.value_flux @ v3) / lam
-
+    u1, u2, u3 = u
     nv = {
         "u3": _l2(g1.quad, u3),
         "uh": _l2(g1.quad, u1, u2),
-        "di_u3": (_l2(g1.flux_weights, dv3_f) if mode.field_dir == 3
-                  else abs(xi1) * _l2(g1.quad, u3)),
+        "di_u3": (_l2(g1.flux_weights, g1.deriv_flux @ u3.real)
+                  if mode.field_dir == 3 else abs(mode.xi[0]) * _l2(g1.quad, u3)),
         "rho": _l2(g1.quad, rho),
     }
-    res = _incompressible_residual(forms, lam, v3, (u1, u2, u3))
-    return GrowingMode(Lambda=lam, y=y, u=(u1, u2, u3), rho=rho,
-                       N=(N1, N2, N3), non_vanishing=nv,
-                       eig_residual=res, forms=forms)
+    return nv, _incompressible_residual(forms, lam, u)
 
 
-def _incompressible_residual(forms: ModeForms, lam: float, v3, u) -> float:
+def _incompressible_residual(forms: ModeForms, lam: float, u) -> float:
     """Strong-form defect with the pressure head projected out.
 
     The momentum balance determines the velocity only up to a gradient; the
@@ -620,56 +573,28 @@ def _incompressible_residual(forms: ModeForms, lam: float, v3, u) -> float:
     return wnorm(resid) / max(max(terms), 1e-300)
 
 
-def _compressible_mode(forms: ModeForms, lam: float, y: np.ndarray) -> GrowingMode:
+def _compressible_checks(forms: ModeForms, lam: float, y: np.ndarray, d_f):
     g1 = forms.grid
-    mode = forms.mode
     eq = forms.equilibrium
     p = forms.profile
-    xi1, xi2 = mode.xi
-    n = g1.n
-
-    v1 = y[forms.layout["v1"]]
-    v2 = y[forms.layout["v2"]]
-    v3 = y[forms.layout["v3"]]
-    u1, u2, u3 = 1j * v1, 1j * v2, v3.astype(complex)
-
-    A, G = g1.value_flux, g1.deriv_flux
-    fx = g1.flux_points
-    rho_f = np.interp(fx, g1.nodes, p.rho) if p.rho_fn is None else \
-        np.asarray([p.rho_fn(x) for x in fx])
-    drho_f = np.interp(fx, g1.nodes, p.drho) if p.drho_fn is None else \
-        np.asarray([p.drho_fn(x) for x in fx])
-    mc_f = np.interp(fx, g1.nodes, eq.field) if eq.field_fn is None else \
-        np.asarray([eq.field_fn(x) for x in fx])
-    dmc_f = np.interp(fx, g1.nodes, eq.dfield)
-
-    d_f = -xi1 * (A @ v1) - xi2 * (A @ v2) + G @ v3
-    rho = (-(rho_f * d_f + drho_f * (A @ v3)) / lam).astype(complex)
-    N1 = ((-mc_f * xi1 * (A @ v1) - dmc_f * (A @ v3) - mc_f * d_f) / lam).astype(complex)
-    N2 = (-mc_f * xi1 * (A @ v2) / lam).astype(complex)
-    N3 = 1j * mc_f * xi1 * (A @ v3) / lam
-
-    wq, wf = g1.quad, g1.flux_weights
-    dv2_n = g1.d1 @ v2
+    xi1, xi2 = forms.mode.xi
+    v1, v2, v3 = (y[forms.layout[k]] for k in ("v1", "v2", "v3"))
+    wq = g1.quad
     dv3_n = g1.d1 @ v3
     d_n = -xi1 * v1 - xi2 * v2 + dv3_n
     mc_n = eq.field
     dmc_n = eq.dfield
     nv = {
-        "u3": _l2(wq, u3),
+        "u3": _l2(wq, v3),
         "dp1_u3": abs(xi1) * _l2(wq, mc_n * v3),
         "qcomb": _l2(wq, dmc_n * v3 + mc_n * (-xi2 * v2 + dv3_n),
                      mc_n * xi1 * v2),
-        "uh": _l2(wq, u1, u2),
-        "div_u": _l2(wf, d_f),
+        "uh": _l2(wq, v1, v2),
+        "div_u": _l2(g1.flux_weights, d_f),
     }
     if float(np.min(p.drho)) >= 0.0:
         nv["div_rho_u"] = _l2(wq, p.rho * d_n + p.drho * v3)
-
-    res = _compressible_residual(forms, lam, (v1, v2, v3), d_n)
-    return GrowingMode(Lambda=lam, y=y, u=(u1, u2, u3), rho=rho,
-                       N=(N1, N2, N3), non_vanishing=nv,
-                       eig_residual=res, forms=forms)
+    return nv, _compressible_residual(forms, lam, (v1, v2, v3), d_n)
 
 
 def _compressible_residual(forms: ModeForms, lam: float, v, d_n) -> float:

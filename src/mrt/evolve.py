@@ -7,13 +7,18 @@ energy form of the mode.  The implicit average-acceleration step
 (trapezoidal; Newmark β=1/4, γ=1/2) is unconditionally stable, second
 order, and conserves the discrete energy exactly when C = 0.
 
-ϱ and N are recovered alongside by trapezoidal quadrature of their rate
-laws.  Every energy term that pairs with a recovered quantity is assembled
-on the same staggered points as the rate law (see modeforms), which makes
-the weak relation J ẏ = −V y + b(ϱ, N) an exact invariant of the discrete
-flow: the trapezoidal velocity update and the trapezoidal carrier update
-commute through the bilinear identity ḃ = E y.  The energy identity and
-its time-integrated variant inherit their convergence order from the
+ϱ and N follow the linearized transport and induction laws ϱ̇ = R_ρ y and
+Ṅ = R_N y.  RateLaws is their one implementation: the integrator recovers
+ϱ and N by trapezoidal quadrature of these laws, and the growing mode
+e^{Λt}(y, ϱ, N) of dispersion.build_growing_mode takes its carriers as
+R_ρ y/Λ and R_N y/Λ.  Every energy term that pairs with a recovered
+quantity is assembled on the same staggered points as the rate law (see
+modeforms), which makes the weak relation J ẏ = −V y + b(ϱ, N) an exact
+invariant of the discrete flow: the trapezoidal velocity update and the
+trapezoidal carrier update commute through the bilinear identity
+b(R_ρ y, R_N y) = E y.  The same identity gives a growing mode the initial
+acceleration ẏ(0) = Λy up to the eigenpair residual.  The energy identity
+and its time-integrated variant inherit their convergence order from the
 dissipation quadrature alone.
 
 Phase convention (real carriers): for the vertical-field incompressible
@@ -34,41 +39,32 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve, eig as dense_eig
 
 from .errors import IncompatibleData, InputError, SolverFailure
-from .modeforms import ModeForms, _coeff_at
-
-_SCHEMES = ("trapezoidal",)
+from .modeforms import ModeForms, _coeff_at, _coupled_ops
 
 
-def _embed(op: np.ndarray, sl: slice, n: int) -> np.ndarray:
-    """op padded with zero columns to act on the full stacked vector."""
-    out = np.zeros((op.shape[0], n))
-    out[:, sl] = op
-    return out
+class RateLaws:
+    """The rate laws ϱ̇ = R_ρ y and Ṅ = R_N y of one mode, and what pairs
+    with them.
 
-
-class _Workspace:
-    """Assembled operators, rate matrices, and factor caches for one mode.
-
-    Shared read-only between the states of one trajectory; the factor cache
-    is a per-timestep memo (states are value-like, the workspace is not
-    mutated beyond memoization).
+    rates(y) returns ϱ̇ and the three real carriers of Ṅ; phase holds the
+    factor that turns each carrier into its physical component.  forcing is
+    the weak right-hand side b(ϱ, N), velocity(y) the complex nodal velocity
+    (u₁, u₂, u₃).  Each operator is a pair (cols, R) and reads only the
+    columns of the stacked unknown that cols names, so a single-block
+    operator is stored at its own width.  Built where a trajectory or a
+    growing mode needs them, never during form assembly.
     """
 
     def __init__(self, forms: ModeForms):
         if forms.kind not in ("incompressible", "compressible"):
             raise InputError(f"cannot evolve forms of kind '{forms.kind}'")
         self.forms = forms
-        self.M = forms.J
-        self.C = forms.V
-        self.K = forms.E
-        self.chol_M = cho_factor(self.M, lower=True)
-        self.step_cache: dict = {}
         g1 = forms.grid
-        mode = forms.mode
         self.quad = g1.quad
         self.wf = g1.flux_weights
-        self.xi1, self.xi2 = mode.xi
-        self.xin2 = mode.xi_norm2
+        self.nf = g1.flux_points.size
+        self.xi1, self.xi2 = forms.mode.xi
+        self.xin2 = forms.mode.xi_norm2
         if forms.kind == "incompressible":
             self._build_incompressible(forms)
         else:
@@ -80,33 +76,32 @@ class _Workspace:
         g1 = forms.grid
         mode = forms.mode
         p = forms.profile
-        size = forms.size
-        sv, sp = forms.layout["v3"], forms.layout["phi"]
+        sv = forms.layout["v3"]
         Z = g1.clamped
+        GZ = g1.deriv_flux @ Z
         xi1, xi2, xin2 = self.xi1, self.xi2, self.xin2
         nx = math.sqrt(xin2)
         m = mode.m
+        full = slice(None)
 
-        Znod = _embed(Z, sv, size)
-        GZ = _embed(g1.deriv_flux @ Z, sv, size)
-        CF = _embed(g1.curv_flux @ Z, sv, size)
-        AZ = _embed(g1.value_flux @ Z, sv, size)
-        Gphi = _embed(g1.deriv_flux, sp, size)
-        Aphi = _embed(g1.value_flux, sp, size)
-        self.Znod = Znod
-        self.rho_len = g1.n
-        self.nf = g1.flux_points.size
-
+        # the v3 block comes first in the layout, then phi
         if mode.field_dir == 3:
-            RN1 = m * ((xi1 / xin2) * CF - (xi2 / nx) * Gphi)
-            RN2 = m * ((xi2 / xin2) * CF + (xi1 / nx) * Gphi)
-            RN3 = m * GZ
+            CF = g1.curv_flux @ Z
+            G = g1.deriv_flux
+            self.phase = np.array((1j, 1j, 1.0))
+            self.RN = ((full, m * np.hstack([(xi1 / xin2) * CF, -(xi2 / nx) * G])),
+                       (full, m * np.hstack([(xi2 / xin2) * CF, (xi1 / nx) * G])),
+                       (sv, m * GZ))
         else:
-            RN1 = -m * xi1 * ((xi1 / xin2) * GZ - (xi2 / nx) * Aphi)
-            RN2 = -m * xi1 * ((xi2 / xin2) * GZ + (xi1 / nx) * Aphi)
-            RN3 = m * xi1 * AZ
-        self.RN = (RN1, RN2, RN3)
-        self.Rrho = -(p.drho[:, None] * Znod)
+            A = g1.value_flux
+            self.phase = np.array((1.0, 1.0, 1j))
+            mx = -m * xi1
+            self.RN = ((full, mx * np.hstack([(xi1 / xin2) * GZ, -(xi2 / nx) * A])),
+                       (full, mx * np.hstack([(xi2 / xin2) * GZ, (xi1 / nx) * A])),
+                       (sv, m * xi1 * (A @ Z)))
+        self.Z = Z
+        self.Rrho = (sv, -(p.drho[:, None] * Z))
+        self.rho_len = g1.n
         self.rho_weights = g1.quad
 
         # div N in physical phase: vertical field has N_h imaginary and N₃
@@ -117,9 +112,6 @@ class _Workspace:
         else:
             self.div_ops = (xi1 * P, xi2 * P, g1.flux_div)
 
-        self.unit = forms.aux["unit_mass"]
-        self.bend = forms.aux["bend"]
-
     # -- compressible operators --------------------------------------------
 
     def _build_compressible(self, forms: ModeForms):
@@ -127,19 +119,14 @@ class _Workspace:
         p = forms.profile
         eq = forms.equilibrium
         params = forms.params
-        size = forms.size
         s1, s2, s3 = (forms.layout[k] for k in ("v1", "v2", "v3"))
-        xi1, xi2 = self.xi1, self.xi2
+        xi1 = self.xi1
         fx = g1.flux_points
-
-        A1 = _embed(g1.value_flux, s1, size)
-        A2 = _embed(g1.value_flux, s2, size)
-        A3 = _embed(g1.value_flux, s3, size)
-        G3 = _embed(g1.deriv_flux, s3, size)
-        Dop = -xi1 * A1 - xi2 * A2 + G3
-        self.A1, self.A2, self.A3, self.Dop = A1, A2, A3, Dop
+        A = g1.value_flux
+        # d(v) couples all three blocks; A3 is its v₃ partner, at full width
+        d, _, A3 = _coupled_ops(forms.mode, g1)
+        self.d = d
         self.rho_len = fx.size
-        self.nf = fx.size
 
         # sampled exactly as in the form assembly, so the weak forcing and
         # the assembled energy stay bilinear-identical
@@ -151,48 +138,87 @@ class _Workspace:
         # same points; this exact pointwise relation is what cancels the
         # cross terms between the forcing and the assembled energy
         dmc_f = -(params.g * rho_f + pp_f * drho_f) / (params.lambda0 * mc_f)
-        self.rho_f, self.pp_f, self.mc_f, self.dmc_f = rho_f, pp_f, mc_f, dmc_f
+        self.pp_f, self.mc_f, self.dmc_f = pp_f, mc_f, dmc_f
 
-        self.Rrho = -(rho_f[:, None] * Dop + drho_f[:, None] * A3)
-        self.RN = (
-            -(xi1 * mc_f[:, None] * A1 + dmc_f[:, None] * A3 + mc_f[:, None] * Dop),
-            -xi1 * mc_f[:, None] * A2,
-            xi1 * mc_f[:, None] * A3,
-        )
+        full = slice(None)
+        RN1 = -(mc_f[:, None] * d + dmc_f[:, None] * A3)
+        RN1[:, s1] -= xi1 * (mc_f[:, None] * A)
+        self.phase = np.array((1.0, 1.0, 1j))
+        self.RN = ((full, RN1),
+                   (s2, -xi1 * (mc_f[:, None] * A)),
+                   (s3, xi1 * (mc_f[:, None] * A)))
+        self.Rrho = (full, -(rho_f[:, None] * d + drho_f[:, None] * A3))
         self.rho_weights = g1.flux_weights
         P = g1.flux_to_node
-        self.div_ops = (xi1 * P, xi2 * P, g1.flux_div)
-
-        self.unit = forms.aux["unit_mass"]
-        self.gradm = forms.aux["grad"]
-        self.divsq = forms.aux["divsq"]
+        self.div_ops = (xi1 * P, self.xi2 * P, g1.flux_div)
 
     # -- shared pieces ------------------------------------------------------
 
+    def rates(self, y: np.ndarray):
+        """ϱ̇ = R_ρ y and the real carriers of Ṅ = R_N y."""
+        cols, R = self.Rrho
+        return R @ y[cols], tuple(R @ y[c] for c, R in self.RN)
+
     def forcing(self, rho: np.ndarray, N: tuple) -> np.ndarray:
         """Weak right-hand side b(ϱ, N) in the reduced coordinates."""
-        params = self.forms.params
-        if self.forms.kind == "incompressible":
-            b = -params.g * (self.Znod.T @ (self.quad * rho))
-            for R, Nk in zip(self.RN, N):
-                b -= params.lambda0 * (R.T @ (self.wf * Nk))
+        forms = self.forms
+        params = forms.params
+        lam0, wf = params.lambda0, self.wf
+        b = np.zeros(forms.size)
+        if forms.kind == "incompressible":
+            b[forms.layout["v3"]] = -params.g * (self.Z.T @ (self.quad * rho))
+            for (cols, R), Nk in zip(self.RN, N):
+                b[cols] -= lam0 * (R.T @ (wf * Nk))
             return b
-        lam0 = params.lambda0
-        q = self.pp_f * rho + lam0 * self.mc_f * N[0]
-        b = self.Dop.T @ (self.wf * q)
-        b += lam0 * (self.A1.T @ (self.wf * self.dmc_f * N[2]))
-        b += lam0 * self.xi1 * (self.A1.T @ (self.wf * self.mc_f * N[0]))
-        b += lam0 * self.xi1 * (self.A2.T @ (self.wf * self.mc_f * N[1]))
-        b -= lam0 * self.xi1 * (self.A3.T @ (self.wf * self.mc_f * N[2]))
-        b -= params.g * (self.A3.T @ (self.wf * rho))
+        s1, s2, s3 = (forms.layout[k] for k in ("v1", "v2", "v3"))
+        A = forms.grid.value_flux
+        xi1, mc_f = self.xi1, self.mc_f
+        q = self.pp_f * rho + lam0 * mc_f * N[0]
+        b += self.d.T @ (wf * q)
+        b[s1] += lam0 * (A.T @ (wf * (self.dmc_f * N[2] + xi1 * mc_f * N[0])))
+        b[s2] += lam0 * xi1 * (A.T @ (wf * mc_f * N[1]))
+        b[s3] -= A.T @ (wf * (lam0 * xi1 * mc_f * N[2] + params.g * rho))
         return b
 
-    def rates(self, y: np.ndarray):
-        return self.Rrho @ y, tuple(R @ y for R in self.RN)
+    def velocity(self, y: np.ndarray):
+        """The complex velocity components (u₁, u₂, u₃) on the nodes."""
+        forms = self.forms
+        layout = forms.layout
+        if forms.kind == "compressible":
+            v1, v2, v3 = (y[layout[k]] for k in ("v1", "v2", "v3"))
+            return 1j * v1, 1j * v2, v3.astype(complex)
+        xi1, xi2, xin2 = self.xi1, self.xi2, self.xin2
+        nx = math.sqrt(xin2)
+        v3 = self.Z @ y[layout["v3"]]
+        phi = y[layout["phi"]]
+        dv3 = forms.grid.d1 @ v3
+        u1 = 1j * (xi1 * dv3 / xin2 - xi2 * phi / nx)
+        u2 = 1j * (xi2 * dv3 / xin2 + xi1 * phi / nx)
+        return u1, u2, v3.astype(complex)
 
     def div_n(self, N: tuple) -> float:
         d = sum(op @ Nk for op, Nk in zip(self.div_ops, N))
         return math.sqrt(float(self.quad @ (d * d)))
+
+
+class _Workspace(RateLaws):
+    """Rate laws plus the assembled operators and factor caches of a
+    trajectory.
+
+    Shared read-only between the states of one trajectory; the factor cache
+    is a per-timestep memo (states are value-like, the workspace is not
+    mutated beyond memoization).
+    """
+
+    def __init__(self, forms: ModeForms):
+        super().__init__(forms)
+        self.M = forms.J
+        self.C = forms.V
+        self.K = forms.E
+        self.chol_M = cho_factor(self.M, lower=True)
+        self.step_cache: dict = {}
+        self.unit = forms.aux["unit_mass"]
+        self.aux = forms.aux
 
     def energy(self, y: np.ndarray, v: np.ndarray) -> float:
         return float(v @ (self.M @ v) - y @ (self.K @ y))
@@ -235,22 +261,22 @@ class EvolveState:
     meta: dict = field(default_factory=dict)
 
 
-def _project_component(arr, length: int, phase: str, tol: float, name: str):
+def _project_component(arr, length: int, phase: complex, tol: float, name: str):
     a = np.asarray(arr)
     if a.shape != (length,):
         raise IncompatibleData(f"{name} has shape {a.shape}, expected ({length},)")
     if not np.iscomplexobj(a):
         # a real array is the carrier itself, whatever the slot's phase
         return a.astype(float)
-    keep = a.imag if phase == "imag" else a.real
-    drop = a.real if phase == "imag" else a.imag
+    # rotate the slot's phase (1 or i) onto the real axis; exact for both
+    c = a * np.conj(phase)
     nrm = math.sqrt(float(np.sum(np.abs(a) ** 2)))
-    bad = math.sqrt(float(np.sum(drop ** 2)))
+    bad = math.sqrt(float(np.sum(c.imag ** 2)))
     if bad > tol * max(nrm, np.finfo(float).tiny):
         raise IncompatibleData(
             f"{name} violates the mode's phase convention: "
             f"off-phase fraction {bad / max(nrm, 1e-300):.3e}")
-    return keep.astype(float)
+    return c.real.astype(float)
 
 
 def init_state(forms: ModeForms, u0, rho0=None, N0=None,
@@ -289,18 +315,14 @@ def init_state(forms: ModeForms, u0, rho0=None, N0=None,
     if rho0 is None:
         rho = np.zeros(ws.rho_len)
     else:
-        rho = _project_component(rho0, ws.rho_len, "real", phase_tol, "rho0")
+        rho = _project_component(rho0, ws.rho_len, 1.0, phase_tol, "rho0")
     if N0 is None:
         N = (np.zeros(nf), np.zeros(nf), np.zeros(nf))
     else:
         if len(N0) != 3:
             raise IncompatibleData("N0 must have three components")
-        if forms.kind == "incompressible" and forms.mode.field_dir == 3:
-            phases = ("imag", "imag", "real")
-        else:
-            phases = ("real", "real", "imag")
         N = tuple(_project_component(c, nf, ph, phase_tol, f"N0[{k}]")
-                  for k, (c, ph) in enumerate(zip(N0, phases)))
+                  for k, (c, ph) in enumerate(zip(N0, ws.phase)))
 
     n_scale = math.sqrt(sum(float(ws.wf @ (c * c)) for c in N))
     if n_scale > 0.0:
@@ -350,11 +372,11 @@ def _initial_diagnostics(ws: _Workspace, y, v, rho, N) -> dict:
             q3 = -lam0m * xi1 * (P @ N[2]) - params.g * rho
             q0sq = l2f(q1) + l2f(q2) + l2q(q3)
         out["Q0_norm"] = math.sqrt(q0sq)
-        di_u0 = (float(y @ (ws.bend @ y)) if mode.field_dir == 3
+        di_u0 = (float(y @ (ws.aux["bend"] @ y)) if mode.field_dir == 3
                  else xi1 * xi1 * float(y @ (ws.unit @ y)))
         di_n0 = (sum(l2q(g1.flux_div @ c) for c in N) if mode.field_dir == 3
                  else xi1 * xi1 * sum(l2f(c) for c in N))
-        u_n = _incompressible_velocity(forms, y)
+        u_n = ws.velocity(y)
         rho_sq = l2q(rho)
         n_sq = sum(l2f(c) for c in N)
         u_sq = float(y @ (ws.unit @ y))
@@ -368,7 +390,7 @@ def _initial_diagnostics(ws: _Workspace, y, v, rho, N) -> dict:
         out["P0_norm"] = math.sqrt(l2f(c1) + l2f(c2) + l2q(c3))
         di_u0 = xi1 * xi1 * float(y @ (ws.unit @ y))
         di_n0 = xi1 * xi1 * sum(l2f(c) for c in N)
-        u_n = _compressible_velocity(forms, y)
+        u_n = ws.velocity(y)
         rho_sq = l2f(rho)
         n_sq = sum(l2f(c) for c in N)
         u_sq = float(y @ (ws.unit @ y))
@@ -381,39 +403,17 @@ def _initial_diagnostics(ws: _Workspace, y, v, rho, N) -> dict:
     return out
 
 
-def _incompressible_velocity(forms: ModeForms, y: np.ndarray):
-    g1 = forms.grid
-    xi1, xi2 = forms.mode.xi
-    xin2 = forms.mode.xi_norm2
-    nx = math.sqrt(xin2)
-    v3 = g1.clamped @ y[forms.layout["v3"]]
-    phi = y[forms.layout["phi"]]
-    dv3 = g1.d1 @ v3
-    u1 = 1j * (xi1 * dv3 / xin2 - xi2 * phi / nx)
-    u2 = 1j * (xi2 * dv3 / xin2 + xi1 * phi / nx)
-    return u1, u2, v3.astype(complex)
-
-
-def _compressible_velocity(forms: ModeForms, y: np.ndarray):
-    v1 = y[forms.layout["v1"]]
-    v2 = y[forms.layout["v2"]]
-    v3 = y[forms.layout["v3"]]
-    return 1j * v1, 1j * v2, v3.astype(complex)
-
-
-def step(state: EvolveState, dt: float, scheme: str = "trapezoidal") -> EvolveState:
+def step(state: EvolveState, dt: float) -> EvolveState:
     """One implicit time step; returns a new state.
 
     Average-acceleration update, then trapezoidal quadrature of the ϱ and N
     rate laws over the same interval.
 
-    :raises InputError: dt ≤ 0 or unknown scheme.
+    :raises InputError: dt ≤ 0.
     :raises SolverFailure: the implicit solve breaks down.
     """
     if not dt > 0.0:
         raise InputError(f"dt must be positive, got {dt}")
-    if scheme not in _SCHEMES:
-        raise InputError(f"scheme must be one of {_SCHEMES}, got '{scheme}'")
     ws = state.ws
     y, v, a = state.y, state.ydot, state.acc
     fac = ws.step_factor(dt)
@@ -499,23 +499,22 @@ def _norms_row(ws: _Workspace, st: EvolveState):
     n_sq = sum(float(ws.wf @ (c * c)) for c in st.N)
     rho_sq = float(ws.rho_weights @ (st.rho * st.rho))
     if forms.kind == "incompressible":
-        bend_sq = float(y @ (ws.bend @ y))
+        bend_sq = float(y @ (ws.aux["bend"] @ y))
         if forms.mode.field_dir == 3:
             diu_sq = bend_sq
         else:
             diu_sq = ws.xi1 * ws.xi1 * u_sq
         grad_sq = ws.xin2 * u_sq + bend_sq
     else:
-        diu_sq = ws.xi1 * ws.xi1 * u_sq + float(y @ (ws.divsq @ y))
-        grad_sq = float(y @ (ws.gradm @ y))
+        diu_sq = ws.xi1 * ws.xi1 * u_sq + float(y @ (ws.aux["divsq"] @ y))
+        grad_sq = float(y @ (ws.aux["grad"] @ y))
     return (math.sqrt(max(rho_sq, 0.0)), math.sqrt(max(u_sq, 0.0)),
             math.sqrt(max(diu_sq, 0.0)), math.sqrt(max(ut_sq, 0.0)),
             math.sqrt(max(grad_sq, 0.0)), math.sqrt(max(n_sq, 0.0)))
 
 
 def run_trajectory(state: EvolveState, T: float, dt: float,
-                   diagnostics_every: int = 1,
-                   scheme: str = "trapezoidal") -> TrajectoryRecord:
+                   diagnostics_every: int = 1) -> TrajectoryRecord:
     """Advance to time T recording diagnostics every given number of steps.
 
     Args:
@@ -569,7 +568,7 @@ def run_trajectory(state: EvolveState, T: float, dt: float,
     record(state)
     st = state
     for k in range(1, n_steps + 1):
-        st = step(st, dt, scheme)
+        st = step(st, dt)
         if k % diagnostics_every == 0 or k == n_steps:
             record(st)
             track_increment(st)

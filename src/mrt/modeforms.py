@@ -330,10 +330,7 @@ def _compressible_pieces(mode: ModeSpec, eq: CompressibleEquilibrium,
     rho_f = _coeff_at(fx, g1, p.rho, p.rho_fn, p.table)
     drho_f = _coeff_at(fx, g1, p.drho, p.drho_fn)
     prho_f = params.dpressure(rho_f) * rho_f
-    if eq.field_fn is not None:
-        mc2_f = np.asarray([eq.field_fn(x) for x in fx]) ** 2
-    else:
-        mc2_f = np.interp(fx, g1.nodes, eq.field) ** 2
+    mc2_f = _coeff_at(fx, g1, eq.field, eq.field_fn) ** 2
     wf = g1.flux_weights
 
     coeffs = dict(rho_f=rho_f, drho_f=drho_f, prho_f=prho_f, mc2_f=mc2_f, wf=wf)

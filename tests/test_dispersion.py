@@ -22,11 +22,14 @@ from mrt.cli import (_build_grid, _build_modes, _build_params, _build_profile,
 from mrt.eigcore import psd_ratio_sup
 from mrt.errors import NoGrowth, ZeroMode
 from mrt.grid1d import Grid1D
-from mrt.modeforms import ModeSpec, assemble_cr_forms, assemble_incompressible
+from mrt.evolve import init_state
+from mrt.modeforms import (ModeSpec, assemble_compressible, assemble_cr_forms,
+                           assemble_incompressible)
 from mrt.profiles import (
     PhysicalParams,
     build_equilibrium,
     make_affine_profile,
+    make_table_profile,
     make_tanh_profile,
     min_admissible_pressure_const,
 )
@@ -122,13 +125,20 @@ def test_threshold_dichotomy(affine64, params_std):
 
 
 def test_phi_mass_checked_on_request(forms_std):
-    # phi is always dropped from the pencil; check_phi verifies the dropped
-    # block really carries no J-mass at the fixed point
-    plain = solve_growth_rate(forms_std)
-    assert plain.phi_dropped and plain.phi_mass_ratio is None
-    res = solve_growth_rate(forms_std, check_phi=True)
-    assert res.phi_mass_ratio is not None and res.phi_mass_ratio <= 1e-8
+    # the pencil drops phi; the full-space maximizer at s = Lambda must
+    # carry no J-mass on the dropped block
+    res = solve_growth_rate(forms_std)
     assert abs(res.Lambda - LAMBDA_STD64) <= 1e-8
+    E, V, J = forms_std.E, forms_std.V, forms_std.J
+    M = E - res.Lambda * V
+    n = J.shape[0]
+    _, x = eigh(0.5 * (M + M.T), J, subset_by_index=(n - 1, n - 1))
+    x = x[:, 0]
+    xp = np.zeros_like(x)
+    sp = forms_std.layout["phi"]
+    xp[sp] = x[sp]
+    ratio = math.sqrt(max(float(xp @ (J @ xp)), 0.0) / float(x @ (J @ x)))
+    assert ratio <= 1e-8
 
 
 def test_sweep_vertical_monotone(affine64, params_std):
@@ -187,20 +197,53 @@ def test_proof_sequence_second_order(affine64, params_std):
     assert abs(seq.curvature_ratio - (np.pi / 2.0) ** 2) <= 0.05 * (np.pi / 2.0) ** 2
 
 
-def test_growing_mode_construction(forms_std):
-    res = solve_growth_rate(forms_std)
-    gm = build_growing_mode(forms_std, res)
-    assert gm.Lambda == res.Lambda
-    assert all(v > 0.0 for v in gm.non_vanishing.values())
-    # strong-form defect after projecting out the pressure head; limited
-    # by the projection's truncation, far looser than the pencil residual
-    assert gm.eig_residual <= 5e-4
-    n = forms_std.grid.n
-    assert gm.rho.shape == (n,)
+def _growing_forms(case, affine64, params_std):
+    kind, arg, xi = case
+    if kind == "incompressible":
+        mode = ModeSpec.from_integers(1.0, *xi, field_dir=arg, m=0.2)
+        return assemble_incompressible(mode, affine64, params_std, affine64.grid)
+    g1 = Grid1D("chebyshev", 1.0, 32)
+    if arg == "affine":
+        prof = make_affine_profile(g1, 2.0, 0.5)
+    else:
+        prof = make_table_profile(g1, np.linspace(-1.0, 1.0, 5),
+                                  [1.5, 1.8, 2.0, 2.3, 2.5])
+    params = PhysicalParams(g=1.0, lambda0=1.0, mu=0.1, mu0=0.5)
+    eq = build_equilibrium(prof, params, 10.0)
+    return assemble_compressible(ModeSpec.from_integers(1.0, *xi), eq, params, g1)
+
+
+@pytest.mark.parametrize("case", [
+    ("incompressible", 3, (2, 0)), ("incompressible", 1, (2, 1)),
+    ("compressible", "affine", (0, 1)), ("compressible", "affine", (0, 2)),
+    ("compressible", "table", (0, 1)), ("compressible", "table", (0, 2)),
+], ids=lambda c: f"{c[0]}-{c[1]}-{c[2][0]}{c[2][1]}")
+def test_growing_mode_construction(case, affine64, params_std):
+    forms = _growing_forms(case, affine64, params_std)
+    res = solve_growth_rate(forms)
+    gm = build_growing_mode(forms, res)
+    lam = res.Lambda
+    assert gm.Lambda == lam
+    # rho and N are the rate laws over Lambda, so the weak balance at t = 0
+    # accelerates the seeded mode at exactly its growth rate; the table
+    # profiles are where a second sampling of the coefficients would show
+    st = init_state(forms, gm.y, gm.rho, gm.N)
+    assert np.max(np.abs(st.ydot - lam * gm.y)) <= 1e-8 * np.max(np.abs(lam * gm.y))
     assert len(gm.u) == 3 and len(gm.N) == 3
-    # vertical-field phase convention: u3 real, u1 imaginary
+    # phase convention of both problems: u3 real, u1 imaginary
     assert np.max(np.abs(gm.u[2].imag)) <= 1e-12 * max(1.0, np.max(np.abs(gm.u[2])))
     assert np.max(np.abs(gm.u[0].real)) <= 1e-12 * max(1.0, np.max(np.abs(gm.u[0])))
+    if forms.kind == "incompressible":
+        assert all(v > 0.0 for v in gm.non_vanishing.values())
+        # strong-form defect after projecting out the pressure head; limited
+        # by the projection's truncation, far looser than the pencil residual
+        assert gm.eig_residual <= 5e-4
+        assert gm.rho.shape == (forms.grid.n,)
+    else:
+        # d1 u3 vanishes on these interchange modes (xi1 = 0)
+        assert all(v > 0.0 for k, v in gm.non_vanishing.items() if k != "dp1_u3")
+        assert gm.eig_residual <= 5e-3
+        assert gm.rho.shape == (forms.grid.flux_points.size,)
 
 
 def test_no_growth_raises(affine64, params_std):
@@ -291,8 +334,6 @@ def test_cr_xi1_zero_drops_null_block():
 def test_compressible_growth_resolution_floor(steep_eq):
     # regression: large-Lambda compressible solves used to stall when the
     # bisection hit the one-ulp resolution of alpha(s) - s^2
-    from mrt.modeforms import assemble_compressible
-
     prof, params, g1, cmin = steep_eq
     eq = build_equilibrium(prof, params, 1.01 * cmin)
     mode = ModeSpec.from_integers(1.0, 1, 8)

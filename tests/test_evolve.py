@@ -90,9 +90,6 @@ def test_step_validation(forms_std):
     st = init_state(forms_std, np.zeros(forms_std.size))
     with pytest.raises(InputError):
         step(st, 0.0)
-    for scheme in ("euler", "newmark"):
-        with pytest.raises(InputError):
-            step(st, 0.1, scheme=scheme)
 
 
 def test_run_trajectory_validation(forms_std):
