@@ -146,15 +146,15 @@ def assemble_2d_quotient(r: Rect2D, p: DensityProfile, params: PhysicalParams,
                          i: int) -> ModeForms:
     """Quotient forms on the rectangle for field direction i.
 
-    E: g∫ρ̄′(∂₁ψ)² (the numerator, through w₃ = −∂₁ψ); D: λ₀∫|∂ᵢ∇ψ|²;
-    J: ∫ρ̄|w|².  All assembled on the clamped basis; D is positive definite
-    there, so the critical strength √max(0, λmax(E, D)) is finite.
+    E: g∫ρ̄′(∂₁ψ)² (the numerator, through w₃ = −∂₁ψ); D: λ₀∫|∂ᵢ∇ψ|².
+    Both assembled on the clamped basis; D is positive definite there, so
+    the critical strength √max(0, λmax(E, D)) is finite.
     """
-    buoy, stretch, _, mass = _box_terms(r, p, params, i)
+    buoy, stretch, _, _ = _box_terms(r, p, params, i)
     n = r.nred
     return ModeForms(kind="quotient2d", mode=None, grid=r,
                      layout={"psi": slice(0, n)},
-                     E=_dense(buoy, n), V=None, J=_dense(mass, n),
+                     E=_dense(buoy, n), V=None, J=None,
                      D=_dense(stretch, n), profile=p, params=params)
 
 

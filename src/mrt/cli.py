@@ -120,9 +120,9 @@ def validate_config(raw) -> dict:
     for key in ("n", "nx", "nz", "seed_rng", "diagnostics_every"):
         if not _is_int(cfg[key]):
             raise InputError(f"{key} must be an integer")
-    for key in ("n", "nx", "nz"):
-        if cfg[key] < 3:
-            raise InputError(f"{key} must be at least 3")
+    for key, least in (("n", 8), ("nx", 5), ("nz", 5)):
+        if cfg[key] < least:
+            raise InputError(f"{key} must be at least {least}")
     if cfg["diagnostics_every"] < 1:
         raise InputError("diagnostics_every must be >= 1")
 

@@ -425,7 +425,7 @@ def compute_cr(eq: CompressibleEquilibrium, params: PhysicalParams,
         forms = assemble_cr_forms(mode, eq, params, g1)
         cert, _ = top_pair(forms.E, forms.J)
         try:
-            c = psd_ratio_sup(forms.E, forms.D, forms.J)
+            c = psd_ratio_sup(forms.E, forms.D)
             note = "unbounded" if math.isinf(c) else ""
         except BracketExhausted as e:
             c = math.inf
@@ -554,9 +554,9 @@ def _incompressible_residual(forms: ModeForms, lam: float, u) -> float:
     nf = g1.flux_points.size
     P = g1.flux_to_node
     grad = np.vstack([1j * xi1 * P, 1j * xi2 * P, g1.flux_div])
-    W = np.kron(np.eye(3), np.diag(g1.quad))
-    A = (grad.conj().T @ (W @ grad)).real
-    rhs = -(grad.conj().T @ (W @ L))
+    w = np.tile(g1.quad, 3)
+    A = (grad.conj().T @ (w[:, None] * grad)).real
+    rhs = -(grad.conj().T @ (w * L))
     head = np.linalg.solve(A + 1e-30 * np.eye(nf), rhs)
     resid = L + grad @ head
 

@@ -1,13 +1,14 @@
 """Dense symmetric-definite generalized eigensolver with refinement.
 
-solve_gsym reduces A v = lam B v to standard form through an explicit Cholesky
-factorization of B and hands the reduced matrix to LAPACK.  Everything is
-deterministic: same inputs, same bits out.
+solve_gsym hands A v = lam B v to LAPACK's symmetric-definite drivers (sygvx
+for an index subset, sygvd for the whole spectrum) after checking symmetry
+and the conditioning of B, and reports the residual and the B-orthonormality
+of what comes back.  Everything is deterministic: same inputs, same bits out.
 
 refine_top polishes the extreme eigenpair by shifted inverse iteration in the
 original coordinates.  The dense solver's output carries an absolute noise
-floor of order eps times the reduced matrix norm, which for stiff pencils is
-many orders above eps; a few SPD-shifted solves push the eigenvector error
+floor of order eps times the norm of L⁻¹AL⁻ᵀ (B = LLᵀ), the standard-form
+matrix the driver works on, which for stiff pencils is many orders above eps; a few SPD-shifted solves push the eigenvector error
 down to the level where Rayleigh quotients are limited only by quadrature
 rounding.  The growth-rate fixed point relies on this.
 """
@@ -17,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cholesky, cho_factor, cho_solve, eigh, solve_triangular, LinAlgError
+from scipy.linalg import cholesky, cho_factor, cho_solve, eigh, LinAlgError
 
 from .errors import (BracketExhausted, NotPositiveDefinite, NotSymmetric,
                      SolverFailure)
@@ -47,7 +48,8 @@ def _require_symmetric(M: np.ndarray, name: str) -> np.ndarray:
     return 0.5 * (M + M.T)
 
 
-def _chol_mass(B: np.ndarray) -> np.ndarray:
+def _chol_mass(B: np.ndarray) -> None:
+    """Reject a B that is not positive definite or is numerically singular."""
     try:
         L = cholesky(B, lower=True)
     except LinAlgError as e:
@@ -57,7 +59,6 @@ def _chol_mass(B: np.ndarray) -> np.ndarray:
         raise NotPositiveDefinite(
             f"B numerically singular (condition ~{(d.max()/d.min())**2:.1e})"
         )
-    return L
 
 
 def solve_gsym(A: np.ndarray, B: np.ndarray, subset: tuple | None = None) -> GEigResult:
@@ -66,19 +67,16 @@ def solve_gsym(A: np.ndarray, B: np.ndarray, subset: tuple | None = None) -> GEi
     :param subset: optional (lo, hi) index range of eigenvalues to compute
         (inclusive, ascending order); None computes all of them.
     :raises NotSymmetric: either matrix fails the symmetry tolerance.
-    :raises NotPositiveDefinite: B fails Cholesky or is near singular.
+    :raises NotPositiveDefinite: B fails Cholesky or is near singular, or
+        the LAPACK driver cannot factor it.
     """
     A = _require_symmetric(A, "A")
     B = _require_symmetric(B, "B")
-    L = _chol_mass(B)
-    # reduce: M = inv(L) A inv(L)^T, then explicit re-symmetrization
-    M = solve_triangular(L, solve_triangular(L, A.T, lower=True).T, lower=True)
-    M = 0.5 * (M + M.T)
-    if subset is None:
-        lam, Q = eigh(M)
-    else:
-        lam, Q = eigh(M, subset_by_index=subset)
-    V = solve_triangular(L.T, Q, lower=False)
+    _chol_mass(B)
+    try:
+        lam, V = eigh(A, B, subset_by_index=subset)
+    except LinAlgError as e:
+        raise NotPositiveDefinite(f"B: {e}") from None
 
     R = A @ V - B @ V * lam[None, :]
     nA = np.linalg.norm(A, ord=np.inf)
@@ -142,7 +140,7 @@ def max_rayleigh(A: np.ndarray, B: np.ndarray) -> tuple[float, np.ndarray]:
     return float((x @ (A @ x)) / (x @ (B @ x))), x
 
 
-def psd_ratio_sup(N: np.ndarray, D: np.ndarray, B: np.ndarray) -> float:
+def psd_ratio_sup(N: np.ndarray, D: np.ndarray) -> float:
     """inf{c : N - c D is negative semidefinite}, as one eigenproblem.
 
     In the eigenbasis of the PSD form D, split its kernel K (eigenvalues
@@ -153,9 +151,8 @@ def psd_ratio_sup(N: np.ndarray, D: np.ndarray, B: np.ndarray) -> float:
     inertia additivity makes N - cD ⪯ 0 equivalent to the Schur complement
     N_RR - N_RK N_KK⁻¹ N_KR - c·diag(d_R) ⪯ 0.  The answer is the top
     eigenvalue of that complement against diag(d_R).  The result is
-    positive exactly when N is positive somewhere that D is too.  B, the
-    mass form of the certificate pencil (N - cD; B), does not enter the
-    ratio.
+    positive exactly when N is positive somewhere that D is too.  The mass
+    form of the certificate pencil (N - cD; J) does not enter the ratio.
 
     :raises NotPositiveDefinite: D has an eigenvalue below -1e-10 * ||D||.
     :raises BracketExhausted: D vanishes, so no c changes N - cD at all.

@@ -108,7 +108,11 @@ class RateLaws:
         # real, so the divergence is real; the horizontal field flips both
         P = g1.flux_to_node
         if mode.field_dir == 3:
-            self.div_ops = (-xi1 * P, -xi2 * P, g1.flux_div)
+            # N₁, N₂ carry the curvature as value_flux @ d2 and return to
+            # the nodes through P; N₃′ takes the same P @ value_flux
+            # average, so div R_N y cancels (P @ value_flux = I on chebyshev)
+            self.div_ops = (-xi1 * P, -xi2 * P,
+                            P @ g1.value_flux @ g1.flux_div)
         else:
             self.div_ops = (xi1 * P, xi2 * P, g1.flux_div)
 
@@ -246,8 +250,9 @@ class EvolveState:
     y, ydot: reduced velocity unknowns and their time derivative; rho and N
     the recovered perturbations as real carrier arrays (see the module
     docstring for the phase convention); acc the current acceleration,
-    diss the accumulated dissipation integral 2∫ẏᵀVẏ dτ.  meta carries the
-    initial diagnostics (J0, forcing norms, stability denominators).
+    rates the rate laws ws.rates(y) at this y, diss the accumulated
+    dissipation integral 2∫ẏᵀVẏ dτ.  meta carries the initial diagnostics
+    (J0, forcing norms, stability denominators).
     """
 
     y: np.ndarray
@@ -256,6 +261,7 @@ class EvolveState:
     N: tuple
     t: float
     acc: np.ndarray
+    rates: tuple
     diss: float
     ws: _Workspace
     meta: dict = field(default_factory=dict)
@@ -336,12 +342,12 @@ def init_state(forms: ModeForms, u0, rho0=None, N0=None,
     a0 = cho_solve(ws.chol_M, ws.K @ y - ws.C @ v0)
 
     meta = {"J0": ws.energy(y, v0)}
-    meta.update(_initial_diagnostics(ws, y, v0, rho, N))
+    meta.update(_initial_diagnostics(ws, y, rho, N))
     return EvolveState(y=y, ydot=v0, rho=rho, N=N, t=0.0, acc=a0,
-                       diss=0.0, ws=ws, meta=meta)
+                       rates=ws.rates(y), diss=0.0, ws=ws, meta=meta)
 
 
-def _initial_diagnostics(ws: _Workspace, y, v, rho, N) -> dict:
+def _initial_diagnostics(ws: _Workspace, y, rho, N) -> dict:
     forms = ws.forms
     g1 = forms.grid
     params = forms.params
@@ -376,10 +382,7 @@ def _initial_diagnostics(ws: _Workspace, y, v, rho, N) -> dict:
                  else xi1 * xi1 * float(y @ (ws.unit @ y)))
         di_n0 = (sum(l2q(g1.flux_div @ c) for c in N) if mode.field_dir == 3
                  else xi1 * xi1 * sum(l2f(c) for c in N))
-        u_n = ws.velocity(y)
         rho_sq = l2q(rho)
-        n_sq = sum(l2f(c) for c in N)
-        u_sq = float(y @ (ws.unit @ y))
     else:
         lam0 = params.lambda0
         q = ws.pp_f * rho + lam0 * ws.mc_f * N[0]
@@ -390,16 +393,11 @@ def _initial_diagnostics(ws: _Workspace, y, v, rho, N) -> dict:
         out["P0_norm"] = math.sqrt(l2f(c1) + l2f(c2) + l2q(c3))
         di_u0 = xi1 * xi1 * float(y @ (ws.unit @ y))
         di_n0 = xi1 * xi1 * sum(l2f(c) for c in N)
-        u_n = ws.velocity(y)
         rho_sq = l2f(rho)
-        n_sq = sum(l2f(c) for c in N)
-        u_sq = float(y @ (ws.unit @ y))
 
     mu = params.mu
-    lap_sq = sum(l2q(mu * (g1.d2 @ c - xin2 * c)) for c in u_n)
+    lap_sq = sum(l2q(mu * (g1.d2 @ c - xin2 * c)) for c in ws.velocity(y))
     out["stability_denom"] = rho_sq + di_u0 + lap_sq + di_n0
-    ut_sq = float(v @ (ws.unit @ v))
-    out["combined0"] = math.sqrt(rho_sq + u_sq + n_sq + ut_sq)
     return out
 
 
@@ -425,15 +423,16 @@ def step(state: EvolveState, dt: float) -> EvolveState:
     v_new = v_pred + (dt / 2.0) * a_new
     y_new = y_pred + (dt * dt / 4.0) * a_new
 
-    r_old, n_old = ws.rates(y)
-    r_new, n_new = ws.rates(y_new)
+    r_old, n_old = state.rates
+    rates_new = ws.rates(y_new)
+    r_new, n_new = rates_new
     rho_new = state.rho + (dt / 2.0) * (r_old + r_new)
     N_new = tuple(Nk + (dt / 2.0) * (ro + rn)
                   for Nk, ro, rn in zip(state.N, n_old, n_new))
     diss_new = state.diss + dt * (float(v @ (ws.C @ v))
                                   + float(v_new @ (ws.C @ v_new)))
     return replace(state, y=y_new, ydot=v_new, rho=rho_new, N=N_new,
-                   t=state.t + dt, acc=a_new, diss=diss_new)
+                   t=state.t + dt, acc=a_new, rates=rates_new, diss=diss_new)
 
 
 @dataclass(frozen=True)

@@ -87,7 +87,7 @@ class Grid1D:
         staggered grid carrying first derivatives: ``deriv_flux @ f`` samples
         f' there, ``value_flux @ f`` samples f itself (zero wall values
         assumed), and ``flux_weights`` integrates on that grid.
-    curv_points, curv_weights, curv_deriv
+    curv_weights, curv_deriv
         same idea for second derivatives of twice-constrained fields.
     d1, d2
         nodal derivative matrices (Dirichlet), for strong-form diagnostics.
@@ -158,7 +158,6 @@ class Grid1D:
         self.d2 = d2
 
         # curvature terms live on the nodes for fd2
-        self.curv_points = self.nodes
         self.curv_weights = self.quad
         self.curv_deriv = d2
 
@@ -179,7 +178,6 @@ class Grid1D:
         self.flux_div = dv
         self.flux_to_node = pn
         self.curv_flux = A @ d2
-        self.xfull = np.concatenate(([-l], self.nodes, [l]))
 
     # ------------------------------------------------------------ chebyshev
     def _build_chebyshev(self):
@@ -188,9 +186,6 @@ class Grid1D:
         xf, Df = cheb_lobatto(N, l)
         wf = clenshaw_curtis(N, l)
         self.h = None
-        self.xfull = xf
-        self.wfull = wf
-        self.dfull = Df
         self.nodes = xf[1:-1]
 
         q = wf[1:-1].copy()
@@ -200,7 +195,6 @@ class Grid1D:
 
         E = np.zeros((n + 2, n))
         E[1:-1, :] = np.eye(n)
-        self._extend = E
         DE = Df @ E
         self.flux_points = xf
         self.flux_weights = wf
@@ -208,7 +202,6 @@ class Grid1D:
         self.value_flux = E
 
         D2E = Df @ DE
-        self.curv_points = xf
         self.curv_weights = wf
         self.curv_deriv = D2E
 
@@ -231,11 +224,3 @@ class Grid1D:
         if Z.shape[1] != self.n - 2:
             raise InputError("clamp constraints degenerate on this grid")
         return Z
-
-    def sample(self, fn) -> np.ndarray:
-        """Evaluate a callable on the interior nodes."""
-        return np.asarray([fn(x) for x in self.nodes], dtype=float)
-
-    def integrate(self, values: np.ndarray) -> float:
-        """Quadrature of nodal samples."""
-        return float(self.quad @ np.asarray(values, dtype=float))

@@ -26,6 +26,7 @@ squaring the nodal central difference (see grid1d).
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -79,7 +80,8 @@ class FormTerm:
 
     P and Q hold only the columns that cols names, so a single-block operator
     is stored at its own width; cols defaults to every column.  They may be
-    dense arrays or scipy sparse matrices.  Q = None means Q = P.
+    dense arrays or scipy sparse matrices.  Q = None means Q = P.  ld is the
+    long-double copy of (P, Q, w), converted once per term.
     """
 
     coef: float
@@ -90,6 +92,11 @@ class FormTerm:
 
     def scaled(self, c: float) -> "FormTerm":
         return replace(self, coef=c * self.coef)
+
+    @cached_property
+    def ld(self) -> tuple:
+        Q = None if self.Q is None else self.Q.astype(np.longdouble)
+        return self.P.astype(np.longdouble), Q, self.w.astype(np.longdouble)
 
     def matrix(self) -> np.ndarray:
         """coef·PᵀWQ (symmetrized when Q is given) on the columns cols."""
@@ -118,10 +125,11 @@ def qform_value_ld(terms, x: np.ndarray) -> np.longdouble:
     xl = np.asarray(x, dtype=np.longdouble)
     total = np.longdouble(0.0)
     for t in terms:
+        P, Q, w = t.ld
         y = xl[t.cols]
-        Px = t.P.astype(np.longdouble) @ y
-        Qx = Px if t.Q is None else t.Q.astype(np.longdouble) @ y
-        total += np.longdouble(t.coef) * np.sum(t.w.astype(np.longdouble) * Px * Qx)
+        Px = P @ y
+        Qx = Px if Q is None else Q @ y
+        total += np.longdouble(t.coef) * np.sum(w * Px * Qx)
     return total
 
 
@@ -141,12 +149,14 @@ def _dense(terms, n: int) -> np.ndarray:
 class ModeForms:
     """Assembled symmetric forms for one mode (or the 2D rectangle).
 
-    kind ∈ {"incompressible", "compressible", "crForms", "quotient", "rect2d"}.
-    layout maps unknown-block names to slices of the stacked real vector.
-    E, V, J are the energy, dissipation, and mass matrices; D is the
-    penalty/denominator matrix where the kind carries one.  terms_* hold the
-    factored representation (None where only matrices are kept).  aux holds
-    named auxiliary PSD matrices used for diagnostics norms.
+    kind ∈ {"incompressible", "compressible", "crForms", "quotient",
+    "quotient2d", "rect2d"}.  layout maps unknown-block names to slices of
+    the stacked real vector.  E, V, J are the energy, dissipation, and mass
+    matrices; D is the penalty/denominator matrix where the kind carries
+    one.  The quotient kinds carry only E and D (V and J are None), since a
+    critical strength is λmax(E, D).  terms_* hold the factored
+    representation (None where only matrices are kept).  aux holds named
+    auxiliary PSD matrices used for diagnostics norms.
     """
 
     kind: str
@@ -155,7 +165,7 @@ class ModeForms:
     layout: dict
     E: np.ndarray
     V: Optional[np.ndarray]
-    J: np.ndarray
+    J: Optional[np.ndarray]
     D: Optional[np.ndarray] = None
     terms_E: Optional[tuple] = None
     terms_V: Optional[tuple] = None
@@ -167,7 +177,7 @@ class ModeForms:
 
     @property
     def size(self) -> int:
-        return self.J.shape[0]
+        return self.E.shape[0]
 
 
 def _coeff_at(points: np.ndarray, grid: Grid1D, nodal: np.ndarray,
@@ -286,8 +296,7 @@ def assemble_quotient(mode: ModeSpec, p: DensityProfile, params: PhysicalParams,
     """
     if i is None:
         i = mode.field_dir
-    layout, mass, unit_mass, unit_flux, bend, buoy = \
-        _incompressible_pieces(mode, p, params, g1)
+    layout, _, _, unit_flux, bend, buoy = _incompressible_pieces(mode, p, params, g1)
     N = layout["phi"].stop
     if i == 3:
         terms_D = tuple(t.scaled(params.lambda0) for t in bend)
@@ -295,10 +304,8 @@ def assemble_quotient(mode: ModeSpec, p: DensityProfile, params: PhysicalParams,
         terms_D = tuple(t.scaled(params.lambda0 * mode.xi[0] ** 2)
                         for t in unit_flux)
     return ModeForms(kind="quotient", mode=mode, grid=g1, layout=layout,
-                     E=_dense(buoy, N), V=None, J=_dense(mass, N),
-                     D=_dense(terms_D, N),
-                     terms_E=buoy, terms_J=mass,
-                     aux={"unit_mass": _dense(unit_mass, N)},
+                     E=_dense(buoy, N), V=None, J=None,
+                     D=_dense(terms_D, N), terms_E=buoy,
                      profile=p, params=params)
 
 

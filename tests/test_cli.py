@@ -50,6 +50,10 @@ def test_validate_config_rejections():
     with pytest.raises(InputError):
         validate_config({"problem": "incompressible", "n": 2})
     with pytest.raises(InputError):
+        validate_config({"problem": "incompressible", "n": 7})
+    with pytest.raises(InputError):
+        validate_config({"problem": "bounded2d", "nx": 4})
+    with pytest.raises(InputError):
         validate_config({"problem": "incompressible", "n": True})
     with pytest.raises(InputError):
         validate_config({"problem": "incompressible", "mu": -0.1})

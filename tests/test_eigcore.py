@@ -76,6 +76,16 @@ def test_not_positive_definite_raises():
         solve_gsym(A, B)
 
 
+def test_numerically_singular_mass_raises():
+    # positive definite, but the Cholesky diagonal spans 1e8, so its squared
+    # ratio 1e16 is past the conditioning guard that LAPACK does not apply
+    A, _ = _random_pencil(8, 6)
+    B = np.diag([1.0, 1.0, 1.0, 1.0, 1.0, 1e-16])
+    np.linalg.cholesky(B)
+    with pytest.raises(NotPositiveDefinite, match="numerically singular"):
+        solve_gsym(A, B)
+
+
 def test_max_rayleigh_vs_gradient_ascent():
     # independent optimizer route: projected gradient ascent on the quotient
     for seed in (10, 11):
@@ -145,35 +155,35 @@ def test_hermitian_embedding_oracle_consistency():
 def test_psd_ratio_sup_diagonal_cases():
     I2 = np.eye(2)
     # g(c) = max(1 - c, -1 - c) <= 0 exactly at c = 1
-    c = psd_ratio_sup(np.diag([1.0, -1.0]), I2, I2)
+    c = psd_ratio_sup(np.diag([1.0, -1.0]), I2)
     assert abs(c - 1.0) <= 1e-9
     # D singular but N negative on its kernel: finite answer c = -1
-    c = psd_ratio_sup(np.diag([-1.0, -2.0]), np.diag([1.0, 0.0]), I2)
+    c = psd_ratio_sup(np.diag([-1.0, -2.0]), np.diag([1.0, 0.0]))
     assert abs(c - (-1.0)) <= 1e-9
     # N null on the kernel and uncoupled from the range: that direction
     # drops out and the answer is still c = -1
-    c = psd_ratio_sup(np.diag([-1.0, 0.0]), np.diag([1.0, 0.0]), I2)
+    c = psd_ratio_sup(np.diag([-1.0, 0.0]), np.diag([1.0, 0.0]))
     assert abs(c - (-1.0)) <= 1e-9
 
 
 def test_psd_ratio_sup_unbounded():
     # N positive on the kernel of D: no finite c works
-    c = psd_ratio_sup(np.eye(2), np.diag([1.0, 0.0]), np.eye(2))
+    c = psd_ratio_sup(np.eye(2), np.diag([1.0, 0.0]))
     assert c == np.inf
     # N null on the kernel but coupled to the range: (t e2 + e1) grows like 2t
-    c = psd_ratio_sup(np.array([[-1.0, 1.0], [1.0, 0.0]]), np.diag([1.0, 0.0]), np.eye(2))
+    c = psd_ratio_sup(np.array([[-1.0, 1.0], [1.0, 0.0]]), np.diag([1.0, 0.0]))
     assert c == np.inf
 
 
 def test_psd_ratio_sup_denominator_not_psd():
     with pytest.raises(NotPositiveDefinite):
-        psd_ratio_sup(np.eye(2), np.diag([1.0, -1.0]), np.eye(2))
+        psd_ratio_sup(np.eye(2), np.diag([1.0, -1.0]))
 
 
 def test_psd_ratio_sup_bracket_exhausted():
     # D = 0 makes g(c) constant and negative: no sign change to bracket
     with pytest.raises(BracketExhausted):
-        psd_ratio_sup(-np.eye(2), np.zeros((2, 2)), np.eye(2))
+        psd_ratio_sup(-np.eye(2), np.zeros((2, 2)))
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -189,6 +199,6 @@ def test_psd_ratio_sup_vs_bisection_oracle(seed):
     K = Q[:, n - 2:]
     N = A - 3.0 * K @ K.T
     N, D = 0.5 * (N + N.T), 0.5 * (D + D.T)
-    c = psd_ratio_sup(N, D, B)
+    c = psd_ratio_sup(N, D)
     ref = psd_ratio_bisection(N, D, B, -100.0, 100.0)
     assert abs(c - ref) <= 1e-9 * max(1.0, abs(ref))

@@ -136,6 +136,8 @@ def test_quotient_forms_structure(affine64, params_std):
     assert np.max(np.abs(q3.E - growth.E)) <= 1e-13
     assert _sym_err(q3.D) <= 1e-13
     assert np.min(np.linalg.eigvalsh(q3.D)) >= -1e-10
+    # a critical strength is lambda_max(E, D): the quotient builds no mass
+    assert q3.V is None and q3.J is None and q3.size == growth.size
 
     q1 = assemble_quotient(mode, affine64, params_std, g1, i=1)
     assert q1.D.shape == q3.D.shape
