@@ -16,7 +16,8 @@ paths to div w are then the same matrix, so div w = 0 holds to rounding.
 
 The critical-strength quotient and the growth problem share one term
 builder, _box_terms: buoyancy, stretching, viscous and mass forms as
-factored terms over sparse operators, which modeforms._dense assembles.
+factored terms over sparse operators, which modeforms._dense assembles and
+through which the dispersion solvers read their quotients.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from typing import Optional
 import numpy as np
 import scipy.sparse as sp
 
-from .eigcore import max_rayleigh
+from .dispersion import _top_quotient, solve_growth_rate
 from .errors import InputError, TooFewNodes
 from .modeforms import FormTerm, ModeForms, _coeff_at, _dense
 from .profiles import DensityProfile, PhysicalParams
@@ -155,14 +156,19 @@ def assemble_2d_quotient(r: Rect2D, p: DensityProfile, params: PhysicalParams,
     return ModeForms(kind="quotient2d", mode=None, grid=r,
                      layout={"psi": slice(0, n)},
                      E=_dense(buoy, n), V=None, J=None,
-                     D=_dense(stretch, n), profile=p, params=params)
+                     D=_dense(stretch, n), terms_E=buoy, terms_D=stretch,
+                     profile=p, params=params)
 
 
 def critical_m_2d(r: Rect2D, p: DensityProfile, params: PhysicalParams,
                   i: int) -> float:
-    """Critical field strength on the rectangle: finite in both directions."""
+    """Critical field strength on the rectangle: finite in both directions.
+
+    The quotient is read through the factored terms in long double, like the
+    slab's per-mode values (dispersion._top_quotient).
+    """
     forms = assemble_2d_quotient(r, p, params, i)
-    val, _ = max_rayleigh(forms.E, forms.D)
+    val = _top_quotient(forms.E, forms.D, forms.terms_E, forms.terms_D)
     return math.sqrt(max(val, 0.0))
 
 
@@ -190,7 +196,6 @@ def growth_rate_2d(r: Rect2D, p: DensityProfile, params: PhysicalParams,
                    m: float, i: int, tol: Optional[float] = None):
     """Growth rate (or stability verdict) of the rectangle problem at field
     strength m in direction i, by the same fixed-point solve as the slab."""
-    from .dispersion import solve_growth_rate
     forms = _growth_forms_2d(r, p, params, m, i)
     return solve_growth_rate(forms, tol=tol)
 

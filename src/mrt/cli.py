@@ -23,8 +23,8 @@ from pathlib import Path
 import numpy as np
 
 from .bounded2d import Rect2D, critical_m_2d, divergence_defect, growth_rate_2d
-from .dispersion import (build_growing_mode, compute_cr, critical_M,
-                         critical_m_sweep, quotient_proof_sequence,
+from .dispersion import (alpha_of_s, build_growing_mode, compute_cr,
+                         critical_M, critical_m_sweep, quotient_proof_sequence,
                          solve_growth_rate)
 from .errors import InputError, MrtError
 from .evolve import envelope_check, init_state, run_trajectory
@@ -577,7 +577,11 @@ def _verify_checks(cfg: dict) -> list:
         res.unstable and res.fixed_point_residual <= res.tol ** 2,
         Lambda=res.Lambda, residual=res.fixed_point_residual)
 
-    samples = sorted(res.alpha_samples)
+    # the Newton samples cluster near Lambda, so a 12-point sweep over
+    # [0, frak_s] joins them
+    sweep = [(float(s), alpha_of_s(forms, float(s))[0])
+             for s in np.linspace(0.0, res.frak_s, 12)]
+    samples = sorted(set(res.alpha_samples) | set(sweep))
     band = 1e-10 * max(1.0, abs(res.alpha0))
     monotone = all(a2 <= a1 + band for (_, a1), (_, a2)
                    in zip(samples, samples[1:]))

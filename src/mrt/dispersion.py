@@ -10,10 +10,15 @@ that bracket, with the slope α′(s) = −xᵀVx/xᵀJx that the envelope theor
 reads off the maximizer x (Ruhe's Rayleigh-functional Newton, SIAM J.
 Numer. Anal. 10, 1973), pins Λ to the last floating-point bit in a handful
 of steps; a step that leaves the bracket is replaced by its midpoint.
-Eigenvalues along the way are evaluated as Rayleigh quotients of refined
-eigenvectors through the factored quadrature terms, which keeps the
-fixed-point defect at the rounding level of the energies rather than of the
-assembled matrices.
+
+Every top eigenvalue this module reports (α(s), frak_s, the per-mode
+critical quotients, and the box quotient of bounded2d) is read one way: the
+dense solver gives the top vector, inverse iteration refines it, and the
+value is its Rayleigh quotient through the factored quadrature terms in long
+double.  That keeps the fixed-point defect and the critical strengths at the
+rounding level of the energies rather than of the assembled matrices.
+critical_M's limit quotient has no factored terms and stays the double
+quotient of its matrices.
 
 The compressible certificate of compute_cr is likewise one
 Schur-complement eigenproblem per mode (see eigcore.psd_ratio_sup).
@@ -23,7 +28,7 @@ helps the numerator (its energy block is nonpositive), so the maximization
 runs on the vertical-displacement block alone.
 
 A growing mode e^{Λt}(u, ϱ, N) takes its density and field carriers from
-the rate laws of evolve.RateLaws, divided by Λ.
+the rate laws of evolve.RateLaws, divided by Λ, and carries nothing else.
 """
 
 from __future__ import annotations
@@ -279,15 +284,22 @@ def _v_quotient(pen: _Pencil, x: np.ndarray) -> float:
                                              np.finfo(float).tiny)
 
 
-def _frak_s(pen: _Pencil) -> float:
-    """λmax(E, V), the right endpoint of {s : α(s) > 0}.
+def _top_quotient(A: np.ndarray, B: np.ndarray, tA, tB) -> float:
+    """λmax(A, B), reported as the long-double factored quotient of the
+    refined top vector of the dense pencil.
 
-    Reported as the factored Rayleigh quotient of the refined top vector,
-    like α itself, which puts α(frak_s) at the rounding level of the
-    energies rather than of the assembled matrices.
+    tA and tB are the term tuples A and B were assembled from.  The quotient
+    through them carries the rounding of the energies rather than of the
+    assembled matrices, whose norms reach 1e9 on stiff modes.
     """
-    _, x = max_rayleigh(pen.E, pen.V)
-    return float(qform_value_ld(pen.tE, x) / qform_value_ld(pen.tV, x))
+    _, x = max_rayleigh(A, B)
+    return float(qform_value_ld(tA, x) / qform_value_ld(tB, x))
+
+
+def _frak_s(pen: _Pencil) -> float:
+    """λmax(E, V), the right endpoint of {s : α(s) > 0}; read like α
+    itself, which puts α(frak_s) at the rounding level of the energies."""
+    return _top_quotient(pen.E, pen.V, pen.tE, pen.tV)
 
 
 def _pencil_residual(pen: _Pencil, s: float, alpha: float, x: np.ndarray) -> float:
@@ -408,7 +420,7 @@ def critical_m_sweep(profile: DensityProfile, params: PhysicalParams,
                                          "not buoyant"))
             continue
         q = assemble_quotient(mode, profile, params, g1, i=i)
-        val, _ = max_rayleigh(q.E, q.D)
+        val = _top_quotient(q.E, q.D, q.terms_E, q.terms_D)
         mc = math.sqrt(max(val, 0.0))
         rows.append(PerModeValue(mode.xi, mc, val))
         if mc > agg:
@@ -475,10 +487,8 @@ class GrowingMode:
     (incompressible) or the flux grid (compressible); N = phase·R_N y/Λ,
     the three complex field components on the flux grid in the phase
     convention of the evolve module.  Seeded into evolve.init_state they
-    give ẏ(0) = Λy up to the eigenpair residual.  non_vanishing maps named
-    functionals to their L² sizes; every one of them must be positive for a
-    genuine growing mode.  eig_residual is the relative strong-form defect
-    of the eigenpair, checked independently of the reduced forms.
+    give ẏ(0) = Λy up to the eigenpair residual.  forms are the forms the
+    mode was solved on.
     """
 
     Lambda: float
@@ -486,8 +496,6 @@ class GrowingMode:
     u: tuple
     rho: np.ndarray
     N: tuple
-    non_vanishing: dict
-    eig_residual: float
     forms: ModeForms
 
 
@@ -509,171 +517,6 @@ def build_growing_mode(forms: ModeForms,
     lam, y = result.Lambda, result.maximizer
     laws = RateLaws(forms)
     rho_rate, n_rate = laws.rates(y)
-    rho = rho_rate / lam
-    u = laws.velocity(y)
-    if forms.kind == "incompressible":
-        nv, res = _incompressible_checks(forms, lam, u, rho)
-    else:
-        nv, res = _compressible_checks(forms, lam, y, laws.d @ y)
-    return GrowingMode(Lambda=lam, y=y, u=u, rho=rho,
+    return GrowingMode(Lambda=lam, y=y, u=laws.velocity(y), rho=rho_rate / lam,
                        N=tuple(ph * (r / lam) for ph, r in zip(laws.phase, n_rate)),
-                       non_vanishing=nv, eig_residual=res, forms=forms)
-
-
-def _l2(g1_w: np.ndarray, *fields) -> float:
-    tot = 0.0
-    for f in fields:
-        tot += float(g1_w @ (np.abs(f) ** 2))
-    return math.sqrt(tot)
-
-
-def _incompressible_checks(forms: ModeForms, lam: float, u, rho):
-    g1 = forms.grid
-    mode = forms.mode
-    u1, u2, u3 = u
-    nv = {
-        "u3": _l2(g1.quad, u3),
-        "uh": _l2(g1.quad, u1, u2),
-        "di_u3": (_l2(g1.flux_weights, g1.deriv_flux @ u3.real)
-                  if mode.field_dir == 3 else abs(mode.xi[0]) * _l2(g1.quad, u3)),
-        "rho": _l2(g1.quad, rho),
-    }
-    return nv, _incompressible_residual(forms, lam, u)
-
-
-def _incompressible_residual(forms: ModeForms, lam: float, u) -> float:
-    """Strong-form defect with the pressure head projected out.
-
-    The momentum balance determines the velocity only up to a gradient; the
-    projection finds the scalar head (on the flux grid) whose gradient best
-    absorbs the computed imbalance, and the residual is what remains,
-    relative to the largest term in the balance.
-    """
-    g1 = forms.grid
-    mode = forms.mode
-    params = forms.params
-    p = forms.profile
-    xi1, xi2 = mode.xi
-    xin2 = mode.xi_norm2
-    m2 = mode.m * mode.m
-    u1, u2, u3 = u
-
-    def lap(f):
-        return g1.d2 @ f - xin2 * f
-
-    # momentum balance without the gradient head
-    L = []
-    rho_n = p.rho
-    for comp, e3 in ((u1, 0.0), (u2, 0.0), (u3, 1.0)):
-        t = -lam * lam * rho_n * comp + lam * params.mu * lap(comp)
-        if mode.field_dir == 3:
-            t = t + params.lambda0 * m2 * (g1.d2 @ comp)
-        else:
-            t = t - params.lambda0 * m2 * xi1 * xi1 * comp
-        t = t + params.g * p.drho * u3 * e3
-        L.append(t)
-    L = np.concatenate(L)
-
-    nf = g1.flux_points.size
-    P = g1.flux_to_node
-    grad = np.vstack([1j * xi1 * P, 1j * xi2 * P, g1.flux_div])
-    w = np.tile(g1.quad, 3)
-    A = (grad.conj().T @ (w[:, None] * grad)).real
-    rhs = -(grad.conj().T @ (w * L))
-    head = np.linalg.solve(A + 1e-30 * np.eye(nf), rhs)
-    resid = L + grad @ head
-
-    def wnorm(z):
-        z = z.reshape(3, -1)
-        return _l2(g1.quad, *z)
-
-    terms = [
-        wnorm(np.concatenate([lam * lam * rho_n * c for c in (u1, u2, u3)])),
-        wnorm(np.concatenate([lam * params.mu * lap(c) for c in (u1, u2, u3)])),
-        wnorm(grad @ head),
-        _l2(g1.quad, params.g * p.drho * u3),
-    ]
-    return wnorm(resid) / max(max(terms), 1e-300)
-
-
-def _compressible_checks(forms: ModeForms, lam: float, y: np.ndarray, d_f):
-    g1 = forms.grid
-    eq = forms.equilibrium
-    p = forms.profile
-    xi1, xi2 = forms.mode.xi
-    v1, v2, v3 = (y[forms.layout[k]] for k in ("v1", "v2", "v3"))
-    wq = g1.quad
-    dv3_n = g1.d1 @ v3
-    d_n = -xi1 * v1 - xi2 * v2 + dv3_n
-    mc_n = eq.field
-    dmc_n = eq.dfield
-    nv = {
-        "u3": _l2(wq, v3),
-        "dp1_u3": abs(xi1) * _l2(wq, mc_n * v3),
-        "qcomb": _l2(wq, dmc_n * v3 + mc_n * (-xi2 * v2 + dv3_n),
-                     mc_n * xi1 * v2),
-        "uh": _l2(wq, v1, v2),
-        "div_u": _l2(g1.flux_weights, d_f),
-    }
-    if float(np.min(p.drho)) >= 0.0:
-        nv["div_rho_u"] = _l2(wq, p.rho * d_n + p.drho * v3)
-    return nv, _compressible_residual(forms, lam, (v1, v2, v3), d_n)
-
-
-def _compressible_residual(forms: ModeForms, lam: float, v, d_n) -> float:
-    """Strong-form defect of the compressible eigenpair (no free head)."""
-    g1 = forms.grid
-    mode = forms.mode
-    params = forms.params
-    eq = forms.equilibrium
-    p = forms.profile
-    xi1, xi2 = mode.xi
-    xin2 = mode.xi_norm2
-    v1, v2, v3 = v
-    u = (1j * v1, 1j * v2, v3.astype(complex))
-    x = g1.nodes
-
-    def ddx(f):
-        # nodal derivative of a scalar that need not vanish at the walls
-        re = np.gradient(f.real, x, edge_order=2)
-        im = np.gradient(f.imag, x, edge_order=2)
-        return re + 1j * im
-
-    def lap(f):
-        return g1.d2 @ f - xin2 * f
-
-    mc = eq.field
-    dmc = eq.dfield
-    div_rho_u = p.rho * d_n.astype(complex) + p.drho * u[2]
-    S = params.dpressure(p.rho) * div_rho_u + params.lambda0 * mc * (
-        mc * (1j * xi2 * u[1] + g1.d1 @ v3) + dmc * u[2])
-    dS = (1j * xi1 * S, 1j * xi2 * S, ddx(S))
-    ddiv = (1j * xi1 * d_n.astype(complex), 1j * xi2 * d_n.astype(complex),
-            ddx(d_n.astype(complex)))
-
-    L = []
-    for k in range(3):
-        e3 = 1.0 if k == 2 else 0.0
-        t = (-lam * lam * p.rho * u[k]
-             + params.g * p.drho * u[2] * e3
-             + dS[k]
-             + params.g * p.rho * d_n * e3
-             + params.lambda0 * mc * (mc * (-xi1 * xi1) * u[k])
-             + lam * params.mu * lap(u[k])
-             + lam * params.mu0 * ddiv[k])
-        if k == 0:
-            t = t - params.lambda0 * mc * mc * 1j * xi1 * d_n
-        L.append(t)
-
-    def wnorm(fields):
-        return _l2(g1.quad, *fields)
-
-    resid = wnorm(L)
-    scales = [
-        wnorm([lam * lam * p.rho * u[k] for k in range(3)]),
-        wnorm(list(dS)),
-        wnorm([lam * params.mu * lap(u[k]) for k in range(3)]),
-        wnorm([params.g * p.drho * u[2], params.g * p.rho * d_n]),
-        wnorm([params.lambda0 * mc * mc * xin2 * u[k] for k in range(3)]),
-    ]
-    return resid / max(max(scales), 1e-300)
+                       forms=forms)

@@ -90,7 +90,8 @@ class Grid1D:
     curv_weights, curv_deriv
         same idea for second derivatives of twice-constrained fields.
     d1, d2
-        nodal derivative matrices (Dirichlet), for strong-form diagnostics.
+        nodal derivative matrices (Dirichlet); evolve takes the nodal
+        velocity and the viscous stability denominator from them.
     clamp_rows
         the two wall-derivative functionals; their null space is the
         clamped subspace, see :meth:`clamped_basis`.

@@ -154,9 +154,11 @@ class ModeForms:
     the stacked real vector.  E, V, J are the energy, dissipation, and mass
     matrices; D is the penalty/denominator matrix where the kind carries
     one.  The quotient kinds carry only E and D (V and J are None), since a
-    critical strength is λmax(E, D).  terms_* hold the factored
-    representation (None where only matrices are kept).  aux holds named
-    auxiliary PSD matrices used for diagnostics norms.
+    critical strength is λmax(E, D).  terms_E, terms_V, terms_J and
+    terms_D hold the factored terms each matrix was assembled from (None
+    where the kind has no such matrix), so that a reported quotient can be
+    read through them in long double.  aux holds named auxiliary PSD
+    matrices used for diagnostics norms.
     """
 
     kind: str
@@ -170,6 +172,7 @@ class ModeForms:
     terms_E: Optional[tuple] = None
     terms_V: Optional[tuple] = None
     terms_J: Optional[tuple] = None
+    terms_D: Optional[tuple] = None
     aux: dict = field(default_factory=dict)
     profile: Optional[DensityProfile] = None
     equilibrium: Optional[CompressibleEquilibrium] = None
@@ -305,7 +308,7 @@ def assemble_quotient(mode: ModeSpec, p: DensityProfile, params: PhysicalParams,
                         for t in unit_flux)
     return ModeForms(kind="quotient", mode=mode, grid=g1, layout=layout,
                      E=_dense(buoy, N), V=None, J=None,
-                     D=_dense(terms_D, N), terms_E=buoy,
+                     D=_dense(terms_D, N), terms_E=buoy, terms_D=terms_D,
                      profile=p, params=params)
 
 
@@ -423,5 +426,5 @@ def assemble_cr_forms(mode: ModeSpec, eq: CompressibleEquilibrium,
     return ModeForms(kind="crForms", mode=mode, grid=g1, layout=base.layout,
                      E=base.E, V=base.V, J=base.J, D=_dense(terms_D, base.size),
                      terms_E=base.terms_E, terms_V=base.terms_V,
-                     terms_J=base.terms_J, aux=base.aux,
+                     terms_J=base.terms_J, terms_D=terms_D, aux=base.aux,
                      equilibrium=eq, profile=eq.profile, params=params)

@@ -182,3 +182,169 @@ def psd_ratio_bisection(N: np.ndarray, D: np.ndarray, B: np.ndarray,
         else:
             hi = mid
     return 0.5 * (lo + hi)
+
+
+def _l2(w: np.ndarray, *fields) -> float:
+    """Weighted L² size of the fields stacked together."""
+    return math.sqrt(sum(float(w @ (np.abs(f) ** 2)) for f in fields))
+
+
+def growing_mode_checks(forms, lam: float, y: np.ndarray):
+    """Strong-form checks of a growing mode e^{Λt} with reduced maximizer y.
+
+    Returns (non_vanishing, residual).  non_vanishing maps named functionals
+    of the mode to their L² sizes; a genuine growing mode has every one of
+    them positive (on compressible interchange modes, ξ₁ = 0, the ∂₁u₃
+    entry vanishes by symmetry).  residual is the relative defect of the
+    momentum balance in strong form, with the pressure head projected out
+    in the incompressible case.
+
+    The velocity is rebuilt from y by the reduction of the modeforms
+    module, and the balance is written with the nodal derivative matrices
+    d1 and d2 and np.gradient, not with the staggered flux-grid operators
+    the forms are assembled from.  That makes it an independent route, but
+    a sharp one only where the two kinds of derivative agree.  On chebyshev
+    grids the residual reads at the level of the head projection's
+    truncation (1e-4 at n = 64).  On fd2 grids the nodal stencils are not
+    the staggered ones, and it reads O(1): 2.0 for the vertical field at
+    ξ = (2, 0) and 0.87 for the horizontal field at ξ = (2, 1), fd2 n = 64,
+    ρ̄ = 2 + x, m = 0.2, while the seeded mode satisfies ẏ(0) = Λy to 1e-12.
+    """
+    if forms.kind == "incompressible":
+        return _incompressible_checks(forms, lam, y)
+    return _compressible_checks(forms, lam, y)
+
+
+def _incompressible_checks(forms, lam, y):
+    g1 = forms.grid
+    mode = forms.mode
+    params = forms.params
+    p = forms.profile
+    xi1, xi2 = mode.xi
+    xin2 = mode.xi_norm2
+    nx = math.sqrt(xin2)
+    m2 = mode.m * mode.m
+
+    # û₃ = v₃ on the clamped basis, û_⊥ = iφ, and the parallel horizontal
+    # component i·v₃′/|ξ|; the density follows from ϱ_t = −ρ̄′u₃
+    v3 = g1.clamped @ y[forms.layout["v3"]]
+    phi = y[forms.layout["phi"]]
+    dv3 = g1.d1 @ v3
+    u1 = 1j * (xi1 * dv3 / xin2 - xi2 * phi / nx)
+    u2 = 1j * (xi2 * dv3 / xin2 + xi1 * phi / nx)
+    u3 = v3.astype(complex)
+    rho = -p.drho * v3 / lam
+    nv = {
+        "u3": _l2(g1.quad, u3),
+        "uh": _l2(g1.quad, u1, u2),
+        "di_u3": (_l2(g1.flux_weights, g1.deriv_flux @ u3.real)
+                  if mode.field_dir == 3 else abs(xi1) * _l2(g1.quad, u3)),
+        "rho": _l2(g1.quad, rho),
+    }
+
+    def lap(f):
+        return g1.d2 @ f - xin2 * f
+
+    # momentum balance without the gradient head
+    L = []
+    for comp, e3 in ((u1, 0.0), (u2, 0.0), (u3, 1.0)):
+        t = -lam * lam * p.rho * comp + lam * params.mu * lap(comp)
+        if mode.field_dir == 3:
+            t = t + params.lambda0 * m2 * (g1.d2 @ comp)
+        else:
+            t = t - params.lambda0 * m2 * xi1 * xi1 * comp
+        t = t + params.g * p.drho * u3 * e3
+        L.append(t)
+    L = np.concatenate(L)
+
+    # the scalar head on the flux grid whose gradient best absorbs the
+    # imbalance; the residual is what remains
+    nf = g1.flux_points.size
+    P = g1.flux_to_node
+    grad = np.vstack([1j * xi1 * P, 1j * xi2 * P, g1.flux_div])
+    w = np.tile(g1.quad, 3)
+    A = (grad.conj().T @ (w[:, None] * grad)).real
+    rhs = -(grad.conj().T @ (w * L))
+    head = np.linalg.solve(A + 1e-30 * np.eye(nf), rhs)
+    resid = L + grad @ head
+
+    def wnorm(z):
+        return _l2(g1.quad, *z.reshape(3, -1))
+
+    terms = [
+        wnorm(np.concatenate([lam * lam * p.rho * c for c in (u1, u2, u3)])),
+        wnorm(np.concatenate([lam * params.mu * lap(c) for c in (u1, u2, u3)])),
+        wnorm(grad @ head),
+        _l2(g1.quad, params.g * p.drho * u3),
+    ]
+    return nv, wnorm(resid) / max(max(terms), 1e-300)
+
+
+def _compressible_checks(forms, lam, y):
+    g1 = forms.grid
+    mode = forms.mode
+    params = forms.params
+    eq = forms.equilibrium
+    p = forms.profile
+    xi1, xi2 = mode.xi
+    xin2 = mode.xi_norm2
+    v1, v2, v3 = (y[forms.layout[k]] for k in ("v1", "v2", "v3"))
+    wq = g1.quad
+    mc = eq.field
+    dmc = eq.dfield
+
+    # divergence d(v) = −ξ₁v₁ − ξ₂v₂ + v₃′, on the flux grid and the nodes
+    d_f = (-xi1 * (g1.value_flux @ v1) - xi2 * (g1.value_flux @ v2)
+           + g1.deriv_flux @ v3)
+    dv3 = g1.d1 @ v3
+    d_n = -xi1 * v1 - xi2 * v2 + dv3
+    nv = {
+        "u3": _l2(wq, v3),
+        "dp1_u3": abs(xi1) * _l2(wq, mc * v3),
+        "qcomb": _l2(wq, dmc * v3 + mc * (-xi2 * v2 + dv3), mc * xi1 * v2),
+        "uh": _l2(wq, v1, v2),
+        "div_u": _l2(g1.flux_weights, d_f),
+    }
+    if float(np.min(p.drho)) >= 0.0:
+        nv["div_rho_u"] = _l2(wq, p.rho * d_n + p.drho * v3)
+
+    u = (1j * v1, 1j * v2, v3.astype(complex))
+    x = g1.nodes
+
+    def ddx(f):
+        # nodal derivative of a scalar that need not vanish at the walls
+        return (np.gradient(f.real, x, edge_order=2)
+                + 1j * np.gradient(f.imag, x, edge_order=2))
+
+    def lap(f):
+        return g1.d2 @ f - xin2 * f
+
+    dc = d_n.astype(complex)
+    div_rho_u = p.rho * dc + p.drho * u[2]
+    S = params.dpressure(p.rho) * div_rho_u + params.lambda0 * mc * (
+        mc * (1j * xi2 * u[1] + dv3) + dmc * u[2])
+    dS = (1j * xi1 * S, 1j * xi2 * S, ddx(S))
+    ddiv = (1j * xi1 * dc, 1j * xi2 * dc, ddx(dc))
+
+    L = []
+    for k in range(3):
+        e3 = 1.0 if k == 2 else 0.0
+        t = (-lam * lam * p.rho * u[k]
+             + params.g * p.drho * u[2] * e3
+             + dS[k]
+             + params.g * p.rho * d_n * e3
+             + params.lambda0 * mc * (mc * (-xi1 * xi1) * u[k])
+             + lam * params.mu * lap(u[k])
+             + lam * params.mu0 * ddiv[k])
+        if k == 0:
+            t = t - params.lambda0 * mc * mc * 1j * xi1 * d_n
+        L.append(t)
+
+    scales = [
+        _l2(wq, *(lam * lam * p.rho * u[k] for k in range(3))),
+        _l2(wq, *dS),
+        _l2(wq, *(lam * params.mu * lap(u[k]) for k in range(3))),
+        _l2(wq, params.g * p.drho * u[2], params.g * p.rho * d_n),
+        _l2(wq, *(params.lambda0 * mc * mc * xin2 * u[k] for k in range(3))),
+    ]
+    return nv, _l2(wq, *L) / max(max(scales), 1e-300)

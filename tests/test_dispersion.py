@@ -19,14 +19,16 @@ from mrt.dispersion import (
     quotient_proof_sequence,
     solve_growth_rate,
 )
+from mrt.bounded2d import Rect2D, assemble_2d_quotient, critical_m_2d
 from mrt.cli import (_build_grid, _build_modes, _build_params, _build_profile,
                      validate_config)
-from mrt.eigcore import psd_ratio_sup
+from mrt.eigcore import max_rayleigh, psd_ratio_sup
 from mrt.errors import NoGrowth, ZeroMode
 from mrt.grid1d import Grid1D
 from mrt.evolve import init_state
 from mrt.modeforms import (FormTerm, ModeForms, ModeSpec, assemble_compressible,
-                           assemble_cr_forms, assemble_incompressible)
+                           assemble_cr_forms, assemble_incompressible,
+                           assemble_quotient, qform_value_ld)
 from mrt.profiles import (
     PhysicalParams,
     build_equilibrium,
@@ -36,7 +38,7 @@ from mrt.profiles import (
     min_admissible_pressure_const,
 )
 
-from oracles import scalar_growth_bisection
+from oracles import growing_mode_checks, scalar_growth_bisection
 
 TWO_OVER_PI = 2.0 / np.pi
 # frozen solver outputs for rho' = 1, g = lambda0 = 1, l = 1
@@ -58,6 +60,31 @@ def test_critical_number_fd2(params_std):
     rep = critical_M(prof, params_std, g1)
     assert abs(rep.aggregate - TWO_OVER_PI) <= 1e-3 * TWO_OVER_PI
     assert abs(rep.aggregate - MC_FD256) <= 1e-9
+
+
+def test_critical_values_are_long_double_quotients(params_std):
+    # every reported critical strength squared is the long-double factored
+    # quotient of the refined top vector, not the double quotient of the
+    # assembled matrices (4e-11 apart here, where |D| reaches 4e9), and
+    # agrees with a dense eigh
+    g1 = Grid1D("chebyshev", 1.0, 96)
+    prof = make_affine_profile(g1, 2.0, 1.0)
+    sweep = [ModeSpec.from_integers(1.0, k, 0, field_dir=3) for k in range(1, 9)]
+    rep = critical_m_sweep(prof, params_std, g1, 3, sweep)
+    cases = [(row.value, assemble_quotient(mode, prof, params_std, g1))
+             for mode, row in zip(sweep, rep.per_mode)]
+    rect = Rect2D((-1.0, 1.0), (-1.0, 1.0), 32, 32)
+    box_prof = make_affine_profile(Grid1D("fd2", 1.0, 64), 2.0, 1.0)
+    cases.append((critical_m_2d(rect, box_prof, params_std, 1),
+                  assemble_2d_quotient(rect, box_prof, params_std, 1)))
+    for value, q in cases:
+        _, x = max_rayleigh(q.E, q.D)
+        ld = float(qform_value_ld(q.terms_E, x) / qform_value_ld(q.terms_D, x))
+        assert abs(value ** 2 - ld) <= 1e-15 * ld
+        n = q.size
+        dense = eigh(q.E, q.D, eigvals_only=True,
+                     subset_by_index=(n - 1, n - 1))[0]
+        assert abs(value ** 2 - dense) <= 1e-9 * dense
 
 
 def test_growth_rate_vs_scalar_bisection(forms_std):
@@ -349,19 +376,20 @@ def test_growing_mode_construction(case, affine64, params_std):
     # phase convention of both problems: u3 real, u1 imaginary
     assert np.max(np.abs(gm.u[2].imag)) <= 1e-12 * max(1.0, np.max(np.abs(gm.u[2])))
     assert np.max(np.abs(gm.u[0].real)) <= 1e-12 * max(1.0, np.max(np.abs(gm.u[0])))
+    non_vanishing, residual = growing_mode_checks(forms, lam, gm.y)
     if forms.kind == "incompressible":
-        assert all(v > 0.0 for v in gm.non_vanishing.values())
+        assert all(v > 0.0 for v in non_vanishing.values())
         # strong-form defect after projecting out the pressure head; limited
         # by the projection's truncation, far looser than the pencil residual.
         # Its nodal operators are not the fd2 forms' staggered ones, and on
         # fd2 it reads O(1), so it is checked on chebyshev only
         if forms.grid.scheme == "chebyshev":
-            assert gm.eig_residual <= 5e-4
+            assert residual <= 5e-4
         assert gm.rho.shape == (forms.grid.n,)
     else:
         # d1 u3 vanishes on these interchange modes (xi1 = 0)
-        assert all(v > 0.0 for k, v in gm.non_vanishing.items() if k != "dp1_u3")
-        assert gm.eig_residual <= 5e-3
+        assert all(v > 0.0 for k, v in non_vanishing.items() if k != "dp1_u3")
+        assert residual <= 5e-3
         assert gm.rho.shape == (forms.grid.flux_points.size,)
 
 

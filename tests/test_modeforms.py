@@ -228,13 +228,13 @@ def test_compressible_field_term_oracle(symbolic_eq):
     assert abs(float(y @ (Ea @ y)) - float(y @ (Eb @ y))) <= 1e-10
 
 
-def _assert_qform_matches_dense(terms, n, seed):
-    # the factored long-double value and the block-assembled matrix are two
+def _assert_qform_matches_dense(terms, M, seed):
+    # the factored long-double value and the assembled matrix M are two
     # routes to the same form
     rng = np.random.default_rng(seed)
     for _ in range(3):
-        x = rng.standard_normal(n)
-        ref = float(x @ _dense(terms, n) @ x)
+        x = rng.standard_normal(M.shape[0])
+        ref = float(x @ M @ x)
         assert abs(float(qform_value_ld(terms, x)) - ref) <= 1e-12 * abs(ref)
 
 
@@ -246,7 +246,10 @@ def test_qform_value_ld_incompressible(affine64, params_std, field_dir):
     for t in forms.terms_E + forms.terms_V + forms.terms_J:
         assert t.P.shape[1] == t.cols.stop - t.cols.start
     for terms in (forms.terms_E, forms.terms_V, forms.terms_J):
-        _assert_qform_matches_dense(terms, forms.size, field_dir)
+        _assert_qform_matches_dense(terms, _dense(terms, forms.size), field_dir)
+    # the critical quotient's denominator is read through its terms too
+    q = assemble_quotient(mode, affine64, params_std, affine64.grid)
+    _assert_qform_matches_dense(q.terms_D, q.D, field_dir)
 
 
 def test_qform_value_ld_compressible(symbolic_eq):
@@ -256,4 +259,6 @@ def test_qform_value_ld_compressible(symbolic_eq):
     widths = {t.P.shape[1] for t in forms.terms_E}
     assert widths == {g1.n, forms.size}
     for terms in (forms.terms_E, forms.terms_V, forms.terms_J):
-        _assert_qform_matches_dense(terms, forms.size, 5)
+        _assert_qform_matches_dense(terms, _dense(terms, forms.size), 5)
+    cr = assemble_cr_forms(ModeSpec.from_integers(1.0, 1, 2), eq, params, g1)
+    _assert_qform_matches_dense(cr.terms_D, cr.D, 5)
