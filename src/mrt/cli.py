@@ -13,6 +13,7 @@ are minimal hand-written SVG polylines; the CSV is the primary artifact.
 from __future__ import annotations
 
 import argparse
+import copy
 import json
 import math
 import os
@@ -34,137 +35,71 @@ from .modeforms import (ModeSpec, assemble_compressible,
 from .profiles import (PhysicalParams, build_equilibrium, make_affine_profile,
                        make_table_profile, make_tanh_profile)
 
-_PROBLEMS = ("incompressible", "compressible", "bounded2d")
-_PROFILES = ("affine", "tanh", "table")
-_SEEDS = ("growing", "random")
+# the whole config contract: every key's type, bound and default
+_SCHEMA = json.loads(Path(__file__).with_name("config_schema.json")
+                     .read_text(encoding="utf-8"))
 
-# defaults for every optional key; None means "no value unless given"
-_DEFAULTS = {
-    "scheme": "chebyshev",
-    "n": 96,
-    "l": 1.0,
-    "profile": "affine",
-    "rho_mid": 2.0,
-    "beta": 1.0,
-    "rho_base": 2.0,
-    "rho_amp": 1.0,
-    "rho_steep": 2.0,
-    "table_x": None,
-    "table_rho": None,
-    "g": 1.0,
-    "lambda0": 1.0,
-    "mu": 0.1,
-    "mu0": None,
-    "A": 1.0,
-    "gamma": 5.0 / 3.0,
-    "L": 1.0,
-    "m": 0.0,
-    "field_dir": 3,
-    "modes": [[1, 0]],
-    "pressure_const": None,
-    "sign": 1,
-    "x1": [-1.0, 1.0],
-    "x3": [-1.0, 1.0],
-    "nx": 32,
-    "nz": 32,
-    "tol": None,
-    "phase_tol": None,
-    "div_tol": None,
-    "T": None,
-    "dt": None,
-    "diagnostics_every": 1,
-    "seed": "growing",
-    "seed_rng": 0,
-    "xi": None,
+_TYPES = {
+    "null": lambda v: v is None,
+    "array": lambda v: isinstance(v, list),
+    "object": lambda v: isinstance(v, dict),
+    "integer": lambda v: isinstance(v, int) and not isinstance(v, bool),
+    # JSON has no NaN or Infinity; the comparison also rejects both
+    "number": lambda v: (isinstance(v, (int, float)) and not isinstance(v, bool)
+                         and abs(v) <= sys.float_info.max),
 }
 
 
-def _is_number(v) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
-
-
-def _is_int(v) -> bool:
-    return isinstance(v, int) and not isinstance(v, bool)
-
-
-def _check_pair(name: str, v):
-    if (not isinstance(v, list) or len(v) != 2 or not all(_is_number(c) for c in v)):
-        raise InputError(f"{name} must be a two-number list")
+def _check(name: str, v, rule: dict):
+    """Raise InputError unless v meets one schema rule (the keywords the
+    schema uses; enum compares as JSON does, so true is not 1)."""
+    types = rule.get("type")
+    if types is not None:
+        types = [types] if isinstance(types, str) else types
+        if not any(_TYPES[t](v) for t in types):
+            kinds = " or ".join(types).replace("number", "finite number")
+            raise InputError(f"{name} must be of type {kinds}")
+    if "enum" in rule and not any(v == e and isinstance(v, bool) == isinstance(e, bool)
+                                  for e in rule["enum"]):
+        raise InputError(f"{name} must be one of {rule['enum']}")
+    if isinstance(v, (int, float)) and not isinstance(v, bool):
+        if "minimum" in rule and v < rule["minimum"]:
+            raise InputError(f"{name} must be at least {rule['minimum']}")
+        if "exclusiveMinimum" in rule and v <= rule["exclusiveMinimum"]:
+            raise InputError(f"{name} must exceed {rule['exclusiveMinimum']}")
+    if isinstance(v, list):
+        lo, hi = rule.get("minItems", 0), rule.get("maxItems", math.inf)
+        if not lo <= len(v) <= hi:
+            raise InputError(f"{name} needs {lo} to {hi} entries")
+        for item in v:
+            _check(f"{name} entry", item, rule.get("items", {}))
+    if isinstance(v, dict):
+        props = rule.get("properties", {})
+        if rule.get("additionalProperties") is False and set(v) - set(props):
+            raise InputError(f"unknown {name} keys: {sorted(set(v) - set(props))}")
+        for key in rule.get("required", ()):
+            if key not in v:
+                raise InputError(f"{name} needs a {key!r} key")
+        for key, item in v.items():
+            _check(key, item, props.get(key, {}))
 
 
 def validate_config(raw) -> dict:
-    """Fill defaults and reject anything the schema does not allow."""
-    if not isinstance(raw, dict):
-        raise InputError("config must be a JSON object")
-    unknown = set(raw) - set(_DEFAULTS) - {"problem"}
-    if unknown:
-        raise InputError(f"unknown config keys: {sorted(unknown)}")
-    if "problem" not in raw:
-        raise InputError("config needs a 'problem' key")
-    cfg = dict(_DEFAULTS)
+    """Check raw against config_schema.json and fill its defaults; the
+    schema's cross-key rules (bar evolve's T and dt) are checked here."""
+    _check("config", raw, _SCHEMA)
+    cfg = {key: copy.deepcopy(rule.get("default"))
+           for key, rule in _SCHEMA["properties"].items()}
     cfg.update(raw)
-
-    if cfg["problem"] not in _PROBLEMS:
-        raise InputError(f"problem must be one of {_PROBLEMS}")
-    if cfg["scheme"] not in ("fd2", "chebyshev"):
-        raise InputError("scheme must be 'fd2' or 'chebyshev'")
-    if cfg["profile"] not in _PROFILES:
-        raise InputError(f"profile must be one of {_PROFILES}")
-    if cfg["seed"] not in _SEEDS:
-        raise InputError(f"seed must be one of {_SEEDS}")
-    if cfg["sign"] not in (1, -1):
-        raise InputError("sign must be 1 or -1")
-    if cfg["field_dir"] not in (1, 3):
-        raise InputError("field_dir must be 1 or 3")
-
-    for key in ("n", "nx", "nz", "seed_rng", "diagnostics_every"):
-        if not _is_int(cfg[key]):
-            raise InputError(f"{key} must be an integer")
-    for key, least in (("n", 8), ("nx", 5), ("nz", 5)):
-        if cfg[key] < least:
-            raise InputError(f"{key} must be at least {least}")
-    if cfg["diagnostics_every"] < 1:
-        raise InputError("diagnostics_every must be >= 1")
-
-    for key in ("l", "g", "lambda0", "mu", "L", "A"):
-        if not _is_number(cfg[key]) or cfg[key] <= 0.0:
-            raise InputError(f"{key} must be a positive number")
-    for key in ("gamma", "rho_mid", "beta", "rho_base", "rho_amp", "rho_steep", "m"):
-        if not _is_number(cfg[key]):
-            raise InputError(f"{key} must be a number")
-    for key in ("mu0", "pressure_const", "tol", "phase_tol", "div_tol", "T", "dt"):
-        if cfg[key] is not None and not _is_number(cfg[key]):
-            raise InputError(f"{key} must be a number or null")
-    for key in ("T", "dt"):
-        if cfg[key] is not None and cfg[key] <= 0.0:
-            raise InputError(f"{key} must be positive")
-
-    if (not isinstance(cfg["modes"], list) or not cfg["modes"]):
-        raise InputError("modes must be a nonempty list of [k1, k2] pairs")
-    for pair in cfg["modes"]:
-        _check_pair("modes entry", pair)
-        if not all(_is_int(c) for c in pair):
-            raise InputError("modes entries must be integer pairs")
-    if cfg["xi"] is not None:
-        _check_pair("xi", cfg["xi"])
-        if not all(_is_int(c) for c in cfg["xi"]):
-            raise InputError("xi must be an integer pair")
-    for key in ("x1", "x3"):
-        _check_pair(key, cfg[key])
-
     if cfg["profile"] == "table":
-        tx, tr = cfg["table_x"], cfg["table_rho"]
-        for name, t in (("table_x", tx), ("table_rho", tr)):
-            if (not isinstance(t, list) or len(t) < 2
-                    or not all(_is_number(c) for c in t)):
-                raise InputError(f"{name} must be a list of at least two numbers")
-        if len(tx) != len(tr):
+        if cfg["table_x"] is None or cfg["table_rho"] is None:
+            raise InputError("table profiles need table_x and table_rho")
+        if len(cfg["table_x"]) != len(cfg["table_rho"]):
             raise InputError("table_x and table_rho must have equal length")
     if cfg["problem"] == "compressible":
-        if cfg["pressure_const"] is None:
-            raise InputError("compressible runs need pressure_const")
-        if cfg["mu0"] is None:
-            raise InputError("compressible runs need mu0")
+        for key in ("pressure_const", "mu0"):
+            if cfg[key] is None:
+                raise InputError(f"compressible runs need {key}")
     return cfg
 
 

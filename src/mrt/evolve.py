@@ -462,8 +462,6 @@ class TrajectoryRecord:
     forcing_norm: float
     fit_rate: Optional[float]
     fit_band: Optional[float]
-    rho_increments: np.ndarray
-    N_increments: np.ndarray
     ledger: dict
 
     _CSV_COLUMNS = ("t", "norm_rho", "norm_u", "norm_diu", "norm_ut",
@@ -600,9 +598,7 @@ def run_trajectory(state: EvolveState, T: float, dt: float,
         norm_N=norm_n, energy_drift=drifts, first_order_defect=defects,
         J0=j0,
         forcing_norm=state.meta.get("Q0_norm", state.meta.get("P0_norm", 0.0)),
-        fit_rate=fit_rate, fit_band=fit_band,
-        rho_increments=np.asarray(rho_inc), N_increments=np.asarray(n_inc),
-        ledger=ledger)
+        fit_rate=fit_rate, fit_band=fit_band, ledger=ledger)
 
 
 def _fit_growth(times: np.ndarray, norm_u: np.ndarray):
@@ -638,7 +634,6 @@ class EnvelopeReport:
     Lambda: Optional[float]
     mode: str
     constants: dict
-    baselines: dict
     flagged: tuple
 
 
@@ -661,23 +656,20 @@ def envelope_check(rec: TrajectoryRecord, Lambda: Optional[float] = None,
         return EnvelopeReport(
             Lambda=Lambda,
             mode="exponential" if Lambda is not None else "boundedness",
-            constants=zeros, baselines=zeros, flagged=())
+            constants=zeros, flagged=())
     growth = (np.exp(Lambda * rec.times) if Lambda is not None
               else np.ones_like(rec.times))
     constants = {}
-    baselines = {}
     flagged = []
     for name, x in series.items():
         b = x[0] if x[0] > 1e-12 * combined0 else combined0
         c = float(np.max(x / (b * growth)))
         constants[name] = c
-        baselines[name] = float(b)
         if not math.isfinite(c) or c > flag_threshold:
             flagged.append(name)
     return EnvelopeReport(Lambda=Lambda,
                           mode="exponential" if Lambda is not None else "boundedness",
-                          constants=constants, baselines=baselines,
-                          flagged=tuple(flagged))
+                          constants=constants, flagged=tuple(flagged))
 
 
 def viscous_time(forms: ModeForms) -> float:

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mrt.cli import _fmt, main, validate_config
+from mrt.cli import _SCHEMA, _fmt, main, validate_config
 from mrt.errors import InputError
 
 
@@ -63,6 +63,70 @@ def test_validate_config_rejections():
     with pytest.raises(InputError):
         validate_config({"problem": "compressible"})
     validate_config({"problem": "compressible", "pressure_const": 4.0, "mu0": 0.5})
+
+
+# compressible runs are legal with these; incompressible ones ignore them
+_BASE = {"problem": "incompressible", "pressure_const": 4.0, "mu0": 0.5}
+
+
+def _past_bounds(rule):
+    """Values just outside each enum or lower bound a schema rule states."""
+    if "enum" in rule:
+        e = rule["enum"]
+        yield (e[0] + "_x") if isinstance(e[0], str) else max(e) + 1
+        yield True
+    if "minimum" in rule:
+        m = rule["minimum"]
+        yield m - 1 if rule["type"] == "integer" else np.nextafter(m, -np.inf)
+    if "exclusiveMinimum" in rule:
+        yield rule["exclusiveMinimum"]
+
+
+@pytest.mark.parametrize("key", sorted(_SCHEMA["properties"]))
+def test_schema_bounds_and_defaults(key):
+    rule = _SCHEMA["properties"][key]
+    accepted = [rule["default"]] if "default" in rule else rule["enum"]
+    if "minimum" in rule:
+        accepted.append(rule["minimum"])
+    if "exclusiveMinimum" in rule:
+        accepted.append(float(np.nextafter(rule["exclusiveMinimum"], np.inf)))
+    for value in accepted:
+        assert validate_config({**_BASE, key: value})[key] == value
+    for value in _past_bounds(rule):
+        with pytest.raises(InputError):
+            validate_config({**_BASE, key: value})
+
+
+def test_enums_reject_booleans_and_tables_need_four_samples():
+    # JSON true is not the number 1, so it matches no enum
+    for key in ("field_dir", "sign"):
+        with pytest.raises(InputError):
+            validate_config({"problem": "incompressible", key: True})
+    table = {"problem": "incompressible", "profile": "table"}
+    with pytest.raises(InputError):
+        validate_config({**table, "table_x": [-1.0, 0.0, 1.0],
+                         "table_rho": [3.0, 2.0, 1.0]})
+    with pytest.raises(InputError):
+        validate_config({**table, "table_x": [-1.0, -0.5, 0.5, 1.0],
+                         "table_rho": [3.0, 2.0, 1.0, 0.5, 0.0]})
+    with pytest.raises(InputError):
+        validate_config({**table, "table_x": [-1.0, -0.5, 0.5, 1.0]})
+    validate_config({**table, "table_x": [-1.0, -0.5, 0.5, 1.0],
+                     "table_rho": [3.0, 2.5, 1.5, 1.0]})
+
+
+@pytest.mark.parametrize("command,overrides", [
+    ("evolve", {"T": math.inf, "dt": 0.01}),
+    ("evolve", {"T": 1.0, "dt": math.nan}),
+    ("growth", {"m": math.nan}),
+    ("evolve", {"T": 1.0, "dt": 0.01, "seed": "random", "seed_rng": -1}),
+], ids=["T_inf", "dt_nan", "m_nan", "seed_rng_negative"])
+def test_non_finite_and_negative_seed_configs_exit_2(tmp_path, capsys, command,
+                                                     overrides):
+    cfg = write_cfg(tmp_path, "c.json",
+                    {"problem": "incompressible", "n": 16, **overrides})
+    assert run_cli(command, "--config", cfg, "--out", tmp_path / "o") == 2
+    assert "mrt: config error" in capsys.readouterr().err
 
 
 @settings(max_examples=30, deadline=None)
