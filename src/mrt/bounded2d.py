@@ -16,8 +16,10 @@ paths to div w are then the same matrix, so div w = 0 holds to rounding.
 
 The critical-strength quotient and the growth problem share one term
 builder, _box_terms: buoyancy, stretching, viscous and mass forms as
-factored terms over sparse operators, which modeforms._dense assembles and
-through which the dispersion solvers read their quotients.
+factored terms over sparse operators.  The solvers assemble them into
+sparse matrices (modeforms._sparse, through ModeForms.form) and read their
+quotients through the terms; no box solve builds a dense nred×nred matrix
+or calls a dense eigensolver.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ import scipy.sparse as sp
 
 from .dispersion import _top_quotient, solve_growth_rate
 from .errors import InputError, TooFewNodes
-from .modeforms import FormTerm, ModeForms, _coeff_at, _dense
+from .modeforms import FormTerm, ModeForms, _coeff_at
 from .profiles import DensityProfile, PhysicalParams
 
 
@@ -148,27 +150,27 @@ def assemble_2d_quotient(r: Rect2D, p: DensityProfile, params: PhysicalParams,
     """Quotient forms on the rectangle for field direction i.
 
     E: g∫ρ̄′(∂₁ψ)² (the numerator, through w₃ = −∂₁ψ); D: λ₀∫|∂ᵢ∇ψ|².
-    Both assembled on the clamped basis; D is positive definite there, so
-    the critical strength √max(0, λmax(E, D)) is finite.
+    Both on the clamped basis; D is positive definite there, so the critical
+    strength √max(0, λmax(E, D)) is finite.
     """
     buoy, stretch, _, _ = _box_terms(r, p, params, i)
     n = r.nred
     return ModeForms(kind="quotient2d", mode=None, grid=r,
-                     layout={"psi": slice(0, n)},
-                     E=_dense(buoy, n), V=None, J=None,
-                     D=_dense(stretch, n), terms_E=buoy, terms_D=stretch,
-                     profile=p, params=params)
+                     layout={"psi": slice(0, n)}, size=n,
+                     terms_E=buoy, terms_D=stretch, profile=p, params=params)
 
 
 def critical_m_2d(r: Rect2D, p: DensityProfile, params: PhysicalParams,
                   i: int) -> float:
     """Critical field strength on the rectangle: finite in both directions.
 
-    The quotient is read through the factored terms in long double, like the
-    slab's per-mode values (dispersion._top_quotient).
+    The top vector of the sparse pencil comes from ARPACK (eigcore.top_pair);
+    the quotient is read through the factored terms in long double, like
+    the slab's per-mode values (dispersion._top_quotient).
     """
     forms = assemble_2d_quotient(r, p, params, i)
-    val = _top_quotient(forms.E, forms.D, forms.terms_E, forms.terms_D)
+    val = _top_quotient(forms.form("E"), forms.form("D"),
+                        forms.terms_E, forms.terms_D)
     return math.sqrt(max(val, 0.0))
 
 
@@ -177,17 +179,14 @@ def _growth_forms_2d(r: Rect2D, p: DensityProfile, params: PhysicalParams,
     """Energy/dissipation/mass forms of the 2D growth problem.
 
     E = g∫ρ̄′w₃² − m²·λ₀∫|∂ᵢw|², V = μ∫|∇w|², J = ∫ρ̄|w|², from the same
-    terms as the quotient; the factored term tuples are kept so the
-    fixed-point solve can evaluate Rayleigh quotients through the
-    quadrature factors.
+    terms as the quotient; the fixed-point solve assembles them sparse and
+    evaluates Rayleigh quotients through the quadrature factors.
     """
     buoy, stretch, viscous, mass = _box_terms(r, p, params, i)
     terms_E = buoy + tuple(t.scaled(-(m * m)) for t in stretch)
     n = r.nred
     return ModeForms(kind="rect2d", mode=None, grid=r,
-                     layout={"psi": slice(0, n)},
-                     E=_dense(terms_E, n), V=_dense(viscous, n),
-                     J=_dense(mass, n),
+                     layout={"psi": slice(0, n)}, size=n,
                      terms_E=terms_E, terms_V=viscous, terms_J=mass,
                      profile=p, params=params)
 

@@ -13,12 +13,19 @@ of steps; a step that leaves the bracket is replaced by its midpoint.
 
 Every top eigenvalue this module reports (α(s), frak_s, the per-mode
 critical quotients, and the box quotient of bounded2d) is read one way: the
-dense solver gives the top vector, inverse iteration refines it, and the
+eigensolver gives the top vector, inverse iteration refines it, and the
 value is its Rayleigh quotient through the factored quadrature terms in long
 double.  That keeps the fixed-point defect and the critical strengths at the
 rounding level of the energies rather than of the assembled matrices.
 critical_M's limit quotient has no factored terms and stays the double
 quotient of its matrices.
+
+The eigensolver is dense LAPACK for the slab and ARPACK shift-invert on
+sparse matrices for the box, whose terms are sparse.  For α(s), s > 0, the
+shift starts just above a bound the iteration holds: α at the lower end of
+the bracket, since α is nonincreasing, or inside the bracket the chord
+through its two ends, since α is also convex.  α(0), frak_s and the box
+quotient start from a Lanczos estimate.
 
 The compressible certificate of compute_cr is likewise one
 Schur-complement eigenproblem per mode (see eigcore.psd_ratio_sup).
@@ -38,10 +45,12 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
+import scipy.sparse as sp
 
 from .errors import (BracketExhausted, InputError, NoGrowth, SolverFailure,
                      ZeroMode)
-from .eigcore import max_rayleigh, psd_ratio_sup, refine_top, top_pair
+from .eigcore import (max_rayleigh, norm_inf, psd_ratio_sup, refine_top,
+                      spd_factor, top_pair)
 from .evolve import RateLaws
 from .grid1d import Grid1D
 from .modeforms import (ModeForms, ModeSpec, assemble_cr_forms,
@@ -117,7 +126,10 @@ class _Pencil:
     """Restriction of a ModeForms to the maximizing block, with term tuples.
 
     The incompressible v₃ block comes first in its layout, so the terms that
-    read only that block apply unchanged to the restricted vector.
+    read only that block apply unchanged to the restricted vector.  The
+    matrices are sparse when every term is (the box): then J is checked and
+    factored once here (Jf), and each solve starts ARPACK from the previous
+    maximizer x.
     """
 
     def __init__(self, forms: ModeForms):
@@ -132,21 +144,28 @@ class _Pencil:
                 for terms in (forms.terms_E, forms.terms_V, forms.terms_J))
             self.slice = sv
         else:
-            self.E, self.V, self.J = forms.E, forms.V, forms.J
+            self.E, self.V, self.J = (forms.form(k) for k in "EVJ")
             self.tE, self.tV, self.tJ = forms.terms_E, forms.terms_V, forms.terms_J
             self.slice = slice(0, forms.size)
+        self.sparse = sp.issparse(self.J)
+        self.Jf = spd_factor(self.J, "J") if self.sparse else self.J
+        self.x = None
 
-    def alpha_ld(self, s: float) -> tuple[np.longdouble, np.ndarray]:
+    def alpha_ld(self, s: float, upper: Optional[float] = None
+                 ) -> tuple[np.longdouble, np.ndarray]:
         """α(s) and its maximizer; the value in extended precision.
 
-        The maximizer comes from the dense solver plus inverse-iteration
+        The maximizer comes from the eigensolver plus inverse-iteration
         polish; the value is its Rayleigh quotient through the factored
         quadrature terms, so it is a true lower bound on α(s) whose noise
-        floor sits orders below the assembled-matrix rounding.
+        floor sits orders below the assembled-matrix rounding.  upper, a
+        value α(s) cannot exceed, lets the sparse path shift-invert just
+        above it.
         """
         A = self.E if s == 0.0 else self.E - s * self.V
-        lam, v = top_pair(A, self.J)
-        x = refine_top(A, self.J, lam, v)
+        lam, v = top_pair(A, self.Jf, sigma=upper, v0=self.x)
+        x = refine_top(A, self.Jf, lam, v)
+        self.x = x
         num = qform_value_ld(self.tE, x)
         if s != 0.0:
             num = num - np.longdouble(s) * qform_value_ld(self.tV, x)
@@ -163,7 +182,8 @@ def alpha_of_s(forms: ModeForms, s: float) -> tuple[float, np.ndarray]:
 def _embed_maximizer(forms: ModeForms, pen: "_Pencil", x: np.ndarray) -> np.ndarray:
     y = np.zeros(forms.size)
     y[pen.slice] = x
-    nrm = math.sqrt(max(float(y @ (forms.J @ y)), np.finfo(float).tiny))
+    J = pen.J if pen.sparse else forms.J
+    nrm = math.sqrt(max(float(y @ (J @ y)), np.finfo(float).tiny))
     return y / nrm
 
 
@@ -190,21 +210,21 @@ def solve_growth_rate(forms: ModeForms,
     pen = _Pencil(forms)
     samples: list = []
 
-    def alpha_at(s: float) -> tuple[np.longdouble, np.ndarray]:
-        val, x = pen.alpha_ld(s)
+    def alpha_at(s: float, upper: Optional[float] = None
+                 ) -> tuple[np.longdouble, np.ndarray]:
+        val, x = pen.alpha_ld(s, upper)
         samples.append((s, float(val)))
         return val, x
 
     a0_ld, x0 = alpha_at(0.0)
     a0 = float(a0_ld)
     s0 = 1e-6 * math.sqrt(max(a0, 1.0))
-    probe_ld, x_probe = alpha_at(s0)
+    probe_ld, x_probe = alpha_at(s0, a0)
     alpha_probe = float(probe_ld)
     scale = math.sqrt(max(alpha_probe, 1.0))
     if tol is None:
         tol = 1e-8 * scale
-    escale = np.linalg.norm(pen.E, ord=np.inf) / max(
-        np.linalg.norm(pen.J, ord=np.inf), np.finfo(float).tiny)
+    escale = norm_inf(pen.E) / max(norm_inf(pen.J), np.finfo(float).tiny)
     marg_tol = 1e-9 * max(escale, np.finfo(float).tiny)
 
     if alpha_probe <= 0.0:
@@ -214,18 +234,21 @@ def solve_growth_rate(forms: ModeForms,
                                 alpha_samples=tuple(samples),
                                 evaluations=len(samples))
 
-    def h(s: float) -> tuple[np.longdouble, np.ndarray]:
-        val, x = alpha_at(s)
+    def h(s: float, upper: float) -> tuple[np.longdouble, np.ndarray]:
+        val, x = alpha_at(s, upper)
         return val - np.longdouble(s) * np.longdouble(s), x
 
     frak = _frak_s(pen)
     h_probe = probe_ld - np.longdouble(s0) * np.longdouble(s0)
     if h_probe > 0.0:
-        lo, h_lo, x_lo = s0, h_probe, x_probe
+        lo, h_lo, x_lo, a_lo = s0, h_probe, x_probe, alpha_probe
     else:
-        lo, h_lo, x_lo = 0.0, a0_ld, x0
+        lo, h_lo, x_lo, a_lo = 0.0, a0_ld, x0, a0
     hi = min(frak, math.sqrt(max(a0, 0.0)))
-    h_hi, x_hi = h(hi)
+    # alpha is nonincreasing, so alpha at the lower bracket end bounds it
+    # over the bracket
+    h_hi, x_hi = h(hi, a_lo)
+    a_hi = float(h_hi) + hi * hi
     if h_hi > 0.0:
         raise SolverFailure(
             f"alpha(s) - s^2 = {float(h_hi):.3e} > 0 at the bracket end {hi:.6e}")
@@ -247,14 +270,16 @@ def solve_growth_rate(forms: ModeForms,
             t = 0.5 * (lo + hi)
             if t <= lo or t >= hi:
                 break
-        h_s, x_s = h(t)
+        # alpha is also convex (a maximum of lines in s), so inside the
+        # bracket its chord is the tighter bound
+        h_s, x_s = h(t, a_lo + (a_hi - a_lo) * (t - lo) / (hi - lo))
         s = t
         if abs(h_s) < abs(best_h):
             best_s, best_h, best_x = s, h_s, x_s
         if h_s > 0.0:
-            lo = s
+            lo, a_lo = s, float(h_s) + s * s
         else:
-            hi = s
+            hi, a_hi = s, float(h_s) + s * s
 
     # h moves by (2s + |alpha'|)·ulp(s) between adjacent representable s,
     # so that jump is the resolution floor of the iteration (a Newton step
@@ -284,29 +309,31 @@ def _v_quotient(pen: _Pencil, x: np.ndarray) -> float:
                                              np.finfo(float).tiny)
 
 
-def _top_quotient(A: np.ndarray, B: np.ndarray, tA, tB) -> float:
+def _top_quotient(A, B, tA, tB, v0: Optional[np.ndarray] = None) -> float:
     """λmax(A, B), reported as the long-double factored quotient of the
-    refined top vector of the dense pencil.
+    refined top vector of the pencil.
 
-    tA and tB are the term tuples A and B were assembled from.  The quotient
-    through them carries the rounding of the energies rather than of the
-    assembled matrices, whose norms reach 1e9 on stiff modes.
+    tA and tB are the term tuples A and B were assembled from; A and B are
+    dense, or sparse when the terms are (then v0 starts the Lanczos run).
+    The quotient through the terms carries the rounding of the energies
+    rather than of the assembled matrices, whose norms reach 1e9 on stiff
+    modes.
     """
-    _, x = max_rayleigh(A, B)
+    _, x = max_rayleigh(A, B, v0=v0)
     return float(qform_value_ld(tA, x) / qform_value_ld(tB, x))
 
 
 def _frak_s(pen: _Pencil) -> float:
     """λmax(E, V), the right endpoint of {s : α(s) > 0}; read like α
     itself, which puts α(frak_s) at the rounding level of the energies."""
-    return _top_quotient(pen.E, pen.V, pen.tE, pen.tV)
+    return _top_quotient(pen.E, pen.V, pen.tE, pen.tV, v0=pen.x)
 
 
 def _pencil_residual(pen: _Pencil, s: float, alpha: float, x: np.ndarray) -> float:
     """Relative defect of (E - sV)x = αJx at the candidate eigenpair."""
-    r = (pen.E - s * pen.V) @ x - alpha * (pen.J @ x)
-    den = (np.linalg.norm(pen.E - s * pen.V, ord=np.inf)
-           + abs(alpha) * np.linalg.norm(pen.J, ord=np.inf))
+    A = pen.E - s * pen.V
+    r = A @ x - alpha * (pen.J @ x)
+    den = norm_inf(A) + abs(alpha) * norm_inf(pen.J)
     den *= max(float(np.max(np.abs(x))), np.finfo(float).tiny)
     return float(np.max(np.abs(r))) / max(den, np.finfo(float).tiny)
 

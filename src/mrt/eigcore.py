@@ -1,9 +1,19 @@
-"""Dense symmetric-definite generalized eigensolver with refinement.
+"""Symmetric-definite generalized eigensolvers, dense and sparse, with refinement.
 
-solve_gsym hands A v = lam B v to LAPACK's symmetric-definite drivers (sygvx
-for an index subset, sygvd for the whole spectrum) after checking symmetry
-and the conditioning of B, and reports the residual and the B-orthonormality
-of what comes back.  Everything is deterministic: same inputs, same bits out.
+solve_gsym hands a dense A v = lam B v to LAPACK's symmetric-definite drivers
+(sygvx for an index subset, sygvd for the whole spectrum) after checking
+symmetry and the conditioning of B, and reports the residual and the
+B-orthonormality of what comes back.
+
+top_pair, refine_top and max_rayleigh also take scipy sparse A and B (the 2D
+box).  There B is checked and factored once (spd_factor): a SuperLU LDLᵀ
+with diagonal pivots on a symmetric fill-reducing order, whose positive
+pivots prove B positive definite and whose pivot ratio stands in for the
+dense conditioning limit.  ARPACK finds the top pair: Lanczos in B's inner
+product when nothing bounds λmax, shift-invert when the caller knows an
+upper bound σ, which counts only once σB − A factors as LDLᵀ with positive
+pivots.  The start vector is a fixed one or the caller's, never ARPACK's
+random one.  Everything is deterministic: same inputs, same bits out.
 
 refine_top polishes the extreme eigenpair by shifted inverse iteration in the
 original coordinates.  The dense solver's output carries an absolute noise
@@ -18,13 +28,23 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 from scipy.linalg import cholesky, cho_factor, cho_solve, eigh, LinAlgError
+from scipy.sparse.linalg import (ArpackNoConvergence, LinearOperator, eigsh,
+                                 splu)
 
 from .errors import (BracketExhausted, NotPositiveDefinite, NotSymmetric,
                      SolverFailure)
 
 _SYM_TOL = 1e-12
 _COND_LIMIT = 1e15
+# relative tolerances of the runs that only estimate λmax: the Lanczos run
+# without a bound, and the shift-invert run that improves a poor estimate
+_LANCZOS_TOL = 1e-2
+_REESTIMATE_TOL = 1e-8
+# Lanczos vectors of a shift-invert run whose certified shift sits close
+# above λmax, where the top of the transformed spectrum stands well apart
+_NCV_SHIFT = 6
 
 
 @dataclass(frozen=True)
@@ -37,15 +57,28 @@ class GEigResult:
     orthonormality: float
 
 
-def _require_symmetric(M: np.ndarray, name: str) -> np.ndarray:
-    M = np.asarray(M, dtype=float)
+def _absmax(M) -> float:
+    return float(np.max(np.abs(M.data if sp.issparse(M) else M), initial=0.0))
+
+
+def _require_symmetric(M, name: str):
+    sparse = sp.issparse(M)
+    M = sp.csr_matrix(M, dtype=float) if sparse else np.asarray(M, dtype=float)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise NotSymmetric(f"{name} must be square")
-    scale = np.max(np.abs(M)) + 1.0
-    gap = np.max(np.abs(M - M.T))
+    MT = M.T.tocsr() if sparse else M.T
+    scale = _absmax(M) + 1.0
+    gap = _absmax(M - MT)
     if gap > _SYM_TOL * scale:
         raise NotSymmetric(f"{name} asymmetry {gap:.3e} exceeds {_SYM_TOL:g} relative")
-    return 0.5 * (M + M.T)
+    return 0.5 * (M + MT)
+
+
+def norm_inf(M) -> float:
+    """Largest absolute row sum of a dense or sparse matrix."""
+    if sp.issparse(M):
+        return float(abs(M).sum(axis=1).max())
+    return float(np.linalg.norm(M, ord=np.inf))
 
 
 def _chol_mass(B: np.ndarray) -> None:
@@ -59,6 +92,139 @@ def _chol_mass(B: np.ndarray) -> None:
         raise NotPositiveDefinite(
             f"B numerically singular (condition ~{(d.max()/d.min())**2:.1e})"
         )
+
+
+def _ldl(M):
+    """SuperLU LDLᵀ of a sparse symmetric M and its pivots D.
+
+    diag_pivot_thresh = 0 keeps every pivot on the diagonal of a symmetric
+    fill-reducing order, so by Sylvester's law the pivots carry the inertia
+    of M.  None when SuperLU had to leave the diagonal (its row and column
+    permutations differ, which a zero pivot forces) or found M singular.
+    """
+    try:
+        lu = splu(sp.csc_matrix(M), permc_spec="MMD_AT_PLUS_A",
+                  diag_pivot_thresh=0.0, options={"SymmetricMode": True})
+    except RuntimeError:
+        return None
+    if not np.array_equal(lu.perm_r, lu.perm_c):
+        return None
+    return lu, lu.U.diagonal()
+
+
+@dataclass(frozen=True)
+class SparseSPD:
+    """A sparse symmetric positive definite matrix and its LDLᵀ factor,
+    checked and factored once for every solve against it."""
+
+    matrix: sp.csr_matrix
+    lu: object
+
+
+def spd_factor(B, name: str = "B") -> SparseSPD:
+    """Check a sparse B like the dense path does and factor it.
+
+    :raises NotSymmetric: B fails the symmetry tolerance.
+    :raises NotPositiveDefinite: a pivot of B's LDLᵀ is not positive, or the
+        pivot ratio exceeds the 1e15 conditioning limit.
+    """
+    B = _require_symmetric(B, name)
+    f = _ldl(B)
+    if f is None or f[1].min() <= 0.0:
+        raise NotPositiveDefinite(f"{name}: LDLᵀ has a nonpositive pivot")
+    d = f[1]
+    if d.max() / d.min() > _COND_LIMIT:
+        raise NotPositiveDefinite(
+            f"{name} numerically singular (condition ~{d.max() / d.min():.1e})")
+    return SparseSPD(B, f[0])
+
+
+def _sparse_pair(A, B):
+    """(A, B) as checked CSR A and SparseSPD B; a SparseSPD passes as is."""
+    A = _require_symmetric(A, "A")
+    return A, (B if isinstance(B, SparseSPD) else spd_factor(B))
+
+
+def _is_sparse(A, B) -> bool:
+    return sp.issparse(A) or sp.issparse(B) or isinstance(B, SparseSPD)
+
+
+def _shifted_solver(A, B, lam: float, delta: float, tries: int):
+    """Solver of ((lam + δ)B − A)x = b at the first δ·32^k, k < tries, where
+    that matrix is positive definite (Cholesky, or LDLᵀ with positive
+    pivots when sparse), which puts lam + δ above λmax(A, B)."""
+    for _ in range(tries):
+        S = (lam + delta) * B - A
+        if sp.issparse(S):
+            f = _ldl(S)
+            if f is not None and f[1].min() > 0.0:
+                return f[0].solve, lam + delta
+        else:
+            try:
+                F = cho_factor(S)
+                return (lambda b: cho_solve(F, b)), lam + delta
+            except LinAlgError:
+                pass
+        delta *= 32.0
+    raise SolverFailure("could not shift the pencil to SPD")
+
+
+def _certified_shift(A, B, sigma: float):
+    """Solver of (σB − A)x = b at the first σ = sigma + δ·32^k, δ =
+    1e-6·max(1, |sigma|), that certifies σ above λmax; also whether that σ
+    is the first one."""
+    delta = 1e-6 * max(1.0, abs(sigma))
+    solve, shift = _shifted_solver(A, B, sigma, delta, 12)
+    return solve, shift, shift == sigma + delta
+
+
+def _shift_invert(A, Bf: SparseSPD, solve, shift: float, v0: np.ndarray,
+                  tol: float, ncv: int):
+    """ARPACK's top pair of (A, B) from the factored shifted pencil."""
+    n = A.shape[0]
+    OPinv = LinearOperator((n, n), matvec=lambda b: -solve(b), dtype=float)
+    return eigsh(A, k=1, M=Bf.matrix, sigma=shift, OPinv=OPinv, which="LM",
+                 v0=v0, ncv=min(ncv, n), tol=tol)
+
+
+def _sparse_top(A, B, sigma, v0) -> GEigResult:
+    """ARPACK's top pair of a sparse pencil, with solve_gsym's checks.
+
+    Every pair comes from shift-invert at a certified σ.  Without a bound,
+    a loose Lanczos run supplies an estimate from below and the start
+    vector.  When σ has to climb past its first try, the estimate was poor
+    (a clustered top, as on the vertical-field box): a loose shift-invert
+    run at that σ improves it and σ is certified again from there, so that
+    the final run sits close above λmax, where the top of the transformed
+    spectrum stands apart.
+    """
+    A, Bf = _sparse_pair(A, B)
+    n = A.shape[0]
+    if v0 is None:
+        v0 = np.random.default_rng(0).standard_normal(n)
+    try:
+        if sigma is None:
+            Minv = LinearOperator((n, n), matvec=Bf.lu.solve, dtype=float)
+            theta, V = eigsh(A, k=1, M=Bf.matrix, Minv=Minv, which="LA", v0=v0,
+                             tol=_LANCZOS_TOL)
+            sigma, v0 = float(theta[0]), V[:, 0]
+        solve, shift, close = _certified_shift(A, Bf.matrix, sigma)
+        if not close:
+            lam, V = _shift_invert(A, Bf, solve, shift, v0, _REESTIMATE_TOL, 20)
+            solve, shift, _ = _certified_shift(A, Bf.matrix, float(lam[0]))
+            v0 = V[:, 0]
+        lam, V = _shift_invert(A, Bf, solve, shift, v0, 0.0, _NCV_SHIFT)
+    except ArpackNoConvergence as e:
+        raise SolverFailure(f"ARPACK: {e}") from None
+    v = V[:, 0]
+    Bv = Bf.matrix @ v
+    denom = (norm_inf(A) + abs(lam[0]) * norm_inf(Bf.matrix)) * np.linalg.norm(v)
+    rn = np.linalg.norm(A @ v - lam[0] * Bv) / (denom + np.finfo(float).tiny)
+    ortho = abs(float(v @ Bv) - 1.0)
+    if ortho > 1e-8:
+        raise SolverFailure(f"B-orthonormality defect {ortho:.3e} exceeds 1e-8")
+    return GEigResult(eigenvalues=lam, eigenvectors=V,
+                      residual_norm=float(rn), orthonormality=ortho)
 
 
 def solve_gsym(A: np.ndarray, B: np.ndarray, subset: tuple | None = None) -> GEigResult:
@@ -93,15 +259,28 @@ def solve_gsym(A: np.ndarray, B: np.ndarray, subset: tuple | None = None) -> GEi
                       residual_norm=float(rn), orthonormality=ortho)
 
 
-def top_pair(A: np.ndarray, B: np.ndarray) -> tuple[float, np.ndarray]:
-    """Largest eigenvalue and its vector, without the full spectrum."""
-    n = A.shape[0]
-    r = solve_gsym(A, B, subset=(n - 1, n - 1))
+def top_pair(A, B, sigma: float | None = None,
+             v0: np.ndarray | None = None) -> tuple[float, np.ndarray]:
+    """Largest eigenvalue and its vector, without the full spectrum.
+
+    Dense A and B go to solve_gsym, which needs neither sigma nor v0.
+    Sparse ones (B may be a SparseSPD) go to ARPACK shift-invert at a σ
+    that σB − A certifies above λmax, searched upward from sigma, a known
+    upper bound, or else from a Lanczos estimate.  v0 is ARPACK's start
+    vector; a fixed one when None.
+
+    :raises SolverFailure: ARPACK did not converge, or its vector is not
+        B-normalized.
+    """
+    if _is_sparse(A, B):
+        r = _sparse_top(A, B, sigma, v0)
+    else:
+        n = A.shape[0]
+        r = solve_gsym(A, B, subset=(n - 1, n - 1))
     return float(r.eigenvalues[-1]), r.eigenvectors[:, -1]
 
 
-def refine_top(A: np.ndarray, B: np.ndarray, lam: float, v: np.ndarray,
-               iters: int = 3) -> np.ndarray:
+def refine_top(A, B, lam: float, v: np.ndarray, iters: int = 3) -> np.ndarray:
     """Shifted inverse iteration toward the top eigenvector.
 
     The shift sits just above the given eigenvalue estimate so the shifted
@@ -109,35 +288,34 @@ def refine_top(A: np.ndarray, B: np.ndarray, lam: float, v: np.ndarray,
     eigenspace by gap ratios < 1 while solve roundoff stays at the eps level
     in the directions that matter.  Returns the B-normalized vector.
     """
-    A = np.asarray(A, dtype=float)
-    B = np.asarray(B, dtype=float)
-    scale = max(1.0, abs(lam))
-    delta = 1e-6 * scale
-    for _ in range(6):
-        try:
-            S = cho_factor((lam + delta) * B - A)
-            break
-        except LinAlgError:
-            delta *= 32.0
+    if _is_sparse(A, B):
+        B = B.matrix if isinstance(B, SparseSPD) else B
     else:
-        raise SolverFailure("could not shift the pencil to SPD for refinement")
+        A = np.asarray(A, dtype=float)
+        B = np.asarray(B, dtype=float)
+    scale = max(1.0, abs(lam))
+    solve, _ = _shifted_solver(A, B, lam, 1e-6 * scale, 6)
     x = v / np.sqrt(v @ (B @ v))
     for _ in range(iters):
-        x = cho_solve(S, B @ x)
+        x = solve(B @ x)
         x = x / np.sqrt(x @ (B @ x))
     return x
 
 
-def max_rayleigh(A: np.ndarray, B: np.ndarray) -> tuple[float, np.ndarray]:
+def max_rayleigh(A, B, v0: np.ndarray | None = None) -> tuple[float, np.ndarray]:
     """Maximum of x·Ax / x·Bx over x != 0, with the refined maximizer.
 
     The returned value is the Rayleigh quotient of the refined vector, so it
     is always a lower bound on the true maximum and satisfies the shift rule
-    max(A + c B, B) = max(A, B) + c to rounding.
+    max(A + c B, B) = max(A, B) + c to rounding.  Sparse A and B are solved
+    without a bound, from v0 (see top_pair).
     """
-    lam, v = top_pair(A, B)
+    if _is_sparse(A, B):
+        A, B = _sparse_pair(A, B)
+    lam, v = top_pair(A, B, v0=v0)
     x = refine_top(A, B, lam, v)
-    return float((x @ (A @ x)) / (x @ (B @ x))), x
+    Bm = B.matrix if isinstance(B, SparseSPD) else B
+    return float((x @ (A @ x)) / (x @ (Bm @ x))), x
 
 
 def psd_ratio_sup(N: np.ndarray, D: np.ndarray) -> float:

@@ -516,17 +516,20 @@ def run_trajectory(state: EvolveState, T: float, dt: float,
 
     Args:
         state: initial state from init_state.
-        T: final time (the step count is rounded to cover it).
-        dt: time step.
+        T: final time; the run takes round(T/dt) steps, so it ends within
+            dt/2 of T, before or after it.
+        dt: time step, at most T.
         diagnostics_every: record every this many steps (the initial and
             final states are always recorded).
     """
     if not T > 0.0:
         raise InputError(f"final time must be positive, got {T}")
+    if dt > T:
+        raise InputError(f"time step {dt} exceeds the horizon {T}")
     if diagnostics_every < 1:
         raise InputError("diagnostics_every must be >= 1")
     ws = state.ws
-    n_steps = max(1, int(round(T / dt)))
+    n_steps = int(round(T / dt))
     j0 = state.meta.get("J0", ws.energy(state.y, state.ydot))
 
     times = []

@@ -8,16 +8,18 @@ complex fields reduce to real unknowns:
 * compressible: û₃ = v₃, û₁ = i·v₁, û₂ = i·v₂, all Dirichlet, so the
   divergence becomes the real combination d(v) = −ξ₁v₁ − ξ₂v₂ + v₃′.
 
-Forms are kept both as dense symmetric matrices and as tuples of factored
-terms coef·Σ w_k (P x)_k (Q x)_k.  The factored path evaluates energies as
-weighted sums over quadrature points with compensated accumulation, which is
-what lets the growth-rate fixed point land at the last-bit level; the dense
-path feeds the eigensolver.
+Forms are kept as tuples of factored terms coef·Σ w_k (P x)_k (Q x)_k.
+The factored path evaluates energies as weighted sums over quadrature points
+with compensated accumulation, which is what lets the growth-rate fixed
+point land at the last-bit level; the assembled matrices feed the
+eigensolver.
 
 A term's operators read only the columns of the stacked unknown it names
 (one block, or all of them for the few operators that couple blocks), and
-they may be dense arrays or scipy sparse matrices; _dense is the one
-assembler that turns terms into a dense matrix, block by block.
+they may be dense arrays or scipy sparse matrices.  _dense turns terms into
+a dense matrix, block by block, and _sparse turns sparse ones into a CSR
+matrix; ModeForms builds its dense matrices from its terms only when they
+are first read.
 
 First-derivative products are assembled on the staggered flux grid, never by
 squaring the nodal central difference (see grid1d).
@@ -98,11 +100,17 @@ class FormTerm:
         Q = None if self.Q is None else self.Q.astype(np.longdouble)
         return self.P.astype(np.longdouble), Q, self.w.astype(np.longdouble)
 
-    def matrix(self) -> np.ndarray:
-        """coef·PᵀWQ (symmetrized when Q is given) on the columns cols."""
+    @property
+    def sparse(self) -> bool:
+        return sp.issparse(self.P) and (self.Q is None or sp.issparse(self.Q))
+
+    def matrix(self, sparse: bool = False):
+        """coef·PᵀWQ (symmetrized when Q is given) on the columns cols; CSR
+        when sparse is set, which needs sparse operators."""
         Q = self.P if self.Q is None else self.Q
         if sp.issparse(self.P):
-            M = (self.P.T @ sp.diags(self.w) @ Q).toarray()
+            M = self.P.T @ sp.diags(self.w) @ Q
+            M = M.tocsr() if sparse else M.toarray()
         else:
             M = self.P.T @ (self.w[:, None] * Q)
         if self.Q is not None:
@@ -145,19 +153,30 @@ def _dense(terms, n: int) -> np.ndarray:
     return _symmetrize(M)
 
 
+def _sparse(terms, n: int) -> sp.csr_matrix:
+    """The CSR counterpart of _dense, for sparse terms that read every
+    column (the box's)."""
+    M = sp.csr_matrix((n, n))
+    for t in terms:
+        M = M + t.matrix(sparse=True)
+    return _symmetrize(M).tocsr()
+
+
 @dataclass(frozen=True)
 class ModeForms:
-    """Assembled symmetric forms for one mode (or the 2D rectangle).
+    """Symmetric forms for one mode (or the 2D rectangle), held as terms.
 
     kind ∈ {"incompressible", "compressible", "crForms", "quotient",
     "quotient2d", "rect2d"}.  layout maps unknown-block names to slices of
-    the stacked real vector.  E, V, J are the energy, dissipation, and mass
-    matrices; D is the penalty/denominator matrix where the kind carries
-    one.  The quotient kinds carry only E and D (V and J are None), since a
-    critical strength is λmax(E, D).  terms_E, terms_V, terms_J and
-    terms_D hold the factored terms each matrix was assembled from (None
-    where the kind has no such matrix), so that a reported quotient can be
-    read through them in long double.  aux holds named auxiliary PSD
+    the stacked real vector of length size.  terms_E, terms_V, terms_J and
+    terms_D are the factored terms of the energy, dissipation, mass and
+    penalty/denominator forms (None where the kind has no such form; the
+    quotient kinds carry only E and D, since a critical strength is
+    λmax(E, D)), so that a reported quotient can be read through them in
+    long double.  E, V, J and D are the dense symmetric matrices of those
+    terms, assembled the first time each is read; solvers take their
+    matrices from form(), which keeps sparse terms sparse, so a solve that
+    never reads E allocates no size² array.  aux holds named auxiliary PSD
     matrices used for diagnostics norms.
     """
 
@@ -165,10 +184,7 @@ class ModeForms:
     mode: Optional[ModeSpec]
     grid: object
     layout: dict
-    E: np.ndarray
-    V: Optional[np.ndarray]
-    J: Optional[np.ndarray]
-    D: Optional[np.ndarray] = None
+    size: int
     terms_E: Optional[tuple] = None
     terms_V: Optional[tuple] = None
     terms_J: Optional[tuple] = None
@@ -178,9 +194,33 @@ class ModeForms:
     equilibrium: Optional[CompressibleEquilibrium] = None
     params: Optional[PhysicalParams] = None
 
-    @property
-    def size(self) -> int:
-        return self.E.shape[0]
+    def _assembled(self, terms) -> Optional[np.ndarray]:
+        return None if terms is None else _dense(terms, self.size)
+
+    @cached_property
+    def E(self) -> np.ndarray:
+        return self._assembled(self.terms_E)
+
+    @cached_property
+    def V(self) -> Optional[np.ndarray]:
+        return self._assembled(self.terms_V)
+
+    @cached_property
+    def J(self) -> Optional[np.ndarray]:
+        return self._assembled(self.terms_J)
+
+    @cached_property
+    def D(self) -> Optional[np.ndarray]:
+        return self._assembled(self.terms_D)
+
+    def form(self, name: str):
+        """The matrix a solver reads for form name ("E", "V", "J" or "D"):
+        CSR from the terms when every term operator is sparse, else the
+        dense matrix."""
+        terms = getattr(self, "terms_" + name)
+        if terms and all(t.sparse for t in terms):
+            return _sparse(terms, self.size)
+        return getattr(self, name)
 
 
 def _coeff_at(points: np.ndarray, grid: Grid1D, nodal: np.ndarray,
@@ -284,9 +324,7 @@ def assemble_incompressible(mode: ModeSpec, p: DensityProfile,
 
     aux = {"unit_mass": _dense(unit_mass, N), "bend": _dense(bend, N)}
     return ModeForms(kind="incompressible", mode=mode, grid=g1, layout=layout,
-                     E=_dense(terms_E, N), V=_dense(terms_V, N),
-                     J=_dense(mass, N),
-                     terms_E=terms_E, terms_V=terms_V, terms_J=mass,
+                     size=N, terms_E=terms_E, terms_V=terms_V, terms_J=mass,
                      aux=aux, profile=p, params=params)
 
 
@@ -307,8 +345,7 @@ def assemble_quotient(mode: ModeSpec, p: DensityProfile, params: PhysicalParams,
         terms_D = tuple(t.scaled(params.lambda0 * mode.xi[0] ** 2)
                         for t in unit_flux)
     return ModeForms(kind="quotient", mode=mode, grid=g1, layout=layout,
-                     E=_dense(buoy, N), V=None, J=None,
-                     D=_dense(terms_D, N), terms_E=buoy, terms_D=terms_D,
+                     size=N, terms_E=buoy, terms_D=terms_D,
                      profile=p, params=params)
 
 
@@ -399,9 +436,7 @@ def assemble_compressible(mode: ModeSpec, eq: CompressibleEquilibrium,
         "divsq": FormTerm(1.0, wf, ops["d"]).matrix(),
     }
     return ModeForms(kind="compressible", mode=mode, grid=g1, layout=layout,
-                     E=_dense(terms_E, N), V=_dense(terms_V, N),
-                     J=_dense(terms_J, N),
-                     terms_E=terms_E, terms_V=terms_V, terms_J=terms_J,
+                     size=N, terms_E=terms_E, terms_V=terms_V, terms_J=terms_J,
                      aux=aux, equilibrium=eq, profile=p, params=params)
 
 
@@ -424,7 +459,6 @@ def assemble_cr_forms(mode: ModeSpec, eq: CompressibleEquilibrium,
         FormTerm(params.lambda0, wf, r),
     )
     return ModeForms(kind="crForms", mode=mode, grid=g1, layout=base.layout,
-                     E=base.E, V=base.V, J=base.J, D=_dense(terms_D, base.size),
-                     terms_E=base.terms_E, terms_V=base.terms_V,
+                     size=base.size, terms_E=base.terms_E, terms_V=base.terms_V,
                      terms_J=base.terms_J, terms_D=terms_D, aux=base.aux,
                      equilibrium=eq, profile=eq.profile, params=params)

@@ -3,7 +3,10 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.linalg import eigh
+from scipy.optimize import brentq
 
+from mrt import eigcore, modeforms
 from mrt.bounded2d import (
     Rect2D,
     _box_terms,
@@ -16,7 +19,7 @@ from mrt.bounded2d import (
 )
 from mrt.errors import InputError, TooFewNodes
 from mrt.grid1d import Grid1D
-from mrt.modeforms import _dense, qform_value_ld
+from mrt.modeforms import _dense, _sparse, qform_value_ld
 from mrt.profiles import PhysicalParams, make_affine_profile
 
 # frozen square-box values, rho' = 1, g = lambda0 = 1, field direction 1
@@ -127,6 +130,9 @@ def test_box_terms_qform_matches_dense(params, i):
         x = rng.standard_normal(r.nred)
         ref = float(x @ _dense(terms, r.nred) @ x)
         assert abs(float(qform_value_ld(terms, x)) - ref) <= 1e-12 * abs(ref)
+        # the sparse assembler adds the same entries in the same order
+        assert np.array_equal(_sparse(terms, r.nred).toarray(),
+                              _dense(terms, r.nred))
 
 
 @pytest.mark.parametrize("i", [1, 3])
@@ -140,3 +146,58 @@ def test_growth_forms_share_quotient_terms(params, i):
     ref = q.E - m * m * q.D
     assert np.max(np.abs(gr.E - ref)) <= 1e-13 * np.max(np.abs(ref))
     assert np.array_equal(gr.J, _dense(_box_terms(r, prof, params, i)[3], r.nred))
+
+
+def _dense_quotient(A, B, tA, tB):
+    """λmax(A, B) by the dense LAPACK route: the top vector of the assembled
+    matrices, read through the terms in long double."""
+    n = A.shape[0]
+    x = eigh(A, B, subset_by_index=[n - 1, n - 1])[1][:, 0]
+    return float(qform_value_ld(tA, x) / qform_value_ld(tB, x))
+
+
+@pytest.mark.parametrize("nx, nz, aspect, i", [
+    (5, 5, 1.0, 1), (5, 5, 1.0, 3), (16, 16, 1.0, 3), (48, 12, 4.0, 1),
+    (16, 16, 1.0, 1), (24, 24, 1.0, 1), (40, 40, 1.0, 1),
+])
+def test_critical_m_2d_matches_dense_route(params, nx, nz, aspect, i):
+    r = Rect2D((-aspect, aspect), (-1.0, 1.0), nx, nz)
+    prof = _profile()
+    q = assemble_2d_quotient(r, prof, params, i)
+    ref = np.sqrt(_dense_quotient(q.E, q.D, q.terms_E, q.terms_D))
+    assert abs(critical_m_2d(r, prof, params, i) - ref) <= 1e-12 * ref
+
+
+@pytest.mark.parametrize("n", [16, 20, 32])
+def test_growth_rate_2d_matches_dense_route(params, n):
+    r, prof, m = _square(n), _profile(), 0.1
+    res = growth_rate_2d(r, prof, params, m, 1)
+    f = _growth_forms_2d(r, prof, params, m, 1)
+
+    def h(s):
+        tA = f.terms_E + tuple(t.scaled(-s) for t in f.terms_V)
+        return _dense_quotient(f.E - s * f.V, f.J, tA, f.terms_J) - s * s
+
+    # the dense route confirms the sign change around Lambda, then finds
+    # its own root inside
+    lam = res.Lambda
+    lo, hi = lam * (1.0 - 1e-9), lam * (1.0 + 1e-9)
+    assert h(lo) > 0.0 > h(hi)
+    ref = brentq(h, lo, hi, xtol=1e-17, rtol=1e-15)
+    assert abs(lam - ref) <= 1e-12 * ref
+    frak = _dense_quotient(f.E, f.V, f.terms_E, f.terms_V)
+    assert abs(res.frak_s - frak) <= 1e-12 * frak
+
+
+def test_box_solves_never_go_dense(params, monkeypatch):
+    def dense(*args, **kwargs):
+        raise AssertionError("a box solve reached the dense path")
+
+    monkeypatch.setattr(modeforms, "_dense", dense)
+    for name in ("eigh", "cho_factor", "cholesky"):
+        monkeypatch.setattr(eigcore, name, dense)
+    r, prof = _square(16), _profile()
+    mc = critical_m_2d(r, prof, params, 1)
+    assert 0.29 < mc < 0.31
+    assert growth_rate_2d(r, prof, params, 0.5 * mc, 1).unstable
+    assert not growth_rate_2d(r, prof, params, 1.1 * mc, 1).unstable

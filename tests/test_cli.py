@@ -129,6 +129,14 @@ def test_non_finite_and_negative_seed_configs_exit_2(tmp_path, capsys, command,
     assert "mrt: config error" in capsys.readouterr().err
 
 
+def test_negative_tolerance_exits_2(tmp_path, capsys):
+    # a negative tol would square into a loose positive acceptance band
+    cfg = write_cfg(tmp_path, "t.json",
+                    {"problem": "incompressible", "n": 16, "tol": -1})
+    assert run_cli("growth", "--config", cfg, "--out", tmp_path / "o") == 2
+    assert "mrt: config error" in capsys.readouterr().err
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.floats(allow_nan=False, allow_infinity=False, width=64))
 def test_fmt_round_trips_floats(x):
@@ -296,6 +304,23 @@ def test_bounded2d_critical(tmp_path):
     assert 0.2 < doc["aggregate"] < 0.4
     rows = (out / "critical.csv").read_text().strip().split("\n")
     assert rows[0] == "nx,nz,aspect,value"
+
+
+def test_box_artifacts_repeat_across_threads(tmp_path):
+    # ARPACK starts from a fixed vector, never a random one, so the box
+    # artifacts repeat bit for bit whatever the thread count
+    cfg = write_cfg(tmp_path, "b.json", {
+        "problem": "bounded2d", "nx": 20, "nz": 20, "field_dir": 1,
+        "profile": "affine", "rho_mid": 2.0, "beta": 1.0, "m": 0.1})
+    for command in ("critical", "growth"):
+        runs = []
+        for threads in (1, 1, 2, 2):
+            out = tmp_path / f"{command}{len(runs)}"
+            assert run_cli(command, "--config", cfg, "--out", out,
+                           "--threads", threads) == 0
+            runs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+        assert runs[0]
+        assert all(r == runs[0] for r in runs[1:])
 
 
 def test_verify_command(tmp_path):

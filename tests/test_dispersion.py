@@ -192,8 +192,7 @@ def _two_block_forms(e, v):
         return (FormTerm(1.0, d, np.eye(2)),)
 
     return ModeForms(kind="compressible", mode=None, grid=None, layout={},
-                     E=np.diag(e), V=np.diag(v), J=np.eye(2),
-                     terms_E=terms(e), terms_V=terms(v),
+                     size=2, terms_E=terms(e), terms_V=terms(v),
                      terms_J=terms(np.ones(2)))
 
 

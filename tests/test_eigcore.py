@@ -2,11 +2,16 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.sparse.linalg import ArpackNoConvergence
 
-from mrt.eigcore import max_rayleigh, psd_ratio_sup, refine_top, solve_gsym, top_pair
-from mrt.errors import BracketExhausted, NotPositiveDefinite, NotSymmetric
+from mrt import eigcore
+from mrt.eigcore import (max_rayleigh, psd_ratio_sup, refine_top, solve_gsym,
+                         spd_factor, top_pair)
+from mrt.errors import (BracketExhausted, NotPositiveDefinite, NotSymmetric,
+                        SolverFailure)
 
 from oracles import (
     gsym_eigenvalues_reference,
@@ -140,6 +145,94 @@ def test_refine_top_reduces_residual():
     v_ref = refine_top(A, B, lam, v_bad)
     assert resid(v_ref) < 1e-2 * resid(v_bad)
     assert abs(float(v_ref @ (B @ v_ref)) - 1.0) <= 1e-10
+
+
+def _sparse_pencil(seed, n=80, density=0.05):
+    """Sparse symmetric A and sparse SPD B with a few nonzeros per row."""
+    rng = np.random.default_rng(seed)
+    R = sp.random(n, n, density=density, random_state=rng,
+                  data_rvs=rng.standard_normal)
+    S = sp.random(n, n, density=density, random_state=rng,
+                  data_rvs=rng.standard_normal)
+    A = (R + R.T).tocsr()
+    B = (S @ S.T + sp.diags(rng.uniform(0.5, 2.0, n))).tocsr()
+    return A, B
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_sparse_top_pair_and_max_rayleigh_match_dense(seed):
+    A, B = _sparse_pencil(seed)
+    Ad, Bd = A.toarray(), B.toarray()
+    ref, _ = top_pair(Ad, Bd)
+    tol = 1e-12 * max(1.0, abs(ref))
+    lam, v = top_pair(A, B)
+    assert abs(lam - ref) <= tol
+    assert abs(float(v @ (B @ v)) - 1.0) <= 1e-10
+    # shift-invert from a certified bound above lambda_max, and from a
+    # shift below it, which is raised until sigma B - A factors with
+    # positive pivots
+    for sigma in (ref + 0.5, ref - 0.01):
+        lam_si, _ = top_pair(A, spd_factor(B), sigma=sigma, v0=v)
+        assert abs(lam_si - ref) <= tol
+    val, x = max_rayleigh(A, B)
+    ref_val, _ = max_rayleigh(Ad, Bd)
+    assert abs(val - ref_val) <= tol
+    assert abs(float(x @ (A @ x)) / float(x @ (B @ x)) - val) <= tol
+    x_ref = refine_top(A, B, lam, v)
+    assert np.array_equal(x_ref, refine_top(A, B, lam, v))
+
+
+def test_sparse_top_pair_is_deterministic():
+    # the start vector is fixed, so ARPACK repeats itself bit for bit
+    A, B = _sparse_pencil(4)
+    l1, v1 = top_pair(A, B)
+    l2, v2 = top_pair(A, B)
+    assert l1 == l2 and np.array_equal(v1, v2)
+
+
+def test_sparse_not_symmetric_raises():
+    A, B = _sparse_pencil(5)
+    A_bad = A.tolil()
+    A_bad[0, 1] = A_bad[0, 1] + 1e-6
+    with pytest.raises(NotSymmetric):
+        top_pair(A_bad.tocsr(), B)
+    B_bad = B.tolil()
+    B_bad[2, 0] = B_bad[2, 0] + 1e-6
+    with pytest.raises(NotSymmetric):
+        max_rayleigh(A, B_bad.tocsr())
+
+
+@pytest.mark.parametrize("d, match", [
+    (-1e-3, "nonpositive pivot"),      # indefinite
+    (1e-16, "numerically singular"),   # positive, past the 1e15 limit
+])
+def test_sparse_mass_checks_match_dense(d, match):
+    A, _ = _sparse_pencil(6, n=12, density=0.2)
+    B = np.diag([1.0] * 11 + [d])
+    with pytest.raises(NotPositiveDefinite):
+        solve_gsym(A.toarray(), B)
+    with pytest.raises(NotPositiveDefinite, match=match):
+        top_pair(A, sp.csr_matrix(B))
+    with pytest.raises(NotPositiveDefinite, match=match):
+        max_rayleigh(A, sp.csr_matrix(B))
+
+
+def test_sparse_zero_pivot_mass_raises():
+    # a zero diagonal forces SuperLU off the diagonal, so no LDL^T exists
+    B = sp.csr_matrix(np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0],
+                                [0.0, 0.0, 1.0]]))
+    with pytest.raises(NotPositiveDefinite):
+        spd_factor(B)
+
+
+def test_sparse_arpack_no_convergence_is_solver_failure(monkeypatch):
+    def stalled(*args, **kwargs):
+        raise ArpackNoConvergence("no convergence", np.zeros(0), np.zeros((0, 0)))
+
+    monkeypatch.setattr(eigcore, "eigsh", stalled)
+    A, B = _sparse_pencil(7)
+    with pytest.raises(SolverFailure, match="ARPACK"):
+        top_pair(A, B)
 
 
 def test_hermitian_embedding_oracle_consistency():

@@ -100,6 +100,16 @@ def test_run_trajectory_validation(forms_std):
         run_trajectory(st, T=1.0, dt=0.1, diagnostics_every=0)
 
 
+def test_run_trajectory_stops_at_the_horizon(forms_std):
+    # a step longer than T used to integrate one step past the horizon
+    st = init_state(forms_std, np.zeros(forms_std.size))
+    with pytest.raises(InputError):
+        run_trajectory(st, T=1.0, dt=2.0)
+    assert run_trajectory(st, T=1.0, dt=1.0).times[-1] == 1.0
+    # round(T/dt) steps end within dt/2 of T
+    assert abs(run_trajectory(st, T=1.0, dt=0.3).times[-1] - 1.0) <= 0.15
+
+
 def test_record_csv_and_summary(forms_std, growing):
     res, gm = growing
     st = init_state(forms_std, gm.y, gm.rho, gm.N)
