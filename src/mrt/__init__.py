@@ -16,7 +16,7 @@ from .errors import InputError, MrtError, SolverError
 from .evolve import (EnvelopeReport, EvolveState, TrajectoryRecord,
                      envelope_check, init_state, run_trajectory, step,
                      viscous_time)
-from .eigcore import max_rayleigh, psd_ratio_sup, solve_gsym, top_pair
+from .eigcore import psd_ratio_sup, solve_gsym, top_pair
 from .grid1d import Grid1D
 from .modeforms import (ModeForms, ModeSpec, assemble_compressible,
                         assemble_cr_forms, assemble_incompressible,
@@ -60,7 +60,6 @@ __all__ = [
     "make_affine_profile",
     "make_table_profile",
     "make_tanh_profile",
-    "max_rayleigh",
     "min_admissible_pressure_const",
     "psd_ratio_sup",
     "quotient_proof_sequence",

@@ -611,10 +611,13 @@ def main(argv=None) -> int:
         except json.JSONDecodeError as e:
             raise InputError(f"config is not valid JSON: {e}") from e
         cfg = validate_config(raw)
-        if args.threads is not None:
-            threads = args.threads
-        else:
-            threads = int(os.environ.get("MRT_THREADS", "1") or "1")
+        threads = args.threads
+        if threads is None:
+            env = os.environ.get("MRT_THREADS", "1") or "1"
+            try:
+                threads = int(env)
+            except ValueError:
+                raise InputError(f"MRT_THREADS must be an integer, got {env!r}") from None
         if threads < 1:
             raise InputError("threads must be >= 1")
         out = Path(args.out)

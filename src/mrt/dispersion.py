@@ -12,20 +12,23 @@ Numer. Anal. 10, 1973), pins Λ to the last floating-point bit in a handful
 of steps; a step that leaves the bracket is replaced by its midpoint.
 
 Every top eigenvalue this module reports (α(s), frak_s, the per-mode
-critical quotients, and the box quotient of bounded2d) is read one way: the
-eigensolver gives the top vector, inverse iteration refines it, and the
-value is its Rayleigh quotient through the factored quadrature terms in long
-double.  That keeps the fixed-point defect and the critical strengths at the
-rounding level of the energies rather than of the assembled matrices.
-critical_M's limit quotient has no factored terms and stays the double
-quotient of its matrices.
+critical quotients, and the box quotient of bounded2d) is read one way:
+eigcore.top_pair gives the refined top vector, and the value is its Rayleigh
+quotient through the factored quadrature terms in long double.  That keeps
+the fixed-point defect and the critical strengths at the rounding level of
+the energies rather than of the assembled matrices.  critical_M's limit
+quotient has no factored terms and stays the double quotient of its
+matrices.
 
-The eigensolver is dense LAPACK for the slab and ARPACK shift-invert on
-sparse matrices for the box, whose terms are sparse.  For α(s), s > 0, the
-shift starts just above a bound the iteration holds: α at the lower end of
-the bracket, since α is nonincreasing, or inside the bracket the chord
-through its two ends, since α is also convex.  α(0), frak_s and the box
-quotient start from a Lanczos estimate.
+The slab's matrices are dense: LAPACK gives the top vector, and inverse
+iteration on a Cholesky factor of σJ − A, σ just above its eigenvalue,
+refines it.  The box's are sparse: ARPACK shift-invert at a σ certified
+above λmax by an LDLᵀ of σJ − A with positive pivots gives the top vector,
+and that same factor refines it.  For α(s), s > 0, σ starts just above a
+bound the iteration holds: α at the lower end of the bracket, since α is
+nonincreasing, or inside the bracket the chord through its two ends, since
+α is also convex.  α(0), frak_s and the box quotient start from a Lanczos
+estimate.  J is checked and factored once per solve.
 
 The compressible certificate of compute_cr is likewise one
 Schur-complement eigenproblem per mode (see eigcore.psd_ratio_sup).
@@ -49,8 +52,7 @@ import scipy.sparse as sp
 
 from .errors import (BracketExhausted, InputError, NoGrowth, SolverFailure,
                      ZeroMode)
-from .eigcore import (max_rayleigh, norm_inf, psd_ratio_sup, refine_top,
-                      spd_factor, top_pair)
+from .eigcore import norm_inf, psd_ratio_sup, solve_gsym, spd_factor, top_pair
 from .evolve import RateLaws
 from .grid1d import Grid1D
 from .modeforms import (ModeForms, ModeSpec, assemble_cr_forms,
@@ -126,10 +128,14 @@ class _Pencil:
     """Restriction of a ModeForms to the maximizing block, with term tuples.
 
     The incompressible v₃ block comes first in its layout, so the terms that
-    read only that block apply unchanged to the restricted vector.  The
-    matrices are sparse when every term is (the box): then J is checked and
-    factored once here (Jf), and each solve starts ARPACK from the previous
-    maximizer x.
+    read only that block apply unchanged to the restricted vector.  J is
+    checked and factored once here (Jf: Cholesky, or LDLᵀ when the matrices
+    are sparse because every term is, as on the box), and every α
+    evaluation solves against that factor.  A sparse solve starts ARPACK
+    from the previous maximizer x and refines ARPACK's vector with the
+    factor of σJ − (E − sV) that certified its shift; a dense one refines
+    LAPACK's vector with a Cholesky factor of that matrix at σ just above
+    its eigenvalue.
     """
 
     def __init__(self, forms: ModeForms):
@@ -148,23 +154,21 @@ class _Pencil:
             self.tE, self.tV, self.tJ = forms.terms_E, forms.terms_V, forms.terms_J
             self.slice = slice(0, forms.size)
         self.sparse = sp.issparse(self.J)
-        self.Jf = spd_factor(self.J, "J") if self.sparse else self.J
+        self.Jf = spd_factor(self.J, "J")
         self.x = None
 
     def alpha_ld(self, s: float, upper: Optional[float] = None
                  ) -> tuple[np.longdouble, np.ndarray]:
         """α(s) and its maximizer; the value in extended precision.
 
-        The maximizer comes from the eigensolver plus inverse-iteration
-        polish; the value is its Rayleigh quotient through the factored
-        quadrature terms, so it is a true lower bound on α(s) whose noise
-        floor sits orders below the assembled-matrix rounding.  upper, a
-        value α(s) cannot exceed, lets the sparse path shift-invert just
-        above it.
+        The maximizer is top_pair's refined vector; the value is its
+        Rayleigh quotient through the factored quadrature terms, so it is a
+        true lower bound on α(s) whose noise floor sits orders below the
+        assembled-matrix rounding.  upper, a value α(s) cannot exceed, lets
+        the sparse path shift-invert just above it.
         """
         A = self.E if s == 0.0 else self.E - s * self.V
-        lam, v = top_pair(A, self.Jf, sigma=upper, v0=self.x)
-        x = refine_top(A, self.Jf, lam, v)
+        _, x = top_pair(A, self.Jf, sigma=upper, v0=self.x)
         self.x = x
         num = qform_value_ld(self.tE, x)
         if s != 0.0:
@@ -319,7 +323,7 @@ def _top_quotient(A, B, tA, tB, v0: Optional[np.ndarray] = None) -> float:
     rather than of the assembled matrices, whose norms reach 1e9 on stiff
     modes.
     """
-    _, x = max_rayleigh(A, B, v0=v0)
+    _, x = top_pair(A, B, v0=v0)
     return float(qform_value_ld(tA, x) / qform_value_ld(tB, x))
 
 
@@ -349,7 +353,7 @@ def _limit_quotient(profile: DensityProfile, params: PhysicalParams,
     num = params.g * np.diag(g1.quad * profile.drho)
     den = params.lambda0 * (
         g1.deriv_flux.T @ (g1.flux_weights[:, None] * g1.deriv_flux))
-    return max_rayleigh(num, 0.5 * (den + den.T))
+    return top_pair(num, 0.5 * (den + den.T))
 
 
 def critical_M(profile: DensityProfile, params: PhysicalParams,
@@ -485,7 +489,8 @@ def compute_cr(eq: CompressibleEquilibrium, params: PhysicalParams,
     unbounded = False
     for mode in sweep:
         forms = assemble_cr_forms(mode, eq, params, g1)
-        cert, _ = top_pair(forms.E, forms.J)
+        n = forms.size
+        cert = solve_gsym(forms.E, forms.J, subset=(n - 1, n - 1)).eigenvalues[-1]
         try:
             c = psd_ratio_sup(forms.E, forms.D)
             note = "unbounded" if math.isinf(c) else ""

@@ -1,31 +1,30 @@
-"""Symmetric-definite generalized eigensolvers, dense and sparse, with refinement.
+"""Symmetric-definite generalized eigensolvers, dense and sparse, and the
+refined top eigenpair.
 
-solve_gsym hands a dense A v = lam B v to LAPACK's symmetric-definite drivers
-(sygvx for an index subset, sygvd for the whole spectrum) after checking
-symmetry and the conditioning of B, and reports the residual and the
-B-orthonormality of what comes back.
+spd_factor checks a mass matrix B once and keeps its factor: Cholesky when
+dense, a SuperLU LDLᵀ with positive diagonal pivots when sparse, and a
+conditioning of at most 1e15 either way.  solve_gsym hands a dense
+A v = lam B v to LAPACK's symmetric-definite drivers (sygvx for an index
+subset, sygvd for the whole spectrum) and reports the residual and the
+B-orthonormality of what comes back; a factored B is not checked again.
 
-top_pair, refine_top and max_rayleigh also take scipy sparse A and B (the 2D
-box).  There B is checked and factored once (spd_factor): a SuperLU LDLᵀ
-with diagonal pivots on a symmetric fill-reducing order, whose positive
-pivots prove B positive definite and whose pivot ratio stands in for the
-dense conditioning limit.  ARPACK finds the top pair: Lanczos in B's inner
-product when nothing bounds λmax, shift-invert when the caller knows an
-upper bound σ, which counts only once σB − A factors as LDLᵀ with positive
-pivots.  The start vector is a fixed one or the caller's, never ARPACK's
-random one.  Everything is deterministic: same inputs, same bits out.
-
-refine_top polishes the extreme eigenpair by shifted inverse iteration in the
-original coordinates.  The dense solver's output carries an absolute noise
-floor of order eps times the norm of L⁻¹AL⁻ᵀ (B = LLᵀ), the standard-form
-matrix the driver works on, which for stiff pencils is many orders above eps; a few SPD-shifted solves push the eigenvector error
-down to the level where Rayleigh quotients are limited only by quadrature
-rounding.  The growth-rate fixed point relies on this.
+top_pair returns the top Rayleigh quotient of (A, B) and its maximizer,
+refined by shifted inverse iteration on a factor of σB − A whose positive
+definiteness certifies σ above λmax.  A dense top vector comes from LAPACK
+and refine_top refines it at σ = λ + 1e-6·max(1, |λ|).  A sparse one (the
+2D box) comes from ARPACK shift-invert, and the factor that certified its
+shift refines it.  ARPACK starts from a fixed or the caller's vector, so
+the same inputs give the same bits.  The LAPACK vector carries an absolute
+noise floor of order eps·‖L⁻¹AL⁻ᵀ‖ (B = LLᵀ), many orders above eps on
+stiff pencils; refinement brings the quotient down to quadrature rounding,
+which the growth-rate fixed point relies on.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
+from typing import Callable
 
 import numpy as np
 import scipy.sparse as sp
@@ -45,6 +44,8 @@ _REESTIMATE_TOL = 1e-8
 # Lanczos vectors of a shift-invert run whose certified shift sits close
 # above λmax, where the top of the transformed spectrum stands well apart
 _NCV_SHIFT = 6
+# inverse-iteration steps that refine a top vector
+_REFINE_ITERS = 3
 
 
 @dataclass(frozen=True)
@@ -81,176 +82,115 @@ def norm_inf(M) -> float:
     return float(np.linalg.norm(M, ord=np.inf))
 
 
-def _chol_mass(B: np.ndarray) -> None:
-    """Reject a B that is not positive definite or is numerically singular."""
-    try:
-        L = cholesky(B, lower=True)
-    except LinAlgError as e:
-        raise NotPositiveDefinite(f"B: {e}") from None
-    d = np.diag(L)
-    if (d.max() / d.min()) ** 2 > _COND_LIMIT:
-        raise NotPositiveDefinite(
-            f"B numerically singular (condition ~{(d.max()/d.min())**2:.1e})"
-        )
-
-
 def _ldl(M):
-    """SuperLU LDLᵀ of a sparse symmetric M and its pivots D.
+    """SuperLU LDLᵀ of a sparse symmetric M when M is positive definite.
 
     diag_pivot_thresh = 0 keeps every pivot on the diagonal of a symmetric
     fill-reducing order, so by Sylvester's law the pivots carry the inertia
-    of M.  None when SuperLU had to leave the diagonal (its row and column
-    permutations differ, which a zero pivot forces) or found M singular.
+    of M.  None when a pivot is not positive, SuperLU had to leave the
+    diagonal (its row and column permutations differ, which a zero pivot
+    forces) or found M singular.
     """
     try:
         lu = splu(sp.csc_matrix(M), permc_spec="MMD_AT_PLUS_A",
                   diag_pivot_thresh=0.0, options={"SymmetricMode": True})
     except RuntimeError:
         return None
-    if not np.array_equal(lu.perm_r, lu.perm_c):
+    if not np.array_equal(lu.perm_r, lu.perm_c) or lu.U.diagonal().min() <= 0.0:
         return None
-    return lu, lu.U.diagonal()
+    return lu
 
 
 @dataclass(frozen=True)
-class SparseSPD:
-    """A sparse symmetric positive definite matrix and its LDLᵀ factor,
-    checked and factored once for every solve against it."""
+class SPD:
+    """A symmetric positive definite matrix, checked and factored once for
+    every solve against it; solve(b) returns matrix⁻¹b."""
 
-    matrix: sp.csr_matrix
-    lu: object
+    matrix: object
+    solve: Callable[[np.ndarray], np.ndarray]
 
 
-def spd_factor(B, name: str = "B") -> SparseSPD:
-    """Check a sparse B like the dense path does and factor it.
+def spd_factor(B, name: str = "B") -> SPD:
+    """Check a mass matrix and factor it: dense B by Cholesky, sparse B by
+    LDLᵀ.
 
     :raises NotSymmetric: B fails the symmetry tolerance.
-    :raises NotPositiveDefinite: a pivot of B's LDLᵀ is not positive, or the
-        pivot ratio exceeds the 1e15 conditioning limit.
+    :raises NotPositiveDefinite: B has no Cholesky factor or a nonpositive
+        LDLᵀ pivot, or is numerically singular: the squared ratio of the
+        Cholesky diagonal, or the ratio of the pivots, exceeds 1e15.
     """
     B = _require_symmetric(B, name)
-    f = _ldl(B)
-    if f is None or f[1].min() <= 0.0:
-        raise NotPositiveDefinite(f"{name}: LDLᵀ has a nonpositive pivot")
-    d = f[1]
-    if d.max() / d.min() > _COND_LIMIT:
+    if sp.issparse(B):
+        lu = _ldl(B)
+        if lu is None:
+            raise NotPositiveDefinite(f"{name}: LDLᵀ has a nonpositive pivot")
+        d = lu.U.diagonal()
+        solve, ratio = lu.solve, d.max() / d.min()
+    else:
+        try:
+            L = cholesky(B, lower=True)
+        except LinAlgError as e:
+            raise NotPositiveDefinite(f"{name}: {e}") from None
+        d = np.diag(L)
+        solve, ratio = partial(cho_solve, (L, True)), (d.max() / d.min()) ** 2
+    if ratio > _COND_LIMIT:
         raise NotPositiveDefinite(
-            f"{name} numerically singular (condition ~{d.max() / d.min():.1e})")
-    return SparseSPD(B, f[0])
+            f"{name} numerically singular (condition ~{ratio:.1e})")
+    return SPD(B, solve)
 
 
-def _sparse_pair(A, B):
-    """(A, B) as checked CSR A and SparseSPD B; a SparseSPD passes as is."""
-    A = _require_symmetric(A, "A")
-    return A, (B if isinstance(B, SparseSPD) else spd_factor(B))
-
-
-def _is_sparse(A, B) -> bool:
-    return sp.issparse(A) or sp.issparse(B) or isinstance(B, SparseSPD)
-
-
-def _shifted_solver(A, B, lam: float, delta: float, tries: int):
-    """Solver of ((lam + δ)B − A)x = b at the first δ·32^k, k < tries, where
-    that matrix is positive definite (Cholesky, or LDLᵀ with positive
-    pivots when sparse), which puts lam + δ above λmax(A, B)."""
-    for _ in range(tries):
-        S = (lam + delta) * B - A
+def _shift_factor(A, B, lam: float):
+    """Solver of (σB − A)x = b at the first σ = lam + δ·32ᵏ, δ =
+    1e-6·max(1, |lam|), k < 12, where σB − A is positive definite
+    (Cholesky, or LDLᵀ with positive pivots when sparse), which certifies
+    σ above λmax(A, B); also σ, and whether it is the first one tried."""
+    delta = 1e-6 * max(1.0, abs(lam))
+    for k in range(12):
+        shift = lam + delta * 32.0 ** k
+        S = shift * B - A
         if sp.issparse(S):
-            f = _ldl(S)
-            if f is not None and f[1].min() > 0.0:
-                return f[0].solve, lam + delta
+            lu = _ldl(S)
+            if lu is not None:
+                return lu.solve, shift, k == 0
         else:
             try:
                 F = cho_factor(S)
-                return (lambda b: cho_solve(F, b)), lam + delta
+                return partial(cho_solve, F), shift, k == 0
             except LinAlgError:
                 pass
-        delta *= 32.0
     raise SolverFailure("could not shift the pencil to SPD")
 
 
-def _certified_shift(A, B, sigma: float):
-    """Solver of (σB − A)x = b at the first σ = sigma + δ·32^k, δ =
-    1e-6·max(1, |sigma|), that certifies σ above λmax; also whether that σ
-    is the first one."""
-    delta = 1e-6 * max(1.0, abs(sigma))
-    solve, shift = _shifted_solver(A, B, sigma, delta, 12)
-    return solve, shift, shift == sigma + delta
+def _inverse_iteration(solve, B, v: np.ndarray) -> np.ndarray:
+    """_REFINE_ITERS steps x ← (σB − A)⁻¹Bx from v, B-normalized."""
+    x = v / np.sqrt(v @ (B @ v))
+    for _ in range(_REFINE_ITERS):
+        x = solve(B @ x)
+        x = x / np.sqrt(x @ (B @ x))
+    return x
 
 
-def _shift_invert(A, Bf: SparseSPD, solve, shift: float, v0: np.ndarray,
-                  tol: float, ncv: int):
-    """ARPACK's top pair of (A, B) from the factored shifted pencil."""
-    n = A.shape[0]
-    OPinv = LinearOperator((n, n), matvec=lambda b: -solve(b), dtype=float)
-    return eigsh(A, k=1, M=Bf.matrix, sigma=shift, OPinv=OPinv, which="LM",
-                 v0=v0, ncv=min(ncv, n), tol=tol)
-
-
-def _sparse_top(A, B, sigma, v0) -> GEigResult:
-    """ARPACK's top pair of a sparse pencil, with solve_gsym's checks.
-
-    Every pair comes from shift-invert at a certified σ.  Without a bound,
-    a loose Lanczos run supplies an estimate from below and the start
-    vector.  When σ has to climb past its first try, the estimate was poor
-    (a clustered top, as on the vertical-field box): a loose shift-invert
-    run at that σ improves it and σ is certified again from there, so that
-    the final run sits close above λmax, where the top of the transformed
-    spectrum stands apart.
-    """
-    A, Bf = _sparse_pair(A, B)
-    n = A.shape[0]
-    if v0 is None:
-        v0 = np.random.default_rng(0).standard_normal(n)
-    try:
-        if sigma is None:
-            Minv = LinearOperator((n, n), matvec=Bf.lu.solve, dtype=float)
-            theta, V = eigsh(A, k=1, M=Bf.matrix, Minv=Minv, which="LA", v0=v0,
-                             tol=_LANCZOS_TOL)
-            sigma, v0 = float(theta[0]), V[:, 0]
-        solve, shift, close = _certified_shift(A, Bf.matrix, sigma)
-        if not close:
-            lam, V = _shift_invert(A, Bf, solve, shift, v0, _REESTIMATE_TOL, 20)
-            solve, shift, _ = _certified_shift(A, Bf.matrix, float(lam[0]))
-            v0 = V[:, 0]
-        lam, V = _shift_invert(A, Bf, solve, shift, v0, 0.0, _NCV_SHIFT)
-    except ArpackNoConvergence as e:
-        raise SolverFailure(f"ARPACK: {e}") from None
-    v = V[:, 0]
-    Bv = Bf.matrix @ v
-    denom = (norm_inf(A) + abs(lam[0]) * norm_inf(Bf.matrix)) * np.linalg.norm(v)
-    rn = np.linalg.norm(A @ v - lam[0] * Bv) / (denom + np.finfo(float).tiny)
-    ortho = abs(float(v @ Bv) - 1.0)
-    if ortho > 1e-8:
-        raise SolverFailure(f"B-orthonormality defect {ortho:.3e} exceeds 1e-8")
-    return GEigResult(eigenvalues=lam, eigenvectors=V,
-                      residual_norm=float(rn), orthonormality=ortho)
-
-
-def solve_gsym(A: np.ndarray, B: np.ndarray, subset: tuple | None = None) -> GEigResult:
+def solve_gsym(A: np.ndarray, B, subset: tuple | None = None) -> GEigResult:
     """Solve A v = lam B v for symmetric A and SPD B.
 
+    :param B: a dense matrix, checked here, or an SPD from spd_factor,
+        checked already.
     :param subset: optional (lo, hi) index range of eigenvalues to compute
         (inclusive, ascending order); None computes all of them.
     :raises NotSymmetric: either matrix fails the symmetry tolerance.
-    :raises NotPositiveDefinite: B fails Cholesky or is near singular, or
-        the LAPACK driver cannot factor it.
+    :raises NotPositiveDefinite: B fails spd_factor's checks, or the LAPACK
+        driver cannot factor it.
     """
     A = _require_symmetric(A, "A")
-    B = _require_symmetric(B, "B")
-    _chol_mass(B)
+    B = (B if isinstance(B, SPD) else spd_factor(B)).matrix
     try:
         lam, V = eigh(A, B, subset_by_index=subset)
     except LinAlgError as e:
         raise NotPositiveDefinite(f"B: {e}") from None
 
     R = A @ V - B @ V * lam[None, :]
-    nA = np.linalg.norm(A, ord=np.inf)
-    nB = np.linalg.norm(B, ord=np.inf)
-    rn = 0.0
-    for i in range(lam.size):
-        denom = (nA + abs(lam[i]) * nB) * np.linalg.norm(V[:, i]) + np.finfo(float).tiny
-        rn = max(rn, np.linalg.norm(R[:, i]) / denom)
+    denom = (norm_inf(A) + np.abs(lam) * norm_inf(B)) * np.linalg.norm(V, axis=0)
+    rn = np.max(np.linalg.norm(R, axis=0) / (denom + np.finfo(float).tiny))
     G = V.T @ B @ V - np.eye(lam.size)
     ortho = float(np.max(np.abs(G)))
     if ortho > 1e-8:
@@ -259,63 +199,89 @@ def solve_gsym(A: np.ndarray, B: np.ndarray, subset: tuple | None = None) -> GEi
                       residual_norm=float(rn), orthonormality=ortho)
 
 
+def _arpack_top(A, Bf: SPD, sigma, v0):
+    """ARPACK's top vector of a sparse pencil and the factor of σB − A at
+    the shift that certified it.
+
+    Every vector comes from shift-invert at a certified σ.  Without a
+    bound, a loose Lanczos run supplies an estimate from below and the
+    start vector.  When σ has to climb past its first try, the estimate was
+    poor (a clustered top, as on the vertical-field box): a loose
+    shift-invert run at that σ improves it and σ is certified again from
+    there, so that the final run sits close above λmax, where the top of
+    the transformed spectrum stands apart.
+    """
+    n = A.shape[0]
+    if v0 is None:
+        v0 = np.random.default_rng(0).standard_normal(n)
+
+    def shift_invert(solve, shift, v0, tol, ncv):
+        OPinv = LinearOperator((n, n), matvec=lambda b: -solve(b), dtype=float)
+        return eigsh(A, k=1, M=Bf.matrix, sigma=shift, OPinv=OPinv,
+                     which="LM", v0=v0, ncv=min(ncv, n), tol=tol)
+
+    try:
+        if sigma is None:
+            Minv = LinearOperator((n, n), matvec=Bf.solve, dtype=float)
+            theta, V = eigsh(A, k=1, M=Bf.matrix, Minv=Minv, which="LA", v0=v0,
+                             tol=_LANCZOS_TOL)
+            sigma, v0 = float(theta[0]), V[:, 0]
+        solve, shift, close = _shift_factor(A, Bf.matrix, sigma)
+        if not close:
+            lam, V = shift_invert(solve, shift, v0, _REESTIMATE_TOL, 20)
+            solve, shift, _ = _shift_factor(A, Bf.matrix, float(lam[0]))
+            v0 = V[:, 0]
+        _, V = shift_invert(solve, shift, v0, 0.0, _NCV_SHIFT)
+    except ArpackNoConvergence as e:
+        raise SolverFailure(f"ARPACK: {e}") from None
+    v = V[:, 0]
+    ortho = abs(float(v @ (Bf.matrix @ v)) - 1.0)
+    if ortho > 1e-8:
+        raise SolverFailure(f"B-orthonormality defect {ortho:.3e} exceeds 1e-8")
+    return solve, v
+
+
 def top_pair(A, B, sigma: float | None = None,
              v0: np.ndarray | None = None) -> tuple[float, np.ndarray]:
-    """Largest eigenvalue and its vector, without the full spectrum.
+    """Maximum of x·Ax / x·Bx over x ≠ 0, and its B-normalized maximizer.
 
-    Dense A and B go to solve_gsym, which needs neither sigma nor v0.
-    Sparse ones (B may be a SparseSPD) go to ARPACK shift-invert at a σ
-    that σB − A certifies above λmax, searched upward from sigma, a known
-    upper bound, or else from a Lanczos estimate.  v0 is ARPACK's start
-    vector; a fixed one when None.
+    The value is the Rayleigh quotient of the refined vector: a lower bound
+    on λmax(A, B) that keeps the shift rule max(A + cB, B) = max(A, B) + c
+    to rounding.  B may be an SPD from spd_factor, built once for many
+    pencils.  Dense: LAPACK's top vector, refined by refine_top; sigma and
+    v0 are not used.  Sparse: ARPACK shift-invert at a σ that an LDLᵀ of
+    σB − A with positive pivots certifies above λmax, searched upward from
+    sigma (a known upper bound) or else from a Lanczos estimate; that
+    factor refines the vector.  v0 is ARPACK's start vector, a fixed one
+    when None.
 
     :raises SolverFailure: ARPACK did not converge, or its vector is not
         B-normalized.
     """
-    if _is_sparse(A, B):
-        r = _sparse_top(A, B, sigma, v0)
+    B = B if isinstance(B, SPD) else spd_factor(B)
+    if sp.issparse(B.matrix):
+        A = _require_symmetric(A, "A")
+        solve, v = _arpack_top(A, B, sigma, v0)
+        x = _inverse_iteration(solve, B.matrix, v)
     else:
         n = A.shape[0]
         r = solve_gsym(A, B, subset=(n - 1, n - 1))
-    return float(r.eigenvalues[-1]), r.eigenvectors[:, -1]
+        x = refine_top(A, B, float(r.eigenvalues[-1]), r.eigenvectors[:, -1])
+    return float((x @ (A @ x)) / (x @ (B.matrix @ x))), x
 
 
-def refine_top(A, B, lam: float, v: np.ndarray, iters: int = 3) -> np.ndarray:
+def refine_top(A, B, lam: float, v: np.ndarray) -> np.ndarray:
     """Shifted inverse iteration toward the top eigenvector.
 
     The shift sits just above the given eigenvalue estimate so the shifted
     pencil stays SPD; each solve multiplies the error transverse to the top
     eigenspace by gap ratios < 1 while solve roundoff stays at the eps level
-    in the directions that matter.  Returns the B-normalized vector.
+    in the directions that matter.  B may be an SPD.  Returns the
+    B-normalized vector.
     """
-    if _is_sparse(A, B):
-        B = B.matrix if isinstance(B, SparseSPD) else B
-    else:
-        A = np.asarray(A, dtype=float)
-        B = np.asarray(B, dtype=float)
-    scale = max(1.0, abs(lam))
-    solve, _ = _shifted_solver(A, B, lam, 1e-6 * scale, 6)
-    x = v / np.sqrt(v @ (B @ v))
-    for _ in range(iters):
-        x = solve(B @ x)
-        x = x / np.sqrt(x @ (B @ x))
-    return x
-
-
-def max_rayleigh(A, B, v0: np.ndarray | None = None) -> tuple[float, np.ndarray]:
-    """Maximum of x·Ax / x·Bx over x != 0, with the refined maximizer.
-
-    The returned value is the Rayleigh quotient of the refined vector, so it
-    is always a lower bound on the true maximum and satisfies the shift rule
-    max(A + c B, B) = max(A, B) + c to rounding.  Sparse A and B are solved
-    without a bound, from v0 (see top_pair).
-    """
-    if _is_sparse(A, B):
-        A, B = _sparse_pair(A, B)
-    lam, v = top_pair(A, B, v0=v0)
-    x = refine_top(A, B, lam, v)
-    Bm = B.matrix if isinstance(B, SparseSPD) else B
-    return float((x @ (A @ x)) / (x @ (Bm @ x))), x
+    B = B.matrix if isinstance(B, SPD) else B
+    solve, _, _ = _shift_factor(A, B, lam)
+    return _inverse_iteration(solve, B, v)
 
 
 def psd_ratio_sup(N: np.ndarray, D: np.ndarray) -> float:
@@ -361,5 +327,6 @@ def psd_ratio_sup(N: np.ndarray, D: np.ndarray) -> float:
             return float("inf")
         W = C[~null] / np.sqrt(-nu[~null])[:, None]
         S = S + W.T @ W
-    lam, _ = top_pair(0.5 * (S + S.T), np.diag(dvals[in_range]))
-    return lam
+    k = S.shape[0]
+    top = solve_gsym(0.5 * (S + S.T), np.diag(dvals[in_range]), subset=(k - 1, k - 1))
+    return float(top.eigenvalues[-1])

@@ -41,6 +41,8 @@ from scipy.linalg import cho_factor, cho_solve, eig as dense_eig
 from .errors import IncompatibleData, InputError, SolverFailure
 from .modeforms import ModeForms, _coeff_at, _coupled_ops
 
+# envelope constants above this are implausibly large and get flagged
+_FLAG_THRESHOLD = 1e6
 
 class RateLaws:
     """The rate laws ϱ̇ = R_ρ y and Ṅ = R_N y of one mode, and what pairs
@@ -640,13 +642,14 @@ class EnvelopeReport:
     flagged: tuple
 
 
-def envelope_check(rec: TrajectoryRecord, Lambda: Optional[float] = None,
-                   flag_threshold: float = 1e6) -> EnvelopeReport:
+def envelope_check(rec: TrajectoryRecord,
+                   Lambda: Optional[float] = None) -> EnvelopeReport:
     """Smallest C with norm(t) ≤ C·e^{Λt}·baseline for each recorded norm.
 
     The baseline of a norm is its own initial value when that is
     nondegenerate, else the combined initial data size; with Lambda None the
-    check degenerates to a boundedness check (stable regime).
+    check degenerates to a boundedness check (stable regime).  A constant
+    above _FLAG_THRESHOLD is flagged.
     """
     series = {
         "rho": rec.norm_rho, "u": rec.norm_u, "diu": rec.norm_diu,
@@ -668,7 +671,7 @@ def envelope_check(rec: TrajectoryRecord, Lambda: Optional[float] = None,
         b = x[0] if x[0] > 1e-12 * combined0 else combined0
         c = float(np.max(x / (b * growth)))
         constants[name] = c
-        if not math.isfinite(c) or c > flag_threshold:
+        if not math.isfinite(c) or c > _FLAG_THRESHOLD:
             flagged.append(name)
     return EnvelopeReport(Lambda=Lambda,
                           mode="exponential" if Lambda is not None else "boundedness",

@@ -189,6 +189,21 @@ def test_growth_rate_2d_matches_dense_route(params, n):
     assert abs(res.frak_s - frak) <= 1e-12 * frak
 
 
+@pytest.mark.parametrize("i", [1, 3])
+def test_box_growth_alpha_samples_match_dense_eigh(params, i):
+    # each alpha(s) is read from an ARPACK vector refined with the factor
+    # that certified its shift; it matches the dense top eigenvalue at the
+    # same s (both directions re-certify a shift that had to climb)
+    r, prof = _square(32), _profile()
+    res = growth_rate_2d(r, prof, params, 0.12, i)
+    f = _growth_forms_2d(r, prof, params, 0.12, i)
+    n = f.size
+    for s, a in res.alpha_samples:
+        ref = eigh(f.E - s * f.V, f.J, eigvals_only=True,
+                   subset_by_index=(n - 1, n - 1))[0]
+        assert abs(a - ref) <= 1e-11 * max(1.0, res.alpha0)
+
+
 def test_box_solves_never_go_dense(params, monkeypatch):
     def dense(*args, **kwargs):
         raise AssertionError("a box solve reached the dense path")

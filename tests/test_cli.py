@@ -338,5 +338,6 @@ def test_threads_env_fallback(tmp_path, monkeypatch):
     monkeypatch.setenv("MRT_THREADS", "2")
     cfg = write_cfg(tmp_path, "c.json", _critical_cfg())
     assert run_cli("critical", "--config", cfg, "--out", tmp_path / "o") == 0
-    monkeypatch.setenv("MRT_THREADS", "0")
-    assert run_cli("critical", "--config", cfg, "--out", tmp_path / "o2") == 2
+    for bad in ("0", "abc", " "):
+        monkeypatch.setenv("MRT_THREADS", bad)
+        assert run_cli("critical", "--config", cfg, "--out", tmp_path / "o2") == 2

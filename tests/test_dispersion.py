@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from scipy.linalg import eigh
 
-from mrt import dispersion
+from mrt import dispersion, eigcore
 from mrt.dispersion import (
     _Pencil,
     alpha_of_s,
@@ -19,10 +19,11 @@ from mrt.dispersion import (
     quotient_proof_sequence,
     solve_growth_rate,
 )
-from mrt.bounded2d import Rect2D, assemble_2d_quotient, critical_m_2d
+from mrt.bounded2d import (Rect2D, assemble_2d_quotient, critical_m_2d,
+                           growth_rate_2d)
 from mrt.cli import (_build_grid, _build_modes, _build_params, _build_profile,
                      validate_config)
-from mrt.eigcore import max_rayleigh, psd_ratio_sup
+from mrt.eigcore import psd_ratio_sup, top_pair
 from mrt.errors import NoGrowth, ZeroMode
 from mrt.grid1d import Grid1D
 from mrt.evolve import init_state
@@ -78,7 +79,7 @@ def test_critical_values_are_long_double_quotients(params_std):
     cases.append((critical_m_2d(rect, box_prof, params_std, 1),
                   assemble_2d_quotient(rect, box_prof, params_std, 1)))
     for value, q in cases:
-        _, x = max_rayleigh(q.E, q.D)
+        _, x = top_pair(q.E, q.D)
         ld = float(qform_value_ld(q.terms_E, x) / qform_value_ld(q.terms_D, x))
         assert abs(value ** 2 - ld) <= 1e-15 * ld
         n = q.size
@@ -181,6 +182,36 @@ def test_growth_newton_cost_and_root(case):
     ref = scalar_growth_bisection(lambda s: pen.alpha_ld(s)[0], 0.0,
                                   res.frak_s, iters=64)
     assert abs(lam - ref) <= 1e-15 * ref
+
+
+def test_growth_factorizations_per_solve(params_std, monkeypatch):
+    # J and V are each checked and factored once per solve.  A dense alpha
+    # evaluation factors once more, to refine LAPACK's vector; a sparse one
+    # factors once per shift it tries and refines ARPACK's vector with the
+    # factor that certified its shift
+    counts = {"factor": 0, "refine": 0}
+    for name, key in (("cholesky", "factor"), ("cho_factor", "factor"),
+                      ("_ldl", "factor"), ("refine_top", "refine")):
+        def counted(*args, _f=getattr(eigcore, name), _k=key, **kwargs):
+            counts[_k] += 1
+            return _f(*args, **kwargs)
+        monkeypatch.setattr(eigcore, name, counted)
+
+    g1 = Grid1D("chebyshev", 1.0, 96)
+    mode = ModeSpec.from_integers(1.0, 2, 1, field_dir=3, m=0.2)
+    forms = assemble_incompressible(mode, make_affine_profile(g1, 2.0, 1.0),
+                                    params_std, g1)
+    res = solve_growth_rate(forms)
+    assert res.evaluations == 9
+    assert counts == {"factor": res.evaluations + 2, "refine": res.evaluations}
+
+    rect = Rect2D((-1.0, 1.0), (-1.0, 1.0), 32, 32)
+    box_prof = make_affine_profile(Grid1D("fd2", 1.0, 64), 2.0, 1.0)
+    for i, factorizations in ((1, 12), (3, 17)):
+        counts["factor"] = counts["refine"] = 0
+        res = growth_rate_2d(rect, box_prof, params_std, 0.12, i)
+        assert res.unstable and res.evaluations == 8
+        assert counts == {"factor": factorizations, "refine": 0}
 
 
 def _two_block_forms(e, v):

@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 from scipy.sparse.linalg import ArpackNoConvergence
 
 from mrt import eigcore
-from mrt.eigcore import (max_rayleigh, psd_ratio_sup, refine_top, solve_gsym,
-                         spd_factor, top_pair)
+from mrt.eigcore import (psd_ratio_sup, refine_top, solve_gsym, spd_factor,
+                         top_pair)
 from mrt.errors import (BracketExhausted, NotPositiveDefinite, NotSymmetric,
                         SolverFailure)
 
@@ -95,7 +95,7 @@ def test_max_rayleigh_vs_gradient_ascent():
     # independent optimizer route: projected gradient ascent on the quotient
     for seed in (10, 11):
         A, B = _random_pencil(seed, 8)
-        val, _ = max_rayleigh(A, B)
+        val, _ = top_pair(A, B)
         x0 = np.random.default_rng(seed).standard_normal(8)
         ref = rayleigh_ascent(A, B, x0, iters=20_000)
         assert abs(val - ref) <= 1e-7 * max(1.0, abs(val))
@@ -103,7 +103,7 @@ def test_max_rayleigh_vs_gradient_ascent():
 
 def test_max_rayleigh_monte_carlo_lower_bound():
     A, B = _random_pencil(12, 5)
-    val, _ = max_rayleigh(A, B)
+    val, _ = top_pair(A, B)
     best = rayleigh_monte_carlo(A, B, np.random.default_rng(12), tries=4000)
     assert best <= val + 1e-10 * max(1.0, abs(val))
     # in five dimensions random search lands close to the top
@@ -115,8 +115,8 @@ def test_max_rayleigh_monte_carlo_lower_bound():
 def test_max_rayleigh_shift_rule(seed, c):
     # max over the quotient commutes with A -> A + c B up to rounding
     A, B = _random_pencil(seed, 6)
-    base, _ = max_rayleigh(A, B)
-    shifted, _ = max_rayleigh(A + c * B, B)
+    base, _ = top_pair(A, B)
+    shifted, _ = top_pair(A + c * B, B)
     assert abs(shifted - (base + c)) <= 1e-9 * max(1.0, abs(base), abs(c))
 
 
@@ -168,16 +168,13 @@ def test_sparse_top_pair_and_max_rayleigh_match_dense(seed):
     lam, v = top_pair(A, B)
     assert abs(lam - ref) <= tol
     assert abs(float(v @ (B @ v)) - 1.0) <= 1e-10
+    assert abs(float(v @ (A @ v)) - lam) <= tol
     # shift-invert from a certified bound above lambda_max, and from a
     # shift below it, which is raised until sigma B - A factors with
     # positive pivots
     for sigma in (ref + 0.5, ref - 0.01):
         lam_si, _ = top_pair(A, spd_factor(B), sigma=sigma, v0=v)
         assert abs(lam_si - ref) <= tol
-    val, x = max_rayleigh(A, B)
-    ref_val, _ = max_rayleigh(Ad, Bd)
-    assert abs(val - ref_val) <= tol
-    assert abs(float(x @ (A @ x)) / float(x @ (B @ x)) - val) <= tol
     x_ref = refine_top(A, B, lam, v)
     assert np.array_equal(x_ref, refine_top(A, B, lam, v))
 
@@ -199,7 +196,7 @@ def test_sparse_not_symmetric_raises():
     B_bad = B.tolil()
     B_bad[2, 0] = B_bad[2, 0] + 1e-6
     with pytest.raises(NotSymmetric):
-        max_rayleigh(A, B_bad.tocsr())
+        top_pair(A, B_bad.tocsr())
 
 
 @pytest.mark.parametrize("d, match", [
@@ -213,8 +210,44 @@ def test_sparse_mass_checks_match_dense(d, match):
         solve_gsym(A.toarray(), B)
     with pytest.raises(NotPositiveDefinite, match=match):
         top_pair(A, sp.csr_matrix(B))
+
+
+@pytest.mark.parametrize("d, match", [
+    (-1e-3, "not positive definite"),  # indefinite: no Cholesky factor
+    (1e-16, "numerically singular"),   # positive, past the 1e15 limit
+])
+def test_dense_mass_checks(d, match):
     with pytest.raises(NotPositiveDefinite, match=match):
-        max_rayleigh(A, sp.csr_matrix(B))
+        spd_factor(np.diag([1.0] * 5 + [d]))
+
+
+def test_dense_mass_asymmetry_raises():
+    _, B = _random_pencil(9, 6)
+    B[0, 1] += 1e-6
+    with pytest.raises(NotSymmetric):
+        spd_factor(B)
+
+
+@pytest.mark.parametrize("sparse", [False, True])
+def test_spd_factor_solves_against_b(sparse):
+    _, B = _sparse_pencil(8, n=30, density=0.2)
+    Bf = spd_factor(B if sparse else B.toarray())
+    b = np.arange(30.0)
+    assert np.allclose(B @ Bf.solve(b), b, rtol=0, atol=1e-10 * np.abs(b).max())
+
+
+def test_solve_gsym_takes_a_checked_mass_as_is(monkeypatch):
+    # an SPD from spd_factor is not checked or factored again, and gives the
+    # same bits as the raw matrix
+    A, B = _random_pencil(15, 10)
+    ref = solve_gsym(A, B)
+    Bf = spd_factor(B)
+    calls = []
+    monkeypatch.setattr(eigcore, "cholesky", lambda *a, **k: calls.append(a))
+    res = solve_gsym(A, Bf)
+    assert calls == []
+    assert np.array_equal(res.eigenvalues, ref.eigenvalues)
+    assert np.array_equal(res.eigenvectors, ref.eigenvectors)
 
 
 def test_sparse_zero_pivot_mass_raises():

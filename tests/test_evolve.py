@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from mrt import evolve
 from mrt.dispersion import build_growing_mode, solve_growth_rate
 from mrt.errors import IncompatibleData, InputError
 from mrt.evolve import envelope_check, init_state, run_trajectory, step, viscous_time
@@ -139,12 +140,13 @@ def test_viscous_time_positive(forms_std):
     assert tau > 0.0 and np.isfinite(tau)
 
 
-def test_envelope_flag_threshold(forms_std, growing):
+def test_envelope_flag_threshold(forms_std, growing, monkeypatch):
     res, gm = growing
     st = init_state(forms_std, gm.y, gm.rho, gm.N)
     rec = run_trajectory(st, T=1.0 / res.Lambda, dt=5e-3 / res.Lambda)
     # an understated rate inflates every constant; a tight threshold flags it
-    rep = envelope_check(rec, 0.25 * res.Lambda, flag_threshold=1.5)
+    monkeypatch.setattr(evolve, "_FLAG_THRESHOLD", 1.5)
+    rep = envelope_check(rec, 0.25 * res.Lambda)
     assert rep.flagged
     ok = envelope_check(rec, res.Lambda)
     assert not ok.flagged
