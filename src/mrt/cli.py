@@ -408,12 +408,7 @@ def cmd_evolve(cfg: dict, out: Path, threads: int) -> int:
         u0 = u0 / math.sqrt(max(float(u0 @ (forms.J @ u0)), 1e-300))
         rho0, N0 = None, None
 
-    context = {}
-    if cfg["phase_tol"] is not None:
-        context["phase_tol"] = cfg["phase_tol"]
-    if cfg["div_tol"] is not None:
-        context["div_tol"] = cfg["div_tol"]
-    state = init_state(forms, u0, rho0, N0, context=context or None)
+    state = init_state(forms, u0, rho0, N0)
     rec = run_trajectory(state, cfg["T"], cfg["dt"],
                          diagnostics_every=cfg["diagnostics_every"])
     env = envelope_check(rec, lam)

@@ -50,8 +50,7 @@ from typing import Optional
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import (BracketExhausted, InputError, NoGrowth, SolverFailure,
-                     ZeroMode)
+from .errors import InputError, NoGrowth, SolverFailure, ZeroMode
 from .eigcore import norm_inf, psd_ratio_sup, solve_gsym, spd_factor, top_pair
 from .evolve import RateLaws
 from .grid1d import Grid1D
@@ -479,10 +478,9 @@ def compute_cr(eq: CompressibleEquilibrium, params: PhysicalParams,
     penalty; negative means E_c is negative definite with margin, +inf
     means the penalty cannot control the energy for that mode (E_c
     positive on the penalty's kernel, or null there but coupled to its
-    range), and a penalty that
-    vanishes on the whole mode space also gives +inf, with a diagnostic
-    note.  The aggregate is the supremum; each row carries λ_max(E_c; J) as
-    an independent sign certificate.
+    range).  The penalty always contains λ₀∫(v₃′)², so it never vanishes
+    on the whole mode space.  The aggregate is the supremum; each row
+    carries λ_max(E_c; J) as an independent sign certificate.
     """
     rows = []
     agg = -math.inf
@@ -491,14 +489,10 @@ def compute_cr(eq: CompressibleEquilibrium, params: PhysicalParams,
         forms = assemble_cr_forms(mode, eq, params, g1)
         n = forms.size
         cert = solve_gsym(forms.E, forms.J, subset=(n - 1, n - 1)).eigenvalues[-1]
-        try:
-            c = psd_ratio_sup(forms.E, forms.D)
-            note = "unbounded" if math.isinf(c) else ""
-        except BracketExhausted as e:
-            c = math.inf
-            note = f"bracket exhausted: {e}"
+        c = psd_ratio_sup(forms.E, forms.D)
+        note = "unbounded" if c == math.inf else ""
         rows.append(PerModeValue(mode.xi, c, float(cert), note))
-        if math.isinf(c) and c > 0:
+        if c == math.inf:
             unbounded = True
         agg = max(agg, c)
     return CriticalReport(kind="cr", per_mode=tuple(rows), aggregate=agg,
@@ -517,17 +511,17 @@ class GrowingMode:
     three complex velocity components on the nodes.  rho and N are the rate
     laws of evolve.RateLaws over Λ: rho = R_ρ y/Λ, real, on the nodes
     (incompressible) or the flux grid (compressible); N = phase·R_N y/Λ,
-    the three complex field components on the flux grid in the phase
-    convention of the evolve module.  Seeded into evolve.init_state they
-    give ẏ(0) = Λy up to the eigenpair residual.  forms are the forms the
-    mode was solved on.
+    a (3, n_f) array of the complex field components on the flux grid in
+    the phase convention of the evolve module.  Seeded into
+    evolve.init_state they give ẏ(0) = Λy up to the eigenpair residual.
+    forms are the forms the mode was solved on.
     """
 
     Lambda: float
     y: np.ndarray
     u: tuple
     rho: np.ndarray
-    N: tuple
+    N: np.ndarray
     forms: ModeForms
 
 
@@ -550,5 +544,4 @@ def build_growing_mode(forms: ModeForms,
     laws = RateLaws(forms)
     rho_rate, n_rate = laws.rates(y)
     return GrowingMode(Lambda=lam, y=y, u=laws.velocity(y), rho=rho_rate / lam,
-                       N=tuple(ph * (r / lam) for ph, r in zip(laws.phase, n_rate)),
-                       forms=forms)
+                       N=laws.phase[:, None] * (n_rate / lam), forms=forms)

@@ -32,8 +32,7 @@ from scipy.linalg import cholesky, cho_factor, cho_solve, eigh, LinAlgError
 from scipy.sparse.linalg import (ArpackNoConvergence, LinearOperator, eigsh,
                                  splu)
 
-from .errors import (BracketExhausted, NotPositiveDefinite, NotSymmetric,
-                     SolverFailure)
+from .errors import NotPositiveDefinite, NotSymmetric, SolverFailure
 
 _SYM_TOL = 1e-12
 _COND_LIMIT = 1e15
@@ -297,9 +296,10 @@ def psd_ratio_sup(N: np.ndarray, D: np.ndarray) -> float:
     eigenvalue of that complement against diag(d_R).  The result is
     positive exactly when N is positive somewhere that D is too.  The mass
     form of the certificate pencil (N - cD; J) does not enter the ratio.
+    When D vanishes, N - cD = N for every c, and the answer is -inf if
+    N ⪯ 0 and +inf otherwise.
 
     :raises NotPositiveDefinite: D has an eigenvalue below -1e-10 * ||D||.
-    :raises BracketExhausted: D vanishes, so no c changes N - cD at all.
     """
     N = _require_symmetric(N, "N")
     D = _require_symmetric(D, "D")
@@ -310,8 +310,6 @@ def psd_ratio_sup(N: np.ndarray, D: np.ndarray) -> float:
         raise NotPositiveDefinite(f"penalty form has eigenvalue {dmin:.3e} < 0")
 
     in_range = dvals > 1e-12 * (dnorm + np.finfo(float).tiny)
-    if not in_range.any():
-        raise BracketExhausted("penalty form vanishes: N - cD is the same for every c")
     K, R = dvecs[:, ~in_range], dvecs[:, in_range]
     S = R.T @ N @ R
     if K.shape[1]:
@@ -328,5 +326,7 @@ def psd_ratio_sup(N: np.ndarray, D: np.ndarray) -> float:
         W = C[~null] / np.sqrt(-nu[~null])[:, None]
         S = S + W.T @ W
     k = S.shape[0]
+    if k == 0:
+        return float("-inf")
     top = solve_gsym(0.5 * (S + S.T), np.diag(dvals[in_range]), subset=(k - 1, k - 1))
     return float(top.eigenvalues[-1])

@@ -49,10 +49,6 @@ class NotPositiveDefinite(SolverError):
     """Mass-side matrix of a generalized eigenproblem failed Cholesky."""
 
 
-class BracketExhausted(SolverError):
-    """A ratio has no finite bracket: its denominator form vanishes."""
-
-
 class NoGrowth(SolverError):
     """A growing mode was requested for a configuration with no growth."""
 

@@ -7,32 +7,36 @@ energy form of the mode.  The implicit average-acceleration step
 (trapezoidal; Newmark β=1/4, γ=1/2) is unconditionally stable, second
 order, and conserves the discrete energy exactly when C = 0.
 
-ϱ and N follow the linearized transport and induction laws ϱ̇ = R_ρ y and
-Ṅ = R_N y.  RateLaws is their one implementation: the integrator recovers
-ϱ and N by trapezoidal quadrature of these laws, and the growing mode
-e^{Λt}(y, ϱ, N) of dispersion.build_growing_mode takes its carriers as
-R_ρ y/Λ and R_N y/Λ.  Every energy term that pairs with a recovered
-quantity is assembled on the same staggered points as the rate law (see
-modeforms), which makes the weak relation J ẏ = −V y + b(ϱ, N) an exact
-invariant of the discrete flow: the trapezoidal velocity update and the
-trapezoidal carrier update commute through the bilinear identity
-b(R_ρ y, R_N y) = E y.  The same identity gives a growing mode the initial
-acceleration ẏ(0) = Λy up to the eigenpair residual.  The energy identity
-and its time-integrated variant inherit their convergence order from the
-dissipation quadrature alone.
+The state that is integrated is (y, ẏ, ÿ) and the time integral Y = ∫₀ᵗ y,
+taken by the trapezoidal rule over each step.  ϱ and N are not state: with
+no resistivity the linearized transport and induction laws ϱ̇ = R_ρ y and
+Ṅ = R_N y integrate once to ϱ = ϱ₀ + R_ρ Y and N = N₀ + R_N Y, and they are
+recovered from Y only where they are read.  RateLaws is the one
+implementation of R_ρ and R_N; the growing mode e^{Λt}(y, ϱ, N) of
+dispersion.build_growing_mode takes its carriers as R_ρ y/Λ and R_N y/Λ.
+Every energy term that pairs with a recovered quantity is assembled on the
+same staggered points as the rate law (see modeforms), which makes the weak
+relation J ẏ = −V y + b(ϱ, N) an exact invariant of the discrete flow: the
+trapezoidal velocity update and the trapezoidal Y update commute through the
+bilinear identity b(R_ρ y, R_N y) = E y.  The same identity gives a growing
+mode the initial acceleration ẏ(0) = Λy up to the eigenpair residual.  The
+energy identity and its time-integrated variant inherit their convergence
+order from the dissipation quadrature alone.
 
 Phase convention (real carriers): for the vertical-field incompressible
 problem N = (i·N₁, i·N₂, N₃); for the horizontal-field incompressible and
 the compressible problem N = (N₁, N₂, i·N₃); stored arrays are the real
-carriers on the flux grid.  ϱ is real, on the nodes (incompressible) or
-the flux grid (compressible).  Incoming complex data are projected onto
-the convention and rejected if the orthogonal part is above tolerance.
+carriers on the flux grid, one (3, n_f) array.  ϱ is real, on the nodes
+(incompressible) or the flux grid (compressible).  Incoming complex data
+are projected onto the convention and rejected if the orthogonal part is
+above 1e-8 of their size.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -44,17 +48,22 @@ from .modeforms import ModeForms, _coeff_at, _coupled_ops
 # envelope constants above this are implausibly large and get flagged
 _FLAG_THRESHOLD = 1e6
 
-class RateLaws:
-    """The rate laws ϱ̇ = R_ρ y and Ṅ = R_N y of one mode, and what pairs
-    with them.
+# largest off-phase fraction init_state accepts in complex initial data
+_PHASE_TOL = 1e-8
 
-    rates(y) returns ϱ̇ and the three real carriers of Ṅ; phase holds the
-    factor that turns each carrier into its physical component.  forcing is
-    the weak right-hand side b(ϱ, N), velocity(y) the complex nodal velocity
-    (u₁, u₂, u₃).  Each operator is a pair (cols, R) and reads only the
-    columns of the stacked unknown that cols names, so a single-block
-    operator is stored at its own width.  Built where a trajectory or a
-    growing mode needs them, never during form assembly.
+class RateLaws:
+    """The rate laws ϱ̇ = R_ρ y and Ṅ = R_N y of one mode, what pairs with
+    them, and the factors a trajectory solves with.
+
+    rates(y) returns R_ρ y and R_N y, the latter as a (3, n_f) array of real
+    carriers; phase holds the factor that turns each carrier row into its
+    physical component.  forcing is the weak right-hand side b(ϱ, N),
+    velocity(y) the complex nodal velocity (u₁, u₂, u₃).  Each operator is a
+    pair (cols, R) and reads only the columns of the stacked unknown that
+    cols names, so a single-block operator is stored at its own width.  The
+    mass factor and the implicit step factor are built on first use, so a
+    growing mode built from these laws factors nothing.  Built where a
+    trajectory or a growing mode needs them, never during form assembly.
     """
 
     def __init__(self, forms: ModeForms):
@@ -67,6 +76,7 @@ class RateLaws:
         self.nf = g1.flux_points.size
         self.xi1, self.xi2 = forms.mode.xi
         self.xin2 = forms.mode.xi_norm2
+        self._step = (None, None)
         if forms.kind == "incompressible":
             self._build_incompressible(forms)
         else:
@@ -161,11 +171,11 @@ class RateLaws:
     # -- shared pieces ------------------------------------------------------
 
     def rates(self, y: np.ndarray):
-        """ϱ̇ = R_ρ y and the real carriers of Ṅ = R_N y."""
+        """R_ρ y and the (3, n_f) real carriers of R_N y."""
         cols, R = self.Rrho
-        return R @ y[cols], tuple(R @ y[c] for c, R in self.RN)
+        return R @ y[cols], np.array([R @ y[c] for c, R in self.RN])
 
-    def forcing(self, rho: np.ndarray, N: tuple) -> np.ndarray:
+    def forcing(self, rho: np.ndarray, N: np.ndarray) -> np.ndarray:
         """Weak right-hand side b(ϱ, N) in the reduced coordinates."""
         forms = self.forms
         params = forms.params
@@ -202,74 +212,75 @@ class RateLaws:
         u2 = 1j * (xi2 * dv3 / xin2 + xi1 * phi / nx)
         return u1, u2, v3.astype(complex)
 
-    def div_n(self, N: tuple) -> float:
+    def div_n(self, N: np.ndarray) -> float:
         d = sum(op @ Nk for op, Nk in zip(self.div_ops, N))
         return math.sqrt(float(self.quad @ (d * d)))
 
-
-class _Workspace(RateLaws):
-    """Rate laws plus the assembled operators and factor caches of a
-    trajectory.
-
-    Shared read-only between the states of one trajectory; the factor cache
-    is a per-timestep memo (states are value-like, the workspace is not
-    mutated beyond memoization).
-    """
-
-    def __init__(self, forms: ModeForms):
-        super().__init__(forms)
-        self.M = forms.J
-        self.C = forms.V
-        self.K = forms.E
-        self.chol_M = cho_factor(self.M, lower=True)
-        self.step_cache: dict = {}
-        self.unit = forms.aux["unit_mass"]
-        self.aux = forms.aux
+    # -- trajectory pieces --------------------------------------------------
 
     def energy(self, y: np.ndarray, v: np.ndarray) -> float:
-        return float(v @ (self.M @ v) - y @ (self.K @ y))
+        forms = self.forms
+        return float(v @ (forms.J @ v) - y @ (forms.E @ y))
+
+    @cached_property
+    def mass_factor(self):
+        return cho_factor(self.forms.J, lower=True)
 
     def step_factor(self, dt: float):
-        key = float(dt)
-        fac = self.step_cache.get(key)
-        if fac is None:
-            S = self.M + (dt / 2.0) * self.C - (dt * dt / 4.0) * self.K
+        """Cholesky factor of J + (dt/2)V − (dt²/4)E, kept for the last dt."""
+        if self._step[0] != dt:
+            forms = self.forms
+            S = forms.J + (dt / 2.0) * forms.V - (dt * dt / 4.0) * forms.E
             try:
-                fac = cho_factor(S, lower=True)
+                self._step = (dt, cho_factor(S, lower=True))
             except np.linalg.LinAlgError as e:
                 dg = np.diag(S)
                 raise SolverFailure(
                     f"implicit step matrix not positive definite at dt={dt:g} "
                     f"(diag range [{dg.min():.3e}, {dg.max():.3e}]): {e}") from e
-            self.step_cache[key] = fac
-        return fac
+        return self._step[1]
 
 
 @dataclass(frozen=True)
 class EvolveState:
     """State of one linearized trajectory at time t.
 
-    y, ydot: reduced velocity unknowns and their time derivative; rho and N
-    the recovered perturbations as real carrier arrays (see the module
-    docstring for the phase convention); acc the current acceleration,
-    rates the rate laws ws.rates(y) at this y, diss the accumulated
-    dissipation integral 2∫ẏᵀVẏ dτ.  meta carries the initial diagnostics
-    (J0, forcing norms, stability denominators).
+    y, ydot, acc: reduced velocity unknowns and their first and second time
+    derivatives; Y the trapezoidal integral ∫₀ᵗ y; diss the accumulated
+    dissipation integral 2∫ẏᵀVẏ dτ.  rho0 and N0 are the initial
+    perturbations projected onto real carriers (see the module docstring for
+    the phase convention).  The current perturbations are recovered on read
+    as rho = rho0 + R_ρ Y and N = N0 + R_N Y, N a (3, n_f) array.  ws holds
+    the rate laws and factors shared by the states of one trajectory; meta
+    the initial diagnostics (J0, forcing_norm, stability_denom).
     """
 
+    t: float
     y: np.ndarray
     ydot: np.ndarray
-    rho: np.ndarray
-    N: tuple
-    t: float
     acc: np.ndarray
-    rates: tuple
+    Y: np.ndarray
     diss: float
-    ws: _Workspace
-    meta: dict = field(default_factory=dict)
+    rho0: np.ndarray
+    N0: np.ndarray
+    ws: RateLaws
+    meta: dict
+
+    def carriers(self):
+        """(rho, N) recovered from the integrated velocity Y."""
+        r, n = self.ws.rates(self.Y)
+        return self.rho0 + r, self.N0 + n
+
+    @property
+    def rho(self) -> np.ndarray:
+        return self.carriers()[0]
+
+    @property
+    def N(self) -> np.ndarray:
+        return self.carriers()[1]
 
 
-def _project_component(arr, length: int, phase: complex, tol: float, name: str):
+def _project_component(arr, length: int, phase: complex, name: str):
     a = np.asarray(arr)
     if a.shape != (length,):
         raise IncompatibleData(f"{name} has shape {a.shape}, expected ({length},)")
@@ -280,15 +291,14 @@ def _project_component(arr, length: int, phase: complex, tol: float, name: str):
     c = a * np.conj(phase)
     nrm = math.sqrt(float(np.sum(np.abs(a) ** 2)))
     bad = math.sqrt(float(np.sum(c.imag ** 2)))
-    if bad > tol * max(nrm, np.finfo(float).tiny):
+    if bad > _PHASE_TOL * max(nrm, np.finfo(float).tiny):
         raise IncompatibleData(
             f"{name} violates the mode's phase convention: "
             f"off-phase fraction {bad / max(nrm, 1e-300):.3e}")
     return c.real.astype(float)
 
 
-def init_state(forms: ModeForms, u0, rho0=None, N0=None,
-               context: Optional[dict] = None) -> EvolveState:
+def init_state(forms: ModeForms, u0, rho0=None, N0=None) -> EvolveState:
     """Initial state with ẏ from the weak first-order balance at t = 0.
 
     :param u0: reduced real vector of velocity unknowns (layout of forms).
@@ -296,22 +306,17 @@ def init_state(forms: ModeForms, u0, rho0=None, N0=None,
         for compressible); None means zero.
     :param N0: three field-perturbation components on the flux grid (complex
         in the physical phase, or the real carriers); None means zero.
-    :param context: optional dict with "phase_tol" and "div_tol" overrides.
-    :raises IncompatibleData: wrong shapes, off-phase data, or div N₀ ≠ 0.
+    :raises IncompatibleData: wrong shapes, data more than 1e-8 off phase,
+        or div N₀ above 1e-8 (chebyshev) or 100h² (fd2) of the field size.
     """
-    ws = _Workspace(forms)
-    ctx = context or {}
-    phase_tol = float(ctx.get("phase_tol", 1e-8))
+    ws = RateLaws(forms)
     g1 = forms.grid
-    if ctx.get("div_tol") is not None:
-        div_tol = float(ctx["div_tol"])
-    else:
-        div_tol = 1e-8 if g1.scheme == "chebyshev" else 100.0 * g1.h ** 2
+    div_tol = 1e-8 if g1.scheme == "chebyshev" else 100.0 * g1.h ** 2
 
     y = np.asarray(u0)
     if np.iscomplexobj(y):
         nrm = math.sqrt(float(np.sum(np.abs(y) ** 2)))
-        if math.sqrt(float(np.sum(y.imag ** 2))) > phase_tol * max(nrm, 1e-300):
+        if math.sqrt(float(np.sum(y.imag ** 2))) > _PHASE_TOL * max(nrm, 1e-300):
             raise IncompatibleData("u0 must be real in the reduced coordinates")
         y = y.real
     y = y.astype(float)
@@ -323,14 +328,14 @@ def init_state(forms: ModeForms, u0, rho0=None, N0=None,
     if rho0 is None:
         rho = np.zeros(ws.rho_len)
     else:
-        rho = _project_component(rho0, ws.rho_len, 1.0, phase_tol, "rho0")
+        rho = _project_component(rho0, ws.rho_len, 1.0, "rho0")
     if N0 is None:
-        N = (np.zeros(nf), np.zeros(nf), np.zeros(nf))
+        N = np.zeros((3, nf))
     else:
         if len(N0) != 3:
             raise IncompatibleData("N0 must have three components")
-        N = tuple(_project_component(c, nf, ph, phase_tol, f"N0[{k}]")
-                  for k, (c, ph) in enumerate(zip(N0, ws.phase)))
+        N = np.array([_project_component(c, nf, ph, f"N0[{k}]")
+                      for k, (c, ph) in enumerate(zip(N0, ws.phase))])
 
     n_scale = math.sqrt(sum(float(ws.wf @ (c * c)) for c in N))
     if n_scale > 0.0:
@@ -340,16 +345,16 @@ def init_state(forms: ModeForms, u0, rho0=None, N0=None,
                 f"div N0 = {div:.3e} exceeds {div_tol:.1e} x field size {n_scale:.3e}")
 
     b0 = ws.forcing(rho, N)
-    v0 = cho_solve(ws.chol_M, -(ws.C @ y) + b0)
-    a0 = cho_solve(ws.chol_M, ws.K @ y - ws.C @ v0)
+    v0 = cho_solve(ws.mass_factor, -(forms.V @ y) + b0)
+    a0 = cho_solve(ws.mass_factor, forms.E @ y - forms.V @ v0)
 
     meta = {"J0": ws.energy(y, v0)}
     meta.update(_initial_diagnostics(ws, y, rho, N))
-    return EvolveState(y=y, ydot=v0, rho=rho, N=N, t=0.0, acc=a0,
-                       rates=ws.rates(y), diss=0.0, ws=ws, meta=meta)
+    return EvolveState(t=0.0, y=y, ydot=v0, acc=a0, Y=np.zeros_like(y),
+                       diss=0.0, rho0=rho, N0=N, ws=ws, meta=meta)
 
 
-def _initial_diagnostics(ws: _Workspace, y, rho, N) -> dict:
+def _initial_diagnostics(ws: RateLaws, y, rho, N) -> dict:
     forms = ws.forms
     g1 = forms.grid
     params = forms.params
@@ -379,9 +384,9 @@ def _initial_diagnostics(ws: _Workspace, y, rho, N) -> dict:
             q2 = lam0m * xi1 * N[1]
             q3 = -lam0m * xi1 * (P @ N[2]) - params.g * rho
             q0sq = l2f(q1) + l2f(q2) + l2q(q3)
-        out["Q0_norm"] = math.sqrt(q0sq)
-        di_u0 = (float(y @ (ws.aux["bend"] @ y)) if mode.field_dir == 3
-                 else xi1 * xi1 * float(y @ (ws.unit @ y)))
+        out["forcing_norm"] = math.sqrt(q0sq)
+        di_u0 = (float(y @ (forms.aux["bend"] @ y)) if mode.field_dir == 3
+                 else xi1 * xi1 * float(y @ (forms.aux["unit_mass"] @ y)))
         di_n0 = (sum(l2q(g1.flux_div @ c) for c in N) if mode.field_dir == 3
                  else xi1 * xi1 * sum(l2f(c) for c in N))
         rho_sq = l2q(rho)
@@ -392,8 +397,8 @@ def _initial_diagnostics(ws: _Workspace, y, rho, N) -> dict:
         c2 = xi2 * q - lam0 * ws.mc_f * xi1 * N[1]
         c3 = (g1.flux_div @ q
               + P @ (lam0 * ws.mc_f * xi1 * N[2] + params.g * rho))
-        out["P0_norm"] = math.sqrt(l2f(c1) + l2f(c2) + l2q(c3))
-        di_u0 = xi1 * xi1 * float(y @ (ws.unit @ y))
+        out["forcing_norm"] = math.sqrt(l2f(c1) + l2f(c2) + l2q(c3))
+        di_u0 = xi1 * xi1 * float(y @ (forms.aux["unit_mass"] @ y))
         di_n0 = xi1 * xi1 * sum(l2f(c) for c in N)
         rho_sq = l2f(rho)
 
@@ -406,8 +411,8 @@ def _initial_diagnostics(ws: _Workspace, y, rho, N) -> dict:
 def step(state: EvolveState, dt: float) -> EvolveState:
     """One implicit time step; returns a new state.
 
-    Average-acceleration update, then trapezoidal quadrature of the ϱ and N
-    rate laws over the same interval.
+    Average-acceleration update of (y, ẏ, ÿ), then the trapezoidal rule
+    for Y = ∫y and for the dissipation over the same interval.
 
     :raises InputError: dt ≤ 0.
     :raises SolverFailure: the implicit solve breaks down.
@@ -415,26 +420,21 @@ def step(state: EvolveState, dt: float) -> EvolveState:
     if not dt > 0.0:
         raise InputError(f"dt must be positive, got {dt}")
     ws = state.ws
+    C, K = ws.forms.V, ws.forms.E
     y, v, a = state.y, state.ydot, state.acc
     fac = ws.step_factor(dt)
     y_pred = y + dt * v + (dt * dt / 4.0) * a
     v_pred = v + (dt / 2.0) * a
-    a_new = cho_solve(fac, ws.K @ y_pred - ws.C @ v_pred)
+    a_new = cho_solve(fac, K @ y_pred - C @ v_pred)
     if not np.all(np.isfinite(a_new)):
         raise SolverFailure("implicit step produced non-finite acceleration")
     v_new = v_pred + (dt / 2.0) * a_new
     y_new = y_pred + (dt * dt / 4.0) * a_new
-
-    r_old, n_old = state.rates
-    rates_new = ws.rates(y_new)
-    r_new, n_new = rates_new
-    rho_new = state.rho + (dt / 2.0) * (r_old + r_new)
-    N_new = tuple(Nk + (dt / 2.0) * (ro + rn)
-                  for Nk, ro, rn in zip(state.N, n_old, n_new))
-    diss_new = state.diss + dt * (float(v @ (ws.C @ v))
-                                  + float(v_new @ (ws.C @ v_new)))
-    return replace(state, y=y_new, ydot=v_new, rho=rho_new, N=N_new,
-                   t=state.t + dt, acc=a_new, rates=rates_new, diss=diss_new)
+    diss_new = state.diss + dt * (float(v @ (C @ v))
+                                  + float(v_new @ (C @ v_new)))
+    return EvolveState(t=state.t + dt, y=y_new, ydot=v_new, acc=a_new,
+                       Y=state.Y + (dt / 2.0) * (y + y_new), diss=diss_new,
+                       rho0=state.rho0, N0=state.N0, ws=ws, meta=state.meta)
 
 
 @dataclass(frozen=True)
@@ -490,23 +490,23 @@ class TrajectoryRecord:
         }
 
 
-def _norms_row(ws: _Workspace, st: EvolveState):
+def _norms_row(ws: RateLaws, y, v, rho, N):
     forms = ws.forms
-    y, v = st.y, st.ydot
-    u_sq = float(y @ (ws.unit @ y))
-    ut_sq = float(v @ (ws.unit @ v))
-    n_sq = sum(float(ws.wf @ (c * c)) for c in st.N)
-    rho_sq = float(ws.rho_weights @ (st.rho * st.rho))
+    aux = forms.aux
+    u_sq = float(y @ (aux["unit_mass"] @ y))
+    ut_sq = float(v @ (aux["unit_mass"] @ v))
+    n_sq = sum(float(ws.wf @ (c * c)) for c in N)
+    rho_sq = float(ws.rho_weights @ (rho * rho))
     if forms.kind == "incompressible":
-        bend_sq = float(y @ (ws.aux["bend"] @ y))
+        bend_sq = float(y @ (aux["bend"] @ y))
         if forms.mode.field_dir == 3:
             diu_sq = bend_sq
         else:
             diu_sq = ws.xi1 * ws.xi1 * u_sq
         grad_sq = ws.xin2 * u_sq + bend_sq
     else:
-        diu_sq = ws.xi1 * ws.xi1 * u_sq + float(y @ (ws.aux["divsq"] @ y))
-        grad_sq = float(y @ (ws.aux["grad"] @ y))
+        diu_sq = ws.xi1 * ws.xi1 * u_sq + float(y @ (aux["divsq"] @ y))
+        grad_sq = float(y @ (aux["grad"] @ y))
     return (math.sqrt(max(rho_sq, 0.0)), math.sqrt(max(u_sq, 0.0)),
             math.sqrt(max(diu_sq, 0.0)), math.sqrt(max(ut_sq, 0.0)),
             math.sqrt(max(grad_sq, 0.0)), math.sqrt(max(n_sq, 0.0)))
@@ -515,6 +515,8 @@ def _norms_row(ws: _Workspace, st: EvolveState):
 def run_trajectory(state: EvolveState, T: float, dt: float,
                    diagnostics_every: int = 1) -> TrajectoryRecord:
     """Advance to time T recording diagnostics every given number of steps.
+
+    ϱ and N are recovered from Y at the recorded steps only.
 
     Args:
         state: initial state from init_state.
@@ -531,8 +533,9 @@ def run_trajectory(state: EvolveState, T: float, dt: float,
     if diagnostics_every < 1:
         raise InputError("diagnostics_every must be >= 1")
     ws = state.ws
+    M, C = ws.forms.J, ws.forms.V
     n_steps = int(round(T / dt))
-    j0 = state.meta.get("J0", ws.energy(state.y, state.ydot))
+    j0 = state.meta["J0"]
 
     times = []
     rows = []
@@ -540,40 +543,36 @@ def run_trajectory(state: EvolveState, T: float, dt: float,
     defects = []
     rho_inc = []
     n_inc = []
-    prev_rho = state.rho.copy()
-    prev_n = tuple(c.copy() for c in state.N)
 
-    def record(st: EvolveState):
+    def record(st: EvolveState, rho, N):
         times.append(st.t)
-        rows.append(_norms_row(ws, st))
+        rows.append(_norms_row(ws, st.y, st.ydot, rho, N))
         en = ws.energy(st.y, st.ydot)
         # the two identity terms cancel down to J0 along a growing mode, so
         # the drift is relative to their running size, not just to J0
         scale = max(1.0, abs(j0), abs(en) + abs(st.diss))
         drifts.append(abs(en + st.diss - j0) / scale)
-        bb = ws.forcing(st.rho, st.N)
-        res = ws.M @ st.ydot + ws.C @ st.y - bb
-        scl = max(float(np.max(np.abs(ws.M @ st.ydot))),
-                  float(np.max(np.abs(ws.C @ st.y))),
+        # b(ϱ, N) of the recovered carriers, not b₀ + E·Y: an independent
+        # check of the bilinear identity
+        bb = ws.forcing(rho, N)
+        res = M @ st.ydot + C @ st.y - bb
+        scl = max(float(np.max(np.abs(M @ st.ydot))),
+                  float(np.max(np.abs(C @ st.y))),
                   float(np.max(np.abs(bb))), np.finfo(float).tiny)
         defects.append(float(np.max(np.abs(res))) / scl)
 
-    def track_increment(st: EvolveState):
-        nonlocal prev_rho, prev_n
-        d = st.rho - prev_rho
-        rho_inc.append(math.sqrt(float(ws.rho_weights @ (d * d))))
-        n_inc.append(math.sqrt(sum(float(ws.wf @ ((c - pc) ** 2))
-                                   for c, pc in zip(st.N, prev_n))))
-        prev_rho = st.rho.copy()
-        prev_n = tuple(c.copy() for c in st.N)
-
-    record(state)
+    prev_rho, prev_n = state.carriers()
+    record(state, prev_rho, prev_n)
     st = state
     for k in range(1, n_steps + 1):
         st = step(st, dt)
         if k % diagnostics_every == 0 or k == n_steps:
-            record(st)
-            track_increment(st)
+            rho, N = st.carriers()
+            record(st, rho, N)
+            d, dn = rho - prev_rho, N - prev_n
+            rho_inc.append(math.sqrt(float(ws.rho_weights @ (d * d))))
+            n_inc.append(math.sqrt(sum(float(ws.wf @ (c * c)) for c in dn)))
+            prev_rho, prev_n = rho, N
 
     times = np.asarray(times)
     cols = np.asarray(rows).T
@@ -582,7 +581,7 @@ def run_trajectory(state: EvolveState, T: float, dt: float,
     defects = np.asarray(defects)
 
     fit_rate, fit_band = _fit_growth(times, norm_u)
-    denom = state.meta.get("stability_denom", 0.0)
+    denom = state.meta["stability_denom"]
     h1 = np.sqrt(norm_u ** 2 + norm_gradu ** 2)
     tiny = np.finfo(float).tiny
     late = max(1, len(rho_inc) * 3 // 4)
@@ -601,8 +600,7 @@ def run_trajectory(state: EvolveState, T: float, dt: float,
         kind=ws.forms.kind, times=times, norm_rho=norm_rho, norm_u=norm_u,
         norm_diu=norm_diu, norm_ut=norm_ut, norm_gradu=norm_gradu,
         norm_N=norm_n, energy_drift=drifts, first_order_defect=defects,
-        J0=j0,
-        forcing_norm=state.meta.get("Q0_norm", state.meta.get("P0_norm", 0.0)),
+        J0=j0, forcing_norm=state.meta["forcing_norm"],
         fit_rate=fit_rate, fit_band=fit_band, ledger=ledger)
 
 

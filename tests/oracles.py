@@ -348,3 +348,23 @@ def _compressible_checks(forms, lam, y):
         _l2(wq, *(params.lambda0 * mc * mc * xin2 * u[k] for k in range(3))),
     ]
     return nv, _l2(wq, *L) / max(max(scales), 1e-300)
+
+
+def stepwise_carriers(rates, rho0, N0, ys, dt: float):
+    """ϱ and N after trapezoidal quadrature of ϱ̇ = R_ρ y and Ṅ = R_N y
+    along the velocity path ys = (y₀, y₁, …), one step of width dt at a
+    time: ϱ ← ϱ + (dt/2)(R_ρ y_old + R_ρ y_new), likewise for each row of N.
+
+    This is the route of an integrator that carries ϱ and N as state and
+    evaluates the rate laws at every step; the evolve module recovers them
+    from the integrated velocity instead.  rates(y) returns (R_ρ y, R_N y).
+    """
+    rho = np.array(rho0, dtype=float)
+    N = [np.array(c, dtype=float) for c in N0]
+    r_old, n_old = rates(ys[0])
+    for y in ys[1:]:
+        r_new, n_new = rates(y)
+        rho = rho + (dt / 2.0) * (r_old + r_new)
+        N = [Nk + (dt / 2.0) * (ro + rn) for Nk, ro, rn in zip(N, n_old, n_new)]
+        r_old, n_old = r_new, n_new
+    return rho, np.array(N)

@@ -120,7 +120,8 @@ def test_enums_reject_booleans_and_tables_need_four_samples():
     ("evolve", {"T": 1.0, "dt": math.nan}),
     ("growth", {"m": math.nan}),
     ("evolve", {"T": 1.0, "dt": 0.01, "seed": "random", "seed_rng": -1}),
-], ids=["T_inf", "dt_nan", "m_nan", "seed_rng_negative"])
+    ("evolve", {"T": 1.0, "dt": 0.01, "div_tol": 1e6}),
+], ids=["T_inf", "dt_nan", "m_nan", "seed_rng_negative", "div_tol_unknown"])
 def test_non_finite_and_negative_seed_configs_exit_2(tmp_path, capsys, command,
                                                      overrides):
     cfg = write_cfg(tmp_path, "c.json",

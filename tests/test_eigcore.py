@@ -10,8 +10,7 @@ from scipy.sparse.linalg import ArpackNoConvergence
 from mrt import eigcore
 from mrt.eigcore import (psd_ratio_sup, refine_top, solve_gsym, spd_factor,
                          top_pair)
-from mrt.errors import (BracketExhausted, NotPositiveDefinite, NotSymmetric,
-                        SolverFailure)
+from mrt.errors import NotPositiveDefinite, NotSymmetric, SolverFailure
 
 from oracles import (
     gsym_eigenvalues_reference,
@@ -306,10 +305,11 @@ def test_psd_ratio_sup_denominator_not_psd():
         psd_ratio_sup(np.eye(2), np.diag([1.0, -1.0]))
 
 
-def test_psd_ratio_sup_bracket_exhausted():
-    # D = 0 makes g(c) constant and negative: no sign change to bracket
-    with pytest.raises(BracketExhausted):
-        psd_ratio_sup(-np.eye(2), np.zeros((2, 2)))
+def test_psd_ratio_sup_vanishing_penalty():
+    # D = 0 makes N - cD = N for every c: inf{c} is -inf when N is negative
+    # semidefinite and +inf (the empty set) otherwise
+    assert psd_ratio_sup(-np.eye(2), np.zeros((2, 2))) == -np.inf
+    assert psd_ratio_sup(np.eye(2), np.zeros((2, 2))) == np.inf
 
 
 @pytest.mark.parametrize("seed", range(4))
