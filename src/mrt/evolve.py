@@ -40,7 +40,7 @@ from functools import cached_property
 from typing import Optional
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, eig as dense_eig
+from scipy.linalg import cho_factor, cho_solve, eig as dense_eig, get_lapack_funcs
 
 from .errors import IncompatibleData, InputError, SolverFailure
 from .modeforms import ModeForms, _coeff_at, _coupled_ops
@@ -218,26 +218,35 @@ class RateLaws:
 
     # -- trajectory pieces --------------------------------------------------
 
-    def energy(self, y: np.ndarray, v: np.ndarray) -> float:
-        forms = self.forms
-        return float(v @ (forms.J @ v) - y @ (forms.E @ y))
+    def energy(self, y: np.ndarray, v: np.ndarray, Jv: np.ndarray) -> float:
+        """ẏᵀJẏ − yᵀEy, with Jv = J ẏ formed by the caller."""
+        return float(v @ Jv - y @ (self.forms.E @ y))
 
     @cached_property
     def mass_factor(self):
         return cho_factor(self.forms.J, lower=True)
 
     def step_factor(self, dt: float):
-        """Cholesky factor of J + (dt/2)V − (dt²/4)E, kept for the last dt."""
+        """Lower Cholesky factor of J + (dt/2)V − (dt²/4)E and the LAPACK
+        potrs bound to it, kept for the last dt.
+
+        cho_factor has checked the matrix, so the factor is finite and the
+        step solves with potrs directly, without cho_solve's scan of the
+        factor and the right-hand side; cho_solve calls the same potrs, so
+        the solution is the same floats.
+        """
         if self._step[0] != dt:
             forms = self.forms
             S = forms.J + (dt / 2.0) * forms.V - (dt * dt / 4.0) * forms.E
             try:
-                self._step = (dt, cho_factor(S, lower=True))
+                c, _ = cho_factor(S, lower=True)
             except np.linalg.LinAlgError as e:
                 dg = np.diag(S)
                 raise SolverFailure(
                     f"implicit step matrix not positive definite at dt={dt:g} "
                     f"(diag range [{dg.min():.3e}, {dg.max():.3e}]): {e}") from e
+            potrs, = get_lapack_funcs(("potrs",), (c,))
+            self._step = (dt, (c, potrs))
         return self._step[1]
 
 
@@ -247,7 +256,8 @@ class EvolveState:
 
     y, ydot, acc: reduced velocity unknowns and their first and second time
     derivatives; Y the trapezoidal integral ∫₀ᵗ y; diss the accumulated
-    dissipation integral 2∫ẏᵀVẏ dτ.  rho0 and N0 are the initial
+    dissipation integral 2∫ẏᵀVẏ dτ and diss_rate its integrand ẏᵀVẏ at t,
+    carried so that a step forms V ẏ for its new velocity only.  rho0 and N0 are the initial
     perturbations projected onto real carriers (see the module docstring for
     the phase convention).  The current perturbations are recovered on read
     as rho = rho0 + R_ρ Y and N = N0 + R_N Y, N a (3, n_f) array.  ws holds
@@ -261,6 +271,7 @@ class EvolveState:
     acc: np.ndarray
     Y: np.ndarray
     diss: float
+    diss_rate: float
     rho0: np.ndarray
     N0: np.ndarray
     ws: RateLaws
@@ -348,10 +359,11 @@ def init_state(forms: ModeForms, u0, rho0=None, N0=None) -> EvolveState:
     v0 = cho_solve(ws.mass_factor, -(forms.V @ y) + b0)
     a0 = cho_solve(ws.mass_factor, forms.E @ y - forms.V @ v0)
 
-    meta = {"J0": ws.energy(y, v0)}
+    meta = {"J0": ws.energy(y, v0, forms.J @ v0)}
     meta.update(_initial_diagnostics(ws, y, rho, N))
     return EvolveState(t=0.0, y=y, ydot=v0, acc=a0, Y=np.zeros_like(y),
-                       diss=0.0, rho0=rho, N0=N, ws=ws, meta=meta)
+                       diss=0.0, diss_rate=float(v0 @ (forms.V @ v0)),
+                       rho0=rho, N0=N, ws=ws, meta=meta)
 
 
 def _initial_diagnostics(ws: RateLaws, y, rho, N) -> dict:
@@ -412,29 +424,37 @@ def step(state: EvolveState, dt: float) -> EvolveState:
     """One implicit time step; returns a new state.
 
     Average-acceleration update of (y, ẏ, ÿ), then the trapezoidal rule
-    for Y = ∫y and for the dissipation over the same interval.
+    for Y = ∫y and for the dissipation over the same interval.  Costs one
+    potrs solve on the factor of step_factor(dt) and three matrix-vector
+    products: E and V on the predictor, V on the new velocity.
 
     :raises InputError: dt ≤ 0.
-    :raises SolverFailure: the implicit solve breaks down.
+    :raises SolverFailure: the implicit solve breaks down or the new
+        acceleration is not finite (as from a non-finite state).
     """
     if not dt > 0.0:
         raise InputError(f"dt must be positive, got {dt}")
     ws = state.ws
-    C, K = ws.forms.V, ws.forms.E
+    forms = ws.forms
+    C = forms.V
     y, v, a = state.y, state.ydot, state.acc
-    fac = ws.step_factor(dt)
+    c, potrs = ws.step_factor(dt)
     y_pred = y + dt * v + (dt * dt / 4.0) * a
     v_pred = v + (dt / 2.0) * a
-    a_new = cho_solve(fac, K @ y_pred - C @ v_pred)
-    if not np.all(np.isfinite(a_new)):
+    a_new, info = potrs(c, forms.E @ y_pred - C @ v_pred, lower=True,
+                        overwrite_b=True)
+    if info != 0:
+        raise SolverFailure(f"implicit step solve failed (potrs info {info})")
+    if not np.isfinite(a_new).all():
         raise SolverFailure("implicit step produced non-finite acceleration")
     v_new = v_pred + (dt / 2.0) * a_new
     y_new = y_pred + (dt * dt / 4.0) * a_new
-    diss_new = state.diss + dt * (float(v @ (C @ v))
-                                  + float(v_new @ (C @ v_new)))
+    rate = float(v_new @ (C @ v_new))
     return EvolveState(t=state.t + dt, y=y_new, ydot=v_new, acc=a_new,
-                       Y=state.Y + (dt / 2.0) * (y + y_new), diss=diss_new,
-                       rho0=state.rho0, N0=state.N0, ws=ws, meta=state.meta)
+                       Y=state.Y + (dt / 2.0) * (y + y_new),
+                       diss=state.diss + dt * (state.diss_rate + rate),
+                       diss_rate=rate, rho0=state.rho0, N0=state.N0, ws=ws,
+                       meta=state.meta)
 
 
 @dataclass(frozen=True)
@@ -547,7 +567,8 @@ def run_trajectory(state: EvolveState, T: float, dt: float,
     def record(st: EvolveState, rho, N):
         times.append(st.t)
         rows.append(_norms_row(ws, st.y, st.ydot, rho, N))
-        en = ws.energy(st.y, st.ydot)
+        Jv, Cy = M @ st.ydot, C @ st.y
+        en = ws.energy(st.y, st.ydot, Jv)
         # the two identity terms cancel down to J0 along a growing mode, so
         # the drift is relative to their running size, not just to J0
         scale = max(1.0, abs(j0), abs(en) + abs(st.diss))
@@ -555,9 +576,8 @@ def run_trajectory(state: EvolveState, T: float, dt: float,
         # b(ϱ, N) of the recovered carriers, not b₀ + E·Y: an independent
         # check of the bilinear identity
         bb = ws.forcing(rho, N)
-        res = M @ st.ydot + C @ st.y - bb
-        scl = max(float(np.max(np.abs(M @ st.ydot))),
-                  float(np.max(np.abs(C @ st.y))),
+        res = Jv + Cy - bb
+        scl = max(float(np.max(np.abs(Jv))), float(np.max(np.abs(Cy))),
                   float(np.max(np.abs(bb))), np.finfo(float).tiny)
         defects.append(float(np.max(np.abs(res))) / scl)
 

@@ -368,3 +368,31 @@ def stepwise_carriers(rates, rho0, N0, ys, dt: float):
         N = [Nk + (dt / 2.0) * (ro + rn) for Nk, ro, rn in zip(N, n_old, n_new)]
         r_old, n_old = r_new, n_new
     return rho, np.array(N)
+
+
+def newmark_step_reference(M, C, K, dt: float):
+    """One average-acceleration step of M ÿ + C ẏ = K y as first written:
+    cho_solve on its own Cholesky factor of S = M + (dt/2)C − (dt²/4)K,
+    four matrix-vector products, and the dissipation rate ẏᵀCẏ formed
+    afresh at both ends of the step.
+
+    Returns step(y, v, a, Y, diss) -> (y, v, a, Y, diss), with Y the
+    trapezoidal integral of y and diss the integral 2∫ẏᵀCẏ.  The evolve
+    step must reproduce it bit for bit: it does the same float operations
+    in the same order, only without the repeated products and checks.
+    """
+    from scipy.linalg import cho_factor, cho_solve
+
+    fac = cho_factor(M + (dt / 2.0) * C - (dt * dt / 4.0) * K, lower=True)
+
+    def step(y, v, a, Y, diss):
+        y_pred = y + dt * v + (dt * dt / 4.0) * a
+        v_pred = v + (dt / 2.0) * a
+        a_new = cho_solve(fac, K @ y_pred - C @ v_pred)
+        v_new = v_pred + (dt / 2.0) * a_new
+        y_new = y_pred + (dt * dt / 4.0) * a_new
+        diss_new = diss + dt * (float(v @ (C @ v))
+                                + float(v_new @ (C @ v_new)))
+        return y_new, v_new, a_new, Y + (dt / 2.0) * (y + y_new), diss_new
+
+    return step

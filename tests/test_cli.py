@@ -324,6 +324,23 @@ def test_box_artifacts_repeat_across_threads(tmp_path):
         assert all(r == runs[0] for r in runs[1:])
 
 
+def test_evolve_artifacts_repeat_across_threads(tmp_path):
+    # evolve runs one mode: a repeat run and any thread count write the
+    # same bytes
+    c = _critical_cfg()
+    c.update({"m": 0.2, "xi": [2, 0], "T": 0.4, "dt": 0.002,
+              "seed": "growing", "diagnostics_every": 10})
+    cfg = write_cfg(tmp_path, "e.json", c)
+    runs = []
+    for threads in (1, 1, 2, 2):
+        out = tmp_path / f"evolve{len(runs)}"
+        assert run_cli("evolve", "--config", cfg, "--out", out,
+                       "--threads", threads) == 0
+        runs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+    assert set(runs[0]) == {"summary.json", "trajectory.csv", "trajectory.svg"}
+    assert all(r == runs[0] for r in runs[1:])
+
+
 def test_verify_command(tmp_path):
     cfg = write_cfg(tmp_path, "v.json", {"problem": "incompressible"})
     out = tmp_path / "out"

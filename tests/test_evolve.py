@@ -1,17 +1,19 @@
 """Linearized time evolution: identities, guards, and envelope checks."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from mrt import evolve
 from mrt.dispersion import build_growing_mode, solve_growth_rate
-from mrt.errors import IncompatibleData, InputError
+from mrt.errors import IncompatibleData, InputError, SolverFailure
 from mrt.evolve import envelope_check, init_state, run_trajectory, step, viscous_time
 from mrt.grid1d import Grid1D
 from mrt.modeforms import ModeSpec, assemble_compressible, assemble_incompressible
 from mrt.profiles import PhysicalParams, build_equilibrium, make_affine_profile
 
-from oracles import stepwise_carriers
+from oracles import newmark_step_reference, stepwise_carriers
 
 
 @pytest.fixture(scope="module")
@@ -89,10 +91,14 @@ def test_div_guard(forms_std, growing):
         init_state(forms_std, np.zeros(forms_std.size), N0=bad)
 
 
-@pytest.mark.parametrize("case", ["growing-96", "random-96", "compressible-64"])
-def test_recovered_carriers_match_stepwise_quadrature(case):
-    # rho = rho0 + R_rho Y and N = N0 + R_N Y against the per-step
-    # trapezoidal quadrature of the rate laws along the same velocity path
+_CASES = ["growing-96", "random-96", "compressible-64"]
+
+
+def _case_state(case):
+    """Initial state of one of three reference trajectories: the n = 96
+    incompressible growing mode at xi = (3, 0), random data on the same grid
+    at xi = (2, 1) above the threshold, and the n = 64 compressible growing
+    mode at xi = (0, 2)."""
     params = PhysicalParams(g=1.0, lambda0=1.0, mu=0.1, mu0=0.5)
     if case == "compressible-64":
         g1 = Grid1D("chebyshev", 1.0, 64)
@@ -107,11 +113,17 @@ def test_recovered_carriers_match_stepwise_quadrature(case):
             ModeSpec.from_integers(1.0, *xi, field_dir=3, m=m), prof, params, g1)
     if case == "random-96":
         rng = np.random.default_rng(5)
-        st = init_state(forms, rng.standard_normal(forms.size),
-                        rho0=rng.standard_normal(g1.n))
-    else:
-        gm = build_growing_mode(forms)
-        st = init_state(forms, gm.y, gm.rho, gm.N)
+        return init_state(forms, rng.standard_normal(forms.size),
+                          rho0=rng.standard_normal(g1.n))
+    gm = build_growing_mode(forms)
+    return init_state(forms, gm.y, gm.rho, gm.N)
+
+
+@pytest.mark.parametrize("case", _CASES)
+def test_recovered_carriers_match_stepwise_quadrature(case):
+    # rho = rho0 + R_rho Y and N = N0 + R_N Y against the per-step
+    # trapezoidal quadrature of the rate laws along the same velocity path
+    st = _case_state(case)
     dt = 0.002
     ys = [st.y]
     for _ in range(2000):
@@ -120,6 +132,31 @@ def test_recovered_carriers_match_stepwise_quadrature(case):
     rho, N = stepwise_carriers(st.ws.rates, st.rho0, st.N0, ys, dt)
     assert np.max(np.abs(st.rho - rho)) <= 1e-9 * np.max(np.abs(rho))
     assert np.max(np.abs(st.N - N)) <= 1e-9 * np.max(np.abs(N))
+
+
+@pytest.mark.parametrize("case", _CASES)
+def test_step_is_bit_identical_to_the_newmark_reference(case):
+    # one potrs on the checked factor, the carried dissipation rate and three
+    # products do the reference step's float operations in the same order
+    st = _case_state(case)
+    forms = st.ws.forms
+    dt = 0.002
+    ref_step = newmark_step_reference(forms.J, forms.V, forms.E, dt)
+    ref = (st.y, st.ydot, st.acc, st.Y, st.diss)
+    for _ in range(2000):
+        st = step(st, dt)
+        ref = ref_step(*ref)
+    for got, want in zip((st.y, st.ydot, st.acc, st.Y), ref[:4]):
+        assert np.array_equal(got, want)
+    assert st.diss == ref[4]
+
+
+def test_non_finite_state_raises_solver_failure(forms_std, growing):
+    _, gm = growing
+    st = init_state(forms_std, gm.y, gm.rho, gm.N)
+    # the guard after the solve, not the solver's input scan, reports it
+    with np.errstate(all="ignore"), pytest.raises(SolverFailure):
+        step(replace(st, y=st.y * np.inf), 1e-3)
 
 
 def test_step_validation(forms_std):
