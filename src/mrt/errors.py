@@ -25,7 +25,8 @@ class NonPositiveDensity(InputError):
 class PressureDeficit(InputError):
     """The background field-strength radicand is not positive somewhere.
 
-    Carries the index of the first offending node.
+    Carries the index of the first offending sample: a node, or a flux
+    point where the message names one.
     """
 
     def __init__(self, node: int, message: str | None = None):

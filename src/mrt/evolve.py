@@ -257,12 +257,13 @@ class EvolveState:
     y, ydot, acc: reduced velocity unknowns and their first and second time
     derivatives; Y the trapezoidal integral ∫₀ᵗ y; diss the accumulated
     dissipation integral 2∫ẏᵀVẏ dτ and diss_rate its integrand ẏᵀVẏ at t,
-    carried so that a step forms V ẏ for its new velocity only.  rho0 and N0 are the initial
-    perturbations projected onto real carriers (see the module docstring for
-    the phase convention).  The current perturbations are recovered on read
-    as rho = rho0 + R_ρ Y and N = N0 + R_N Y, N a (3, n_f) array.  ws holds
-    the rate laws and factors shared by the states of one trajectory; meta
-    the initial diagnostics (J0, forcing_norm, stability_denom).
+    carried so that a step forms V ẏ for its new velocity only.  rho0 and
+    N0 are the initial perturbations projected onto real carriers (see the
+    module docstring for the phase convention).  The current perturbations
+    are recovered on read as rho = rho0 + R_ρ Y and N = N0 + R_N Y, N a
+    (3, n_f) array.  ws holds the rate laws and factors shared by the states
+    of one trajectory; meta the initial diagnostics (J0, forcing_norm,
+    stability_denom).
     """
 
     t: float
@@ -464,8 +465,11 @@ class TrajectoryRecord:
     Arrays are aligned with times.  norm_diu is ‖∂ᵢu‖ for the incompressible
     problem and √(‖∂₁u‖² + ‖div u‖²) for the compressible one.  energy_drift
     is the relative defect of the energy identity with the trapezoidal
-    dissipation integral; first_order_defect the relative residual of
-    J ẏ = −V y + b(ϱ, N), which the scheme preserves to rounding.
+    dissipation integral; first_order_defect the residual of
+    J ẏ = −V y + b(ϱ, N), which the scheme preserves to rounding, in the
+    max norm relative to the largest of |J ẏ|, |V y| and |b| now and at
+    t = 0 (the residual keeps the rounding of the initial sizes when the
+    flow decays).
     fit_rate/fit_band: log-linear growth-rate estimate over the second half
     of the record with a two-sigma confidence band.
     """
@@ -563,8 +567,10 @@ def run_trajectory(state: EvolveState, T: float, dt: float,
     defects = []
     rho_inc = []
     n_inc = []
+    scale0 = np.finfo(float).tiny
 
     def record(st: EvolveState, rho, N):
+        nonlocal scale0
         times.append(st.t)
         rows.append(_norms_row(ws, st.y, st.ydot, rho, N))
         Jv, Cy = M @ st.ydot, C @ st.y
@@ -578,8 +584,10 @@ def run_trajectory(state: EvolveState, T: float, dt: float,
         bb = ws.forcing(rho, N)
         res = Jv + Cy - bb
         scl = max(float(np.max(np.abs(Jv))), float(np.max(np.abs(Cy))),
-                  float(np.max(np.abs(bb))), np.finfo(float).tiny)
-        defects.append(float(np.max(np.abs(res))) / scl)
+                  float(np.max(np.abs(bb))))
+        if st is state:
+            scale0 = max(scale0, scl)
+        defects.append(float(np.max(np.abs(res))) / max(scl, scale0))
 
     prev_rho, prev_n = state.carriers()
     record(state, prev_rho, prev_n)

@@ -330,7 +330,8 @@ def build_equilibrium(profile: DensityProfile, params: PhysicalParams,
     :param pressure_const: integration constant of the balance; must exceed
         the column's pressure-plus-weight everywhere, else PressureDeficit.
     :param sign: +1 or -1, the branch of the square root.
-    :raises PressureDeficit: radicand <= 0, reporting the first bad node.
+    :raises PressureDeficit: radicand <= 0, reporting the first bad node,
+        or, where field_fn exists, the first bad flux point.
     """
     if sign not in (1, -1):
         raise InputError("sign must be +1 or -1")
@@ -350,10 +351,19 @@ def build_equilibrium(profile: DensityProfile, params: PhysicalParams,
 
     field_fn = None
     if profile.rho_fn is not None and profile.mass_fn is not None:
-        def field_fn(x, s=sign, C=pressure_const, pr=profile, pa=params):
+        def radicand_fn(x, C=pressure_const, pr=profile, pa=params):
             r = pr.rho_fn(x)
-            rad = (2.0 / pa.lambda0) * (C - pa.A * r ** pa.gamma - pa.g * pr.mass_fn(x))
-            return s * np.sqrt(rad)
+            return (2.0 / pa.lambda0) * (C - pa.A * r ** pa.gamma - pa.g * pr.mass_fn(x))
+
+        # the form assembly samples field_fn at the flux points, and on fd2
+        # those lie between the walls and the outermost nodes
+        for k, x in enumerate(grid.flux_points):
+            if not radicand_fn(x) > 0.0:
+                raise PressureDeficit(
+                    k, f"field-strength radicand <= 0 at flux point x = {x:g}")
+
+        def field_fn(x, s=sign, rad=radicand_fn):
+            return s * np.sqrt(rad(x))
 
     if field_fn is not None:
         d_ind = _independent_dfield(field_fn, grid.nodes, grid.l)

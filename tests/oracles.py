@@ -371,7 +371,7 @@ def stepwise_carriers(rates, rho0, N0, ys, dt: float):
 
 
 def newmark_step_reference(M, C, K, dt: float):
-    """One average-acceleration step of M ÿ + C ẏ = K y as first written:
+    """One average-acceleration step of M ÿ + C ẏ = K y, written plainly:
     cho_solve on its own Cholesky factor of S = M + (dt/2)C − (dt²/4)K,
     four matrix-vector products, and the dissipation rate ẏᵀCẏ formed
     afresh at both ends of the step.

@@ -140,6 +140,19 @@ def test_pressure_deficit(unit_density, gamma2_params):
     assert isinstance(exc.value.node, int)
 
 
+def test_pressure_deficit_at_flux_points(gamma2_params):
+    # rho = 1: the radicand 2(C - 2 - x) is positive on every fd2 node
+    # (x <= 1 - h) but not at the top flux point x = 1 - h/2, which the
+    # form assembly samples
+    g1 = Grid1D("fd2", 1.0, 32)
+    prof = make_affine_profile(g1, 1.0, 0.0)
+    assert 2.95 - 2.0 - g1.nodes[-1] > 0.0
+    with pytest.raises(PressureDeficit) as exc:
+        build_equilibrium(prof, gamma2_params, 2.95)
+    assert exc.value.node == g1.flux_points.size - 1
+    assert "flux point x = 0.969697" in str(exc.value)
+
+
 def test_sign_branch(unit_density, gamma2_params):
     plus = build_equilibrium(unit_density, gamma2_params, 4.0, sign=1)
     minus = build_equilibrium(unit_density, gamma2_params, 4.0, sign=-1)
