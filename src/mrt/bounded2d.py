@@ -25,7 +25,6 @@ or calls a dense eigensolver.
 from __future__ import annotations
 
 import math
-from typing import Optional
 
 import numpy as np
 import scipy.sparse as sp
@@ -192,11 +191,11 @@ def _growth_forms_2d(r: Rect2D, p: DensityProfile, params: PhysicalParams,
 
 
 def growth_rate_2d(r: Rect2D, p: DensityProfile, params: PhysicalParams,
-                   m: float, i: int, tol: Optional[float] = None):
+                   m: float, i: int):
     """Growth rate (or stability verdict) of the rectangle problem at field
     strength m in direction i, by the same fixed-point solve as the slab."""
     forms = _growth_forms_2d(r, p, params, m, i)
-    return solve_growth_rate(forms, tol=tol)
+    return solve_growth_rate(forms)
 
 
 def velocity_from_psi(r: Rect2D, coeffs: np.ndarray):

@@ -333,8 +333,7 @@ def _growth_results(cfg: dict, threads: int):
     if cfg["problem"] == "bounded2d":
         rect = _build_rect(cfg)
         p = _profile_for_rect(cfg)
-        res = growth_rate_2d(rect, p, params, cfg["m"], cfg["field_dir"],
-                             tol=cfg["tol"])
+        res = growth_rate_2d(rect, p, params, cfg["m"], cfg["field_dir"])
         return [(rect.nx, rect.nz, rect.aspect)], [res], ("nx", "nz", "aspect")
 
     g1 = _build_grid(cfg)
@@ -345,11 +344,11 @@ def _growth_results(cfg: dict, threads: int):
 
         def solve(mode):
             return solve_growth_rate(
-                assemble_compressible(mode, eq, params, g1), tol=cfg["tol"])
+                assemble_compressible(mode, eq, params, g1))
     else:
         def solve(mode):
             return solve_growth_rate(
-                assemble_incompressible(mode, p, params, g1), tol=cfg["tol"])
+                assemble_incompressible(mode, p, params, g1))
 
     results = _map_ordered(solve, modes, threads)
     labels = [(mo.xi[0], mo.xi[1]) for mo in modes]
@@ -397,7 +396,7 @@ def cmd_evolve(cfg: dict, out: Path, threads: int) -> int:
     else:
         forms = assemble_incompressible(mode, p, params, g1)
 
-    res = solve_growth_rate(forms, tol=cfg["tol"])
+    res = solve_growth_rate(forms)
     lam = res.Lambda if res.unstable else None
     if cfg["seed"] == "growing":
         gm = build_growing_mode(forms, res)
@@ -507,7 +506,7 @@ def _verify_checks(cfg: dict) -> list:
         res.unstable and res.fixed_point_residual <= res.tol ** 2,
         Lambda=res.Lambda, residual=res.fixed_point_residual)
 
-    # the Newton samples cluster near Lambda, so a 12-point sweep over
+    # the growth iterates cluster near Lambda, so a 12-point sweep over
     # [0, frak_s] joins them
     sweep = [(float(s), alpha_of_s(forms, float(s))[0])
              for s in np.linspace(0.0, res.frak_s, 12)]

@@ -2,14 +2,16 @@
 
 The growth rate of an unstable mode is the unique positive fixed point of
 Λ = sqrt(α(Λ)), where α(s) is the largest eigenvalue of the shifted pencil
-(E - sV, J).  α is nonincreasing in s and positive exactly below
-frak_s = λmax(E, V), so h(s) = α(s) - s² has exactly one sign change on
-(0, ∞) whenever α(0) > 0, and it lies in (0, min(frak_s, sqrt(α(0)))].
-One eigensolve gives frak_s.  Newton's method on h from the upper end of
-that bracket, with the slope α′(s) = −xᵀVx/xᵀJx that the envelope theorem
-reads off the maximizer x (Ruhe's Rayleigh-functional Newton, SIAM J.
-Numer. Anal. 10, 1973), pins Λ to the last floating-point bit in a handful
-of steps; a step that leaves the bracket is replaced by its midpoint.
+(E - sV, J), nonincreasing in s.  Λ is the top real root of the quadratic
+eigenproblem (Λ²J + ΛV − E)x = 0, and it is found as such, by the
+safeguarded iteration of the minimax theory for symmetric nonlinear
+eigenproblems (Voss & Werner, Math. Methods Appl. Sci. 4, 1982): at the
+maximizer x of α(s), with e = xᵀEx, v = xᵀVx and j = xᵀJx, the
+next point is the positive root t of the scalar quadratic jt² + vt − e = 0.
+Every such root is a lower bound on Λ, since α(t) ≥ (e − tv)/j = t², and
+from any s below Λ it lies strictly above s, since α(s) > s².  The iterates
+therefore rise to Λ, quadratically, and the iteration stops when a root no
+longer rises.
 
 Every top eigenvalue this module reports (α(s), frak_s, the per-mode
 critical quotients, and the box quotient of bounded2d) is read one way:
@@ -24,10 +26,9 @@ The slab's matrices are dense: LAPACK gives the top vector, and inverse
 iteration on a Cholesky factor of σJ − A, σ just above its eigenvalue,
 refines it.  The box's are sparse: ARPACK shift-invert at a σ certified
 above λmax by an LDLᵀ of σJ − A with positive pivots gives the top vector,
-and that same factor refines it.  For α(s), s > 0, σ starts just above a
-bound the iteration holds: α at the lower end of the bracket, since α is
-nonincreasing, or inside the bracket the chord through its two ends, since
-α is also convex.  α(0), frak_s and the box quotient start from a Lanczos
+and that same factor refines it.  For α(t) at an iterate, σ starts just
+above α at the iterate before, a bound since α is nonincreasing and the
+iterates rise.  α(0), frak_s and the box quotient start from a Lanczos
 estimate.  J is checked and factored once per solve.
 
 The compressible certificate of compute_cr is likewise one
@@ -69,11 +70,11 @@ class DispersionResult:
     energy quotient vanishes to solver precision, the borderline field
     strength).  frak_s = λmax(E, V) is the right endpoint of
     {s : α(s) > 0}, an upper bound for every growth quantity of the mode,
-    and is None whenever the mode is not unstable.  fixed_point_residual is
-    |α(Λ) - Λ²| at the returned Λ; alpha_samples records every (s, α(s))
-    pair the solve evaluated, in order: α(0), the probe, the bracket end,
-    then the Newton (or midpoint) iterates; evaluations counts the eigensolves
-    of the solve, one per sample plus the frak_s one; maximizer is the
+    reported for an unstable mode and None otherwise.  fixed_point_residual
+    is |α(Λ) - Λ²| at the returned Λ; alpha_samples records every (s, α(s))
+    pair the solve evaluated, in order: α(0), the probe, then the rising
+    iterates, the last of which is Λ; evaluations counts the eigensolves of
+    the solve, one per sample plus the frak_s one; maximizer is the
     J-normalized eigenvector at s = Λ in the reduced layout; eig_residual
     its relative pencil defect ‖(E - ΛV)x - α(Λ)Jx‖ against the term
     sizes.
@@ -111,15 +112,14 @@ class PerModeValue:
 class CriticalReport:
     """Aggregate of per-mode critical values (field strengths or ratios).
 
-    sweep echoes the modes the values were computed for; diagnostics holds
-    convergence data (per-mode value against |ξ|, refinement deltas).
+    diagnostics holds convergence data (per-mode value against |ξ|,
+    refinement deltas).
     """
 
     kind: str
     per_mode: tuple
     aggregate: float
     unbounded: bool = False
-    sweep: tuple = ()
     diagnostics: dict = field(default_factory=dict)
 
 
@@ -130,7 +130,9 @@ class _Pencil:
     read only that block apply unchanged to the restricted vector.  J is
     checked and factored once here (Jf: Cholesky, or LDLᵀ when the matrices
     are sparse because every term is, as on the box), and every α
-    evaluation solves against that factor.  A sparse solve starts ARPACK
+    evaluation solves against that factor.  An evaluation reads the three
+    energies of its maximizer, from which both α and the next growth
+    iterate follow.  A sparse solve starts ARPACK
     from the previous maximizer x and refines ARPACK's vector with the
     factor of σJ − (E − sV) that certified its shift; a dense one refines
     LAPACK's vector with a Cholesky factor of that matrix at σ just above
@@ -156,23 +158,26 @@ class _Pencil:
         self.Jf = spd_factor(self.J, "J")
         self.x = None
 
-    def alpha_ld(self, s: float, upper: Optional[float] = None
-                 ) -> tuple[np.longdouble, np.ndarray]:
-        """α(s) and its maximizer; the value in extended precision.
+    def energies(self, s: float, upper: Optional[float] = None) -> tuple:
+        """(xᵀEx, xᵀVx, xᵀJx, x) at the maximizer x of α(s).
 
-        The maximizer is top_pair's refined vector; the value is its
-        Rayleigh quotient through the factored quadrature terms, so it is a
-        true lower bound on α(s) whose noise floor sits orders below the
-        assembled-matrix rounding.  upper, a value α(s) cannot exceed, lets
-        the sparse path shift-invert just above it.
+        x is top_pair's refined vector and the energies are read in long
+        double through the factored quadrature terms, so α(s) = (e − sv)/j
+        is a true lower bound on α(s) whose noise floor sits orders below
+        the assembled-matrix rounding.  upper, a value α(s) cannot exceed,
+        lets the sparse path shift-invert just above it.
         """
         A = self.E if s == 0.0 else self.E - s * self.V
         _, x = top_pair(A, self.Jf, sigma=upper, v0=self.x)
         self.x = x
-        num = qform_value_ld(self.tE, x)
-        if s != 0.0:
-            num = num - np.longdouble(s) * qform_value_ld(self.tV, x)
-        return num / qform_value_ld(self.tJ, x), x
+        return (qform_value_ld(self.tE, x), qform_value_ld(self.tV, x),
+                qform_value_ld(self.tJ, x), x)
+
+    def alpha_ld(self, s: float, upper: Optional[float] = None
+                 ) -> tuple[np.longdouble, np.ndarray]:
+        """α(s) in extended precision and its maximizer (see energies)."""
+        e, v, j, x = self.energies(s, upper)
+        return (e - np.longdouble(s) * v) / j, x
 
 
 def alpha_of_s(forms: ModeForms, s: float) -> tuple[float, np.ndarray]:
@@ -190,43 +195,38 @@ def _embed_maximizer(forms: ModeForms, pen: "_Pencil", x: np.ndarray) -> np.ndar
     return y / nrm
 
 
-def solve_growth_rate(forms: ModeForms,
-                      tol: Optional[float] = None) -> DispersionResult:
+def solve_growth_rate(forms: ModeForms) -> DispersionResult:
     """Fixed point Λ of Λ = sqrt(α(Λ)), or a stability verdict.
 
     The probe point is s₀ = 1e-6·scale with scale = sqrt(max(α(0), 1)); a
     mode is unstable when α exceeds 0 there.  For an unstable mode frak_s =
-    λmax(E, V) comes from one eigensolve (V is SPD), and since α is
-    nonincreasing and positive exactly below frak_s, Λ lies in
-    (lo, min(frak_s, sqrt(α(0)))] with lo = s₀ when h(s) = α(s) - s² is
-    positive at the probe and lo = 0 otherwise; h ≤ 0 at the upper end is
-    checked, else SolverFailure.  From that end, Newton steps
-    t = s - h(s)/(α′(s) - 2s) with α′ = -xᵀVx/xᵀJx at the maximizer x shrink
-    the sign bracket (lo, hi); a step outside the open bracket is replaced
-    by its midpoint.  The iteration stops when a step rounds to zero (t ==
-    s, which leaves |h| below half its one-ulp jump) or no midpoint is left.
-    Of all evaluations the s with smallest |h| is returned; the contract is
-    |h(Λ)| ≤ tol² with tol = 1e-8·scale by default, relaxed to the one-ulp
-    resolution of h when double precision cannot express tol² at that Λ;
-    past both, SolverFailure.
+    λmax(E, V) comes from one eigensolve (V is SPD) and is reported.  The
+    iteration starts below Λ: at the probe when α(s₀) > s₀², else at 0.
+    From the maximizer x of α(s) it steps to the positive root
+    t = 2e / (v + sqrt(v² + 4je)) of jt² + vt − e = 0, with e, v and j the
+    long-double energies of x; t is a lower bound on Λ and exceeds s while
+    s < Λ, so the iterates rise and α(t) is bounded above by α(s).  The
+    iteration stops when the root no longer rises (t ≤ s) and returns that
+    s.  The contract is |α(Λ) − Λ²| ≤ tol² with tol = 1e-8·scale, relaxed
+    to the one-ulp resolution of α(s) − s² when double precision cannot
+    express tol² at that Λ; past both, SolverFailure.
     """
     pen = _Pencil(forms)
     samples: list = []
 
-    def alpha_at(s: float, upper: Optional[float] = None
-                 ) -> tuple[np.longdouble, np.ndarray]:
-        val, x = pen.alpha_ld(s, upper)
-        samples.append((s, float(val)))
-        return val, x
+    def point(s: float, upper: Optional[float] = None) -> tuple:
+        e, v, j, x = pen.energies(s, upper)
+        a = (e - np.longdouble(s) * v) / j
+        samples.append((s, float(a)))
+        return s, a, e, v, j, x
 
-    a0_ld, x0 = alpha_at(0.0)
-    a0 = float(a0_ld)
+    origin = point(0.0)
+    a0 = float(origin[1])
     s0 = 1e-6 * math.sqrt(max(a0, 1.0))
-    probe_ld, x_probe = alpha_at(s0, a0)
-    alpha_probe = float(probe_ld)
+    probe = point(s0, a0)
+    alpha_probe = float(probe[1])
     scale = math.sqrt(max(alpha_probe, 1.0))
-    if tol is None:
-        tol = 1e-8 * scale
+    tol = 1e-8 * scale
     escale = norm_inf(pen.E) / max(norm_inf(pen.J), np.finfo(float).tiny)
     marg_tol = 1e-9 * max(escale, np.finfo(float).tiny)
 
@@ -237,79 +237,34 @@ def solve_growth_rate(forms: ModeForms,
                                 alpha_samples=tuple(samples),
                                 evaluations=len(samples))
 
-    def h(s: float, upper: float) -> tuple[np.longdouble, np.ndarray]:
-        val, x = alpha_at(s, upper)
-        return val - np.longdouble(s) * np.longdouble(s), x
-
     frak = _frak_s(pen)
-    h_probe = probe_ld - np.longdouble(s0) * np.longdouble(s0)
-    if h_probe > 0.0:
-        lo, h_lo, x_lo, a_lo = s0, h_probe, x_probe, alpha_probe
-    else:
-        lo, h_lo, x_lo, a_lo = 0.0, a0_ld, x0, a0
-    hi = min(frak, math.sqrt(max(a0, 0.0)))
-    # alpha is nonincreasing, so alpha at the lower bracket end bounds it
-    # over the bracket
-    h_hi, x_hi = h(hi, a_lo)
-    a_hi = float(h_hi) + hi * hi
-    if h_hi > 0.0:
-        raise SolverFailure(
-            f"alpha(s) - s^2 = {float(h_hi):.3e} > 0 at the bracket end {hi:.6e}")
-
-    if abs(h_hi) < abs(h_lo):
-        best_s, best_h, best_x = hi, h_hi, x_hi
-    else:
-        best_s, best_h, best_x = lo, h_lo, x_lo
-    # Newton on h from the upper end, h' = alpha' - 2s with alpha' = -V/J of
-    # the maximizer (envelope theorem); every evaluated point becomes a
-    # bracket end, so a step is tested against the bracket only after the
-    # t == s stop: a step that rounds to zero lands on that end
-    s, h_s, x_s = hi, h_hi, x_hi
+    s, a, e, v, j, x = (probe if probe[1] > np.longdouble(s0) * np.longdouble(s0)
+                        else origin)
     for _ in range(_MAX_STEPS):
-        t = s - float(h_s) / (-_v_quotient(pen, x_s) - 2.0 * s)
-        if t == s:
+        t = float(2.0 * e / (v + np.sqrt(v * v + 4.0 * j * e)))
+        if t <= s:
             break
-        if not lo < t < hi:
-            t = 0.5 * (lo + hi)
-            if t <= lo or t >= hi:
-                break
-        # alpha is also convex (a maximum of lines in s), so inside the
-        # bracket its chord is the tighter bound
-        h_s, x_s = h(t, a_lo + (a_hi - a_lo) * (t - lo) / (hi - lo))
-        s = t
-        if abs(h_s) < abs(best_h):
-            best_s, best_h, best_x = s, h_s, x_s
-        if h_s > 0.0:
-            lo, a_lo = s, float(h_s) + s * s
-        else:
-            hi, a_hi = s, float(h_s) + s * s
+        s, a, e, v, j, x = point(t, float(a))
 
-    # h moves by (2s + |alpha'|)·ulp(s) between adjacent representable s,
-    # so that jump is the resolution floor of the iteration (a Newton step
-    # that rounds to zero leaves |h| below half of it); demand tol² only
-    # when double precision can express it
-    h_floor = (2.0 * best_s + _v_quotient(pen, best_x)) * np.spacing(best_s)
-    if float(abs(best_h)) > max(tol * tol, 2.0 * h_floor):
+    h = a - np.longdouble(s) * np.longdouble(s)
+    # h moves by (2s + |α′|)·ulp(s) between adjacent representable s, with
+    # α′ = −v/j at the maximizer (envelope theorem), so that jump is the
+    # resolution floor of the iteration; demand tol² only when double
+    # precision can express it
+    h_floor = (2.0 * s + abs(float(v / j))) * np.spacing(s)
+    if float(abs(h)) > max(tol * tol, 2.0 * h_floor):
         raise SolverFailure(
-            f"fixed point stalled: |alpha(L) - L^2| = {float(abs(best_h)):.3e} "
+            f"fixed point stalled: |alpha(L) - L^2| = {float(abs(h)):.3e} "
             f"> {max(tol * tol, 2.0 * h_floor):.3e}")
-    lam = best_s
-    alpha_lam = lam * lam + float(best_h)
-    eig_res = _pencil_residual(pen, lam, alpha_lam, best_x)
+    eig_res = _pencil_residual(pen, s, s * s + float(h), x)
 
-    return DispersionResult(mode=forms.mode, status="unstable", Lambda=lam,
+    return DispersionResult(mode=forms.mode, status="unstable", Lambda=s,
                             frak_s=frak, alpha0=a0, scale=scale, tol=tol,
-                            fixed_point_residual=float(abs(best_h)),
+                            fixed_point_residual=float(abs(h)),
                             alpha_samples=tuple(samples),
-                            maximizer=_embed_maximizer(forms, pen, best_x),
+                            maximizer=_embed_maximizer(forms, pen, x),
                             eig_residual=eig_res,
                             evaluations=len(samples) + 1)
-
-
-def _v_quotient(pen: _Pencil, x: np.ndarray) -> float:
-    """|xᵀVx| / xᵀJx, which is -α′(s) at the maximizer x of α(s)."""
-    return abs(float(x @ (pen.V @ x))) / max(float(x @ (pen.J @ x)),
-                                             np.finfo(float).tiny)
 
 
 def _top_quotient(A, B, tA, tB, v0: Optional[np.ndarray] = None) -> float:
@@ -435,12 +390,11 @@ def critical_m_sweep(profile: DensityProfile, params: PhysicalParams,
     rows = []
     agg = 0.0
     unbounded = False
-    capable = float(np.max(profile.drho)) > 0.0
     for mode in sweep:
         if mode.xi_norm2 == 0.0:
             raise ZeroMode("critical-strength sweep needs |xi| > 0 per mode")
         if i == 1 and mode.xi[0] == 0.0:
-            if capable:
+            if profile.rt_unstable:
                 rows.append(PerModeValue(mode.xi, math.inf, math.inf,
                                          "no stabilization for xi1 = 0"))
                 unbounded = True
@@ -466,7 +420,7 @@ def critical_m_sweep(profile: DensityProfile, params: PhysicalParams,
                            in zip(finite, finite[1:])]}
     return CriticalReport(kind="critical_m", per_mode=tuple(rows),
                           aggregate=agg, unbounded=unbounded,
-                          sweep=tuple(sweep), diagnostics=diag)
+                          diagnostics=diag)
 
 
 def compute_cr(eq: CompressibleEquilibrium, params: PhysicalParams,
@@ -496,7 +450,7 @@ def compute_cr(eq: CompressibleEquilibrium, params: PhysicalParams,
             unbounded = True
         agg = max(agg, c)
     return CriticalReport(kind="cr", per_mode=tuple(rows), aggregate=agg,
-                          unbounded=unbounded, sweep=tuple(sweep))
+                          unbounded=unbounded)
 
 
 # --------------------------------------------------------------------------

@@ -333,19 +333,19 @@ def assemble_quotient(mode: ModeSpec, p: DensityProfile, params: PhysicalParams,
     """Numerator/denominator pair of the per-mode critical-strength quotient.
 
     Eform = g∫ρ̄′v₃²; Dform = λ₀·(bending form) for i=3, λ₀ξ₁²·(unit mass)
-    for i=1.  The per-mode critical strength is √max(0, λ_max(E, D)).
+    for i=1.  The per-mode critical strength is √max(0, λ_max(E, D)).  The
+    forms live on the v₃ block alone: φ adds nothing to the numerator and
+    its penalty block is decoupled from v₃.
     """
     if i is None:
         i = mode.field_dir
     layout, _, _, unit_flux, bend, buoy = _incompressible_pieces(mode, p, params, g1)
-    N = layout["phi"].stop
-    if i == 3:
-        terms_D = tuple(t.scaled(params.lambda0) for t in bend)
-    else:
-        terms_D = tuple(t.scaled(params.lambda0 * mode.xi[0] ** 2)
-                        for t in unit_flux)
-    return ModeForms(kind="quotient", mode=mode, grid=g1, layout=layout,
-                     size=N, terms_E=buoy, terms_D=terms_D,
+    sv = layout["v3"]
+    penalty = bend if i == 3 else unit_flux
+    c = params.lambda0 if i == 3 else params.lambda0 * mode.xi[0] ** 2
+    terms_D = tuple(t.scaled(c) for t in penalty if t.cols == sv)
+    return ModeForms(kind="quotient", mode=mode, grid=g1, layout={"v3": sv},
+                     size=sv.stop, terms_E=buoy, terms_D=terms_D,
                      profile=p, params=params)
 
 

@@ -121,20 +121,14 @@ def test_enums_reject_booleans_and_tables_need_four_samples():
     ("growth", {"m": math.nan}),
     ("evolve", {"T": 1.0, "dt": 0.01, "seed": "random", "seed_rng": -1}),
     ("evolve", {"T": 1.0, "dt": 0.01, "div_tol": 1e6}),
-], ids=["T_inf", "dt_nan", "m_nan", "seed_rng_negative", "div_tol_unknown"])
+    ("growth", {"tol": 1e-6}),
+], ids=["T_inf", "dt_nan", "m_nan", "seed_rng_negative", "div_tol_unknown",
+        "tol_unknown"])
 def test_non_finite_and_negative_seed_configs_exit_2(tmp_path, capsys, command,
                                                      overrides):
     cfg = write_cfg(tmp_path, "c.json",
                     {"problem": "incompressible", "n": 16, **overrides})
     assert run_cli(command, "--config", cfg, "--out", tmp_path / "o") == 2
-    assert "mrt: config error" in capsys.readouterr().err
-
-
-def test_negative_tolerance_exits_2(tmp_path, capsys):
-    # a negative tol would square into a loose positive acceptance band
-    cfg = write_cfg(tmp_path, "t.json",
-                    {"problem": "incompressible", "n": 16, "tol": -1})
-    assert run_cli("growth", "--config", cfg, "--out", tmp_path / "o") == 2
     assert "mrt: config error" in capsys.readouterr().err
 
 

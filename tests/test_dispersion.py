@@ -2,6 +2,7 @@
 
 import json
 import math
+from decimal import Decimal, localcontext
 from pathlib import Path
 
 import numpy as np
@@ -117,7 +118,7 @@ def test_fixed_point_and_eig_residual(forms_std):
 
 def test_alpha_samples_nonincreasing(forms_std):
     res = solve_growth_rate(forms_std)
-    # the Newton path alone is a few points near Lambda; add an independent
+    # the growth iterates alone are a few points near Lambda; add an independent
     # sweep over [0, frak_s]
     sweep = [(float(s), alpha_of_s(forms_std, float(s))[0])
              for s in np.linspace(0.0, res.frak_s, 12)]
@@ -166,8 +167,10 @@ def _growth_case(scheme, n, problem, shape, arg):
     for shape in ("affine", "tanh") for k2 in (1, 2)
 ], ids=lambda c: "-".join(map(str, c)))
 def test_growth_newton_cost_and_root(case):
-    # the Newton iteration lands on the root plain bisection finds on the
-    # same long-double alpha, within at most 10 eigensolves per mode
+    # the growth iteration (Newton on alpha with s^2 kept exact: the tangent
+    # of alpha meets s^2 at the root of the maximizer's quadratic) lands on
+    # the root plain bisection finds on the same long-double alpha, within
+    # at most 10 eigensolves per mode
     forms = _growth_case(*case)
     res = solve_growth_rate(forms)
     assert res.unstable
@@ -202,15 +205,15 @@ def test_growth_factorizations_per_solve(params_std, monkeypatch):
     forms = assemble_incompressible(mode, make_affine_profile(g1, 2.0, 1.0),
                                     params_std, g1)
     res = solve_growth_rate(forms)
-    assert res.evaluations == 9
+    assert res.evaluations == 7
     assert counts == {"factor": res.evaluations + 2, "refine": res.evaluations}
 
     rect = Rect2D((-1.0, 1.0), (-1.0, 1.0), 32, 32)
     box_prof = make_affine_profile(Grid1D("fd2", 1.0, 64), 2.0, 1.0)
-    for i, factorizations in ((1, 12), (3, 17)):
+    for i, evaluations, factorizations in ((1, 8, 12), (3, 9, 18)):
         counts["factor"] = counts["refine"] = 0
         res = growth_rate_2d(rect, box_prof, params_std, 0.12, i)
-        assert res.unstable and res.evaluations == 8
+        assert res.unstable and res.evaluations == evaluations
         assert counts == {"factor": factorizations, "refine": 0}
 
 
@@ -227,49 +230,46 @@ def _two_block_forms(e, v):
                      terms_J=terms(np.ones(2)))
 
 
-def _bracket_midpoints(res) -> int:
-    """How many samples past the bracket end sit at the midpoint of the
-    sign bracket they were taken from, replayed from alpha_samples."""
-    (s0, a_probe), (hi, _) = res.alpha_samples[1:3]
-    lo = s0 if a_probe - s0 * s0 > 0.0 else 0.0
-    count = 0
-    for s, a in res.alpha_samples[3:]:
-        count += s == 0.5 * (lo + hi)
-        if a - s * s > 0.0:
-            lo = s
-        else:
-            hi = s
-    return count
+def _quadratic_root(e: float, v: float) -> float:
+    """Positive root of t² + vt − e = 0, correctly rounded."""
+    with localcontext() as ctx:
+        ctx.prec = 50
+        e, v = Decimal(e), Decimal(v)
+        return float((-v + (v * v + 4 * e).sqrt()) / 2)
 
 
-def test_growth_newton_bisects_outside_bracket(monkeypatch):
-    # alpha(s) = max(12 - 7s, 4 - 2s): the flat block holds the top of the
-    # pencil at the bracket end s = 2, the steep one at the probe and at
-    # Lambda = (sqrt(97) - 7)/2, and the two cross at s = 1.6.  alpha is
-    # convex, so with the true slope every Newton step stays inside the
-    # bracket; the slope of the other block (what a maximizer mixed across
-    # a near-crossing reports) sends steps outside it, and the iteration
-    # has to bisect
-    forms = _two_block_forms([12.0, 4.0], [7.0, 2.0])
-    exact = solve_growth_rate(forms)
-    assert _bracket_midpoints(exact) == 0
-
-    def other_block_slope(pen, x):
-        j = 1 - int(np.argmax(np.abs(x)))
-        return float(pen.V[j, j] / pen.J[j, j])
-
-    monkeypatch.setattr(dispersion, "_v_quotient", other_block_slope)
-    res = solve_growth_rate(forms)
+@pytest.mark.parametrize("e,v", [
+    # the steep first block holds the top from the probe to Lambda
+    ((12.0, 4.0), (7.0, 2.0)),
+    # the steep second block holds the top at the probe, and its root lies
+    # past the crossing at s = 2/8.9, where the flat first block takes over
+    ((1.0, 3.0), (0.1, 9.0)),
+], ids=["one_block", "block_switch"])
+def test_growth_iterates_rise_to_root(e, v):
+    # alpha(s) = max_i(e_i - v_i s): each iterate is the root of the top
+    # block's quadratic, a lower bound on Lambda, so the samples past the
+    # probe rise strictly and never pass Lambda, which is the first block's
+    # root
+    res = solve_growth_rate(_two_block_forms(e, v))
     assert res.unstable
-    assert _bracket_midpoints(res) >= 1
+    lam = res.Lambda
+    assert abs(lam - _quadratic_root(e[0], v[0])) <= np.spacing(lam)
+    iterates = [s for s, _ in res.alpha_samples[1:]]
+    assert all(s1 < s2 for s1, s2 in zip(iterates, iterates[1:]))
+    assert all(s <= lam for s, _ in res.alpha_samples)
+    assert iterates[-1] == lam
+    assert res.evaluations < dispersion._MAX_STEPS
 
-    ref = scalar_growth_bisection(lambda s: max(12.0 - 7.0 * s, 4.0 - 2.0 * s),
-                                  0.0, 2.0)
-    assert abs(res.Lambda - ref) <= 1e-12 * ref
-    assert abs(exact.Lambda - ref) <= 1e-12 * ref
-    h_floor = (2.0 * res.Lambda + 7.0) * np.spacing(res.Lambda)
-    assert res.fixed_point_residual <= max(res.tol ** 2, 2.0 * h_floor)
-    assert exact.evaluations < res.evaluations < dispersion._MAX_STEPS
+
+def test_growth_probe_past_root_starts_at_zero():
+    # alpha(s) = 5e-13 - 1e-7 s is positive at the probe s0 = 1e-6 but
+    # below s0^2, so Lambda < s0: the iteration rises from the maximizer
+    # at 0 instead, and its first root is Lambda
+    res = solve_growth_rate(_two_block_forms([5e-13, 1e-14], [1e-7, 1.0]))
+    assert res.unstable
+    (_, a0), (s0, _), (lam, _) = res.alpha_samples
+    assert a0 == 5e-13 and lam == res.Lambda < s0
+    assert abs(lam - _quadratic_root(5e-13, 1e-7)) <= np.spacing(lam)
 
 
 def test_threshold_dichotomy(affine64, params_std):

@@ -132,12 +132,15 @@ def test_quotient_forms_structure(affine64, params_std):
     growth = assemble_incompressible(
         ModeSpec.from_integers(1.0, 2, 0, field_dir=3, m=0.0),
         affine64, params_std, g1)
-    # numerator of the quotient equals the growth-energy at m = 0
-    assert np.max(np.abs(q3.E - growth.E)) <= 1e-13
+    # the quotient lives on the v3 block, where its numerator equals the
+    # growth energy at m = 0
+    sv = growth.layout["v3"]
+    assert q3.layout == {"v3": sv} and q3.size == sv.stop
+    assert np.max(np.abs(q3.E - growth.E[sv, sv])) <= 1e-13
     assert _sym_err(q3.D) <= 1e-13
     assert np.min(np.linalg.eigvalsh(q3.D)) >= -1e-10
     # a critical strength is lambda_max(E, D): the quotient builds no mass
-    assert q3.V is None and q3.J is None and q3.size == growth.size
+    assert q3.V is None and q3.J is None
 
     q1 = assemble_quotient(mode, affine64, params_std, g1, i=1)
     assert q1.D.shape == q3.D.shape
