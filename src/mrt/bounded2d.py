@@ -16,10 +16,10 @@ paths to div w are then the same matrix, so div w = 0 holds to rounding.
 
 The critical-strength quotient and the growth problem share one term
 builder, _box_terms: buoyancy, stretching, viscous and mass forms as
-factored terms over sparse operators.  The solvers assemble them into
-sparse matrices (modeforms._sparse, through ModeForms.form) and read their
-quotients through the terms; no box solve builds a dense nred×nred matrix
-or calls a dense eigensolver.
+factored terms over sparse operators.  Both are solved by the slab's
+pencil (dispersion._Pencil), which assembles them into sparse matrices
+and reads their quotients through the terms; no box solve builds a dense
+nred×nred matrix or calls a dense eigensolver.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ import math
 import numpy as np
 import scipy.sparse as sp
 
-from .dispersion import _top_quotient, solve_growth_rate
+from .dispersion import critical_quotient, solve_growth_rate
 from .errors import InputError, TooFewNodes
 from .modeforms import FormTerm, ModeForms, _coeff_at
 from .profiles import DensityProfile, PhysicalParams
@@ -163,13 +163,12 @@ def critical_m_2d(r: Rect2D, p: DensityProfile, params: PhysicalParams,
                   i: int) -> float:
     """Critical field strength on the rectangle: finite in both directions.
 
-    The top vector of the sparse pencil comes from ARPACK (eigcore.top_pair);
-    the quotient is read through the factored terms in long double, like
-    the slab's per-mode values (dispersion._top_quotient).
+    λmax(E, D) is read by the slab's pencil, like the slab's per-mode values
+    (dispersion.critical_quotient): ARPACK's top vector of the sparse
+    pencil, refined, and its quotient through the factored terms in long
+    double.
     """
-    forms = assemble_2d_quotient(r, p, params, i)
-    val = _top_quotient(forms.form("E"), forms.form("D"),
-                        forms.terms_E, forms.terms_D)
+    val, _ = critical_quotient(assemble_2d_quotient(r, p, params, i))
     return math.sqrt(max(val, 0.0))
 
 

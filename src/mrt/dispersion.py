@@ -13,30 +13,31 @@ from any s below Λ it lies strictly above s, since α(s) > s².  The iterates
 therefore rise to Λ, quadratically, and the iteration stops when a root no
 longer rises.
 
-Every top eigenvalue this module reports (α(s), frak_s, the per-mode
-critical quotients, and the box quotient of bounded2d) is read one way:
-eigcore.top_pair gives the refined top vector, and the value is its Rayleigh
-quotient through the factored quadrature terms in long double.  That keeps
-the fixed-point defect and the critical strengths at the rounding level of
-the energies rather than of the assembled matrices.  critical_M's limit
-quotient has no factored terms and stays the double quotient of its
-matrices.
+Every top eigenvalue this module reports is read by one pencil, _Pencil:
+α(s), frak_s = λmax(E, V), the per-mode and limit critical quotients
+λmax(E, D) of the slab, the box quotient of bounded2d, and the λmax(E_c; J)
+certificate of compute_cr.  eigcore.top_pair gives the refined top vector,
+and the value is its Rayleigh quotient through the factored quadrature
+terms in long double.  That keeps the fixed-point defect, the critical
+strengths and the certificates at the rounding level of the energies
+rather than of the assembled matrices.
 
 The slab's matrices are dense: LAPACK gives the top vector, and inverse
-iteration on a Cholesky factor of σJ − A, σ just above its eigenvalue,
+iteration on a Cholesky factor of σB − A, σ just above its eigenvalue,
 refines it.  The box's are sparse: ARPACK shift-invert at a σ certified
-above λmax by an LDLᵀ of σJ − A with positive pivots gives the top vector,
+above λmax by an LDLᵀ of σB − A with positive pivots gives the top vector,
 and that same factor refines it.  For α(t) at an iterate, σ starts just
 above α at the iterate before, a bound since α is nonincreasing and the
 iterates rise.  α(0), frak_s and the box quotient start from a Lanczos
-estimate.  J is checked and factored once per solve.
+estimate.  B is checked and factored once per pencil.
 
-The compressible certificate of compute_cr is likewise one
-Schur-complement eigenproblem per mode (see eigcore.psd_ratio_sup).
+The stability ratio of compute_cr is one Schur-complement eigenproblem per
+mode (eigcore.psd_ratio_sup); it is the one reported eigenvalue that does
+not go through the pencil.
 
 For the incompressible problem the transverse stream component φ never
-helps the numerator (its energy block is nonpositive), so the maximization
-runs on the vertical-displacement block alone.
+helps the numerator (its energy block is nonpositive), so the pencil
+maximizes over the vertical-displacement block alone.
 
 A growing mode e^{Λt}(u, ϱ, N) takes its density and field carriers from
 the rate laws of evolve.RateLaws, divided by Λ, and carries nothing else.
@@ -52,11 +53,11 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import InputError, NoGrowth, SolverFailure, ZeroMode
-from .eigcore import norm_inf, psd_ratio_sup, solve_gsym, spd_factor, top_pair
+from .eigcore import norm_inf, psd_ratio_sup, spd_factor, top_pair
 from .evolve import RateLaws
 from .grid1d import Grid1D
-from .modeforms import (ModeForms, ModeSpec, assemble_cr_forms,
-                        assemble_quotient, qform_value_ld)
+from .modeforms import (FormTerm, ModeForms, ModeSpec, _sparse,
+                        assemble_cr_forms, assemble_quotient, qform_value_ld)
 from .profiles import (CompressibleEquilibrium, DensityProfile, PhysicalParams)
 
 _MAX_STEPS = 200
@@ -124,60 +125,82 @@ class CriticalReport:
 
 
 class _Pencil:
-    """Restriction of a ModeForms to the maximizing block, with term tuples.
+    """λmax(A − sC, B) over the factored terms of a ModeForms.
 
-    The incompressible v₃ block comes first in its layout, so the terms that
-    read only that block apply unchanged to the restricted vector.  J is
-    checked and factored once here (Jf: Cholesky, or LDLᵀ when the matrices
-    are sparse because every term is, as on the box), and every α
-    evaluation solves against that factor.  An evaluation reads the three
-    energies of its maximizer, from which both α and the next growth
-    iterate follow.  A sparse solve starts ARPACK
-    from the previous maximizer x and refines ARPACK's vector with the
-    factor of σJ − (E − sV) that certified its shift; a dense one refines
-    LAPACK's vector with a Cholesky factor of that matrix at σ just above
-    its eigenvalue.
+    num, den and shift name the forms A, B and C ("E", "V", "J" or "D");
+    without a shift the pencil is (A, B) and s stays 0.  The defaults give
+    the growth pencil (E − sV, J).  Incompressible forms are restricted
+    here to the v₃ block, which comes first in their layout, so the terms
+    that read only that block apply unchanged to the restricted vector.
+    The matrices are the forms' own: the cached dense ones, or CSR
+    assembled from the terms when every operator is sparse, as on the box.
+    B is checked and factored once here (Bf: Cholesky, or LDLᵀ when
+    sparse), and every evaluation solves against that factor.  An
+    evaluation reads the energies of its maximizer, from which both α(s)
+    and the next growth iterate follow.  A sparse solve starts ARPACK from
+    the previous maximizer x and refines ARPACK's vector with the factor of
+    σB − (A − sC) that certified its shift; a dense one refines LAPACK's
+    vector with a Cholesky factor of that matrix at σ just above its
+    eigenvalue.  A pencil made from another one, base, on the same forms
+    reuses the matrices base built and starts from base's maximizer.
     """
 
-    def __init__(self, forms: ModeForms):
+    def __init__(self, forms: ModeForms, num: str = "E", den: str = "J",
+                 shift: Optional[str] = "V", base: Optional["_Pencil"] = None):
         self.forms = forms
-        if forms.kind == "incompressible":
-            sv = forms.layout["v3"]
-            self.E = forms.E[sv, sv]
-            self.V = forms.V[sv, sv]
-            self.J = forms.J[sv, sv]
-            self.tE, self.tV, self.tJ = (
-                tuple(t for t in terms if t.cols == sv)
-                for terms in (forms.terms_E, forms.terms_V, forms.terms_J))
-            self.slice = sv
-        else:
-            self.E, self.V, self.J = (forms.form(k) for k in "EVJ")
-            self.tE, self.tV, self.tJ = forms.terms_E, forms.terms_V, forms.terms_J
-            self.slice = slice(0, forms.size)
-        self.sparse = sp.issparse(self.J)
-        self.Jf = spd_factor(self.J, "J")
-        self.x = None
+        self.slice = (forms.layout["v3"] if forms.kind == "incompressible"
+                      else slice(0, forms.size))
+        self.built = {} if base is None else base.built
+        self.A, self.tA = self._form(num)
+        self.B, self.tB = self._form(den)
+        self.C, self.tC = self._form(shift) if shift else (None, ())
+        self.sparse = sp.issparse(self.B)
+        self.Bf = spd_factor(self.B, den)
+        self.x = None if base is None else base.x
+
+    def _form(self, name: str) -> tuple:
+        """The matrix of form name on the pencil's block, and its terms."""
+        if name not in self.built:
+            forms, sv = self.forms, self.slice
+            terms = getattr(forms, "terms_" + name)
+            if forms.kind == "incompressible":
+                terms = tuple(t for t in terms if t.cols == sv)
+                M = getattr(forms, name)[sv, sv]
+            elif all(t.sparse for t in terms):
+                M = _sparse(terms, forms.size)
+            else:
+                M = getattr(forms, name)
+            self.built[name] = M, terms
+        return self.built[name]
 
     def energies(self, s: float, upper: Optional[float] = None) -> tuple:
-        """(xᵀEx, xᵀVx, xᵀJx, x) at the maximizer x of α(s).
+        """(xᵀAx, xᵀCx, xᵀBx, x) at the maximizer x of λmax(A − sC, B);
+        xᵀCx is 0 without a shift.
 
         x is top_pair's refined vector and the energies are read in long
-        double through the factored quadrature terms, so α(s) = (e − sv)/j
-        is a true lower bound on α(s) whose noise floor sits orders below
-        the assembled-matrix rounding.  upper, a value α(s) cannot exceed,
-        lets the sparse path shift-invert just above it.
+        double through the factored quadrature terms, so (a − sc)/b is a
+        true lower bound on λmax whose noise floor sits orders below the
+        assembled-matrix rounding.  upper, a value λmax cannot exceed, lets
+        the sparse path shift-invert just above it.
         """
-        A = self.E if s == 0.0 else self.E - s * self.V
-        _, x = top_pair(A, self.Jf, sigma=upper, v0=self.x)
+        M = self.A if s == 0.0 else self.A - s * self.C
+        _, x = top_pair(M, self.Bf, sigma=upper, v0=self.x)
         self.x = x
-        return (qform_value_ld(self.tE, x), qform_value_ld(self.tV, x),
-                qform_value_ld(self.tJ, x), x)
+        c = qform_value_ld(self.tC, x) if self.tC else np.longdouble(0.0)
+        return qform_value_ld(self.tA, x), c, qform_value_ld(self.tB, x), x
 
-    def alpha_ld(self, s: float, upper: Optional[float] = None
+    def alpha_ld(self, s: float = 0.0, upper: Optional[float] = None
                  ) -> tuple[np.longdouble, np.ndarray]:
-        """α(s) in extended precision and its maximizer (see energies)."""
-        e, v, j, x = self.energies(s, upper)
-        return (e - np.longdouble(s) * v) / j, x
+        """λmax(A − sC, B) in extended precision, α(s) on the growth pencil,
+        and its maximizer (see energies)."""
+        a, c, b, x = self.energies(s, upper)
+        return (a - np.longdouble(s) * c) / b, x
+
+
+def critical_quotient(forms: ModeForms) -> tuple[float, np.ndarray]:
+    """λmax(E, D) of quotient forms and its D-normalized maximizer."""
+    val, x = _Pencil(forms, den="D", shift=None).alpha_ld()
+    return float(val), x
 
 
 def alpha_of_s(forms: ModeForms, s: float) -> tuple[float, np.ndarray]:
@@ -190,7 +213,7 @@ def alpha_of_s(forms: ModeForms, s: float) -> tuple[float, np.ndarray]:
 def _embed_maximizer(forms: ModeForms, pen: "_Pencil", x: np.ndarray) -> np.ndarray:
     y = np.zeros(forms.size)
     y[pen.slice] = x
-    J = pen.J if pen.sparse else forms.J
+    J = pen.B if pen.sparse else forms.J
     nrm = math.sqrt(max(float(y @ (J @ y)), np.finfo(float).tiny))
     return y / nrm
 
@@ -227,7 +250,7 @@ def solve_growth_rate(forms: ModeForms) -> DispersionResult:
     alpha_probe = float(probe[1])
     scale = math.sqrt(max(alpha_probe, 1.0))
     tol = 1e-8 * scale
-    escale = norm_inf(pen.E) / max(norm_inf(pen.J), np.finfo(float).tiny)
+    escale = norm_inf(pen.A) / max(norm_inf(pen.B), np.finfo(float).tiny)
     marg_tol = 1e-9 * max(escale, np.finfo(float).tiny)
 
     if alpha_probe <= 0.0:
@@ -237,7 +260,7 @@ def solve_growth_rate(forms: ModeForms) -> DispersionResult:
                                 alpha_samples=tuple(samples),
                                 evaluations=len(samples))
 
-    frak = _frak_s(pen)
+    frak = float(_Pencil(forms, den="V", shift=None, base=pen).alpha_ld()[0])
     s, a, e, v, j, x = (probe if probe[1] > np.longdouble(s0) * np.longdouble(s0)
                         else origin)
     for _ in range(_MAX_STEPS):
@@ -267,31 +290,11 @@ def solve_growth_rate(forms: ModeForms) -> DispersionResult:
                             evaluations=len(samples) + 1)
 
 
-def _top_quotient(A, B, tA, tB, v0: Optional[np.ndarray] = None) -> float:
-    """λmax(A, B), reported as the long-double factored quotient of the
-    refined top vector of the pencil.
-
-    tA and tB are the term tuples A and B were assembled from; A and B are
-    dense, or sparse when the terms are (then v0 starts the Lanczos run).
-    The quotient through the terms carries the rounding of the energies
-    rather than of the assembled matrices, whose norms reach 1e9 on stiff
-    modes.
-    """
-    _, x = top_pair(A, B, v0=v0)
-    return float(qform_value_ld(tA, x) / qform_value_ld(tB, x))
-
-
-def _frak_s(pen: _Pencil) -> float:
-    """λmax(E, V), the right endpoint of {s : α(s) > 0}; read like α
-    itself, which puts α(frak_s) at the rounding level of the energies."""
-    return _top_quotient(pen.E, pen.V, pen.tE, pen.tV, v0=pen.x)
-
-
 def _pencil_residual(pen: _Pencil, s: float, alpha: float, x: np.ndarray) -> float:
     """Relative defect of (E - sV)x = αJx at the candidate eigenpair."""
-    A = pen.E - s * pen.V
-    r = A @ x - alpha * (pen.J @ x)
-    den = norm_inf(A) + abs(alpha) * norm_inf(pen.J)
+    A = pen.A - s * pen.C
+    r = A @ x - alpha * (pen.B @ x)
+    den = norm_inf(A) + abs(alpha) * norm_inf(pen.B)
     den *= max(float(np.max(np.abs(x))), np.finfo(float).tiny)
     return float(np.max(np.abs(r))) / max(den, np.finfo(float).tiny)
 
@@ -304,10 +307,13 @@ def _limit_quotient(profile: DensityProfile, params: PhysicalParams,
                     g1: Grid1D) -> tuple[float, np.ndarray]:
     """Top pair of g∫ρ̄′ψ² / λ₀∫(ψ′)² over ψ vanishing at the walls; the
     vector is normalized in the denominator form."""
-    num = params.g * np.diag(g1.quad * profile.drho)
-    den = params.lambda0 * (
-        g1.deriv_flux.T @ (g1.flux_weights[:, None] * g1.deriv_flux))
-    return top_pair(num, 0.5 * (den + den.T))
+    n = g1.n
+    forms = ModeForms(
+        kind="quotient", mode=None, grid=g1, layout={"psi": slice(0, n)},
+        size=n, terms_E=(FormTerm(params.g, g1.quad * profile.drho, np.eye(n)),),
+        terms_D=(FormTerm(params.lambda0, g1.flux_weights, g1.deriv_flux),),
+        profile=profile, params=params)
+    return critical_quotient(forms)
 
 
 def critical_M(profile: DensityProfile, params: PhysicalParams,
@@ -404,7 +410,7 @@ def critical_m_sweep(profile: DensityProfile, params: PhysicalParams,
                                          "not buoyant"))
             continue
         q = assemble_quotient(mode, profile, params, g1, i=i)
-        val = _top_quotient(q.E, q.D, q.terms_E, q.terms_D)
+        val, _ = critical_quotient(q)
         mc = math.sqrt(max(val, 0.0))
         rows.append(PerModeValue(mode.xi, mc, val))
         if mc > agg:
@@ -434,15 +440,15 @@ def compute_cr(eq: CompressibleEquilibrium, params: PhysicalParams,
     positive on the penalty's kernel, or null there but coupled to its
     range).  The penalty always contains λ₀∫(v₃′)², so it never vanishes
     on the whole mode space.  The aggregate is the supremum; each row
-    carries λ_max(E_c; J) as an independent sign certificate.
+    carries λ_max(E_c; J) as an independent sign certificate, read by the
+    growth pencil exactly as α(0) is.
     """
     rows = []
     agg = -math.inf
     unbounded = False
     for mode in sweep:
         forms = assemble_cr_forms(mode, eq, params, g1)
-        n = forms.size
-        cert = solve_gsym(forms.E, forms.J, subset=(n - 1, n - 1)).eigenvalues[-1]
+        cert, _ = _Pencil(forms, shift=None).alpha_ld()
         c = psd_ratio_sup(forms.E, forms.D)
         note = "unbounded" if c == math.inf else ""
         rows.append(PerModeValue(mode.xi, c, float(cert), note))

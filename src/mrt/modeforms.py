@@ -19,7 +19,8 @@ A term's operators read only the columns of the stacked unknown it names
 they may be dense arrays or scipy sparse matrices.  _dense turns terms into
 a dense matrix, block by block, and _sparse turns sparse ones into a CSR
 matrix; ModeForms builds its dense matrices from its terms only when they
-are first read.
+are first read, and the solvers' pencil builds CSR when every operator is
+sparse.
 
 First-derivative products are assembled on the staggered flux grid, never by
 squaring the nodal central difference (see grid1d).
@@ -174,10 +175,10 @@ class ModeForms:
     quotient kinds carry only E and D, since a critical strength is
     λmax(E, D)), so that a reported quotient can be read through them in
     long double.  E, V, J and D are the dense symmetric matrices of those
-    terms, assembled the first time each is read; solvers take their
-    matrices from form(), which keeps sparse terms sparse, so a solve that
-    never reads E allocates no size² array.  aux holds named auxiliary PSD
-    matrices used for diagnostics norms.
+    terms, assembled the first time each is read; the solvers' pencil
+    (dispersion._Pencil) reads them, or assembles CSR from the terms when
+    every operator is sparse, so a sparse solve allocates no size² array.
+    aux holds named auxiliary PSD matrices used for diagnostics norms.
     """
 
     kind: str
@@ -212,15 +213,6 @@ class ModeForms:
     @cached_property
     def D(self) -> Optional[np.ndarray]:
         return self._assembled(self.terms_D)
-
-    def form(self, name: str):
-        """The matrix a solver reads for form name ("E", "V", "J" or "D"):
-        CSR from the terms when every term operator is sparse, else the
-        dense matrix."""
-        terms = getattr(self, "terms_" + name)
-        if terms and all(t.sparse for t in terms):
-            return _sparse(terms, self.size)
-        return getattr(self, name)
 
 
 def _coeff_at(points: np.ndarray, grid: Grid1D, nodal: np.ndarray,

@@ -18,18 +18,6 @@ import numpy as np
 from .errors import InputError, NonPositiveDensity, PressureDeficit
 from .grid1d import Grid1D
 
-# 5-point Gauss-Legendre rule on [-1, 1]; used for exact-to-rounding column
-# masses when only a density callable is available.
-_GL_X = np.array([
-    -0.9061798459386640, -0.5384693101056831, 0.0,
-    0.5384693101056831, 0.9061798459386640,
-])
-_GL_W = np.array([
-    0.2369268850561891, 0.4786286704993665, 0.5688888888888889,
-    0.4786286704993665, 0.2369268850561891,
-])
-
-
 @dataclass(frozen=True)
 class PhysicalParams:
     """Fluid constants shared by every solver.
@@ -77,8 +65,10 @@ class DensityProfile:
     """Equilibrium density sampled on a grid.
 
     rho and drho hold nodal samples of the density and its derivative.  For
-    analytic families the callables are kept so that re-gridding is exact;
-    tabulated profiles keep their raw table and re-grid by interpolation.
+    analytic families the callables rho_fn, drho_fn and mass_fn are kept so
+    that re-gridding and the column mass are exact; a profile carries all
+    three or none.  Tabulated profiles keep their raw table and re-grid by
+    interpolation.
     """
 
     grid: Grid1D
@@ -92,6 +82,10 @@ class DensityProfile:
     table: Optional[tuple] = None
 
     def __post_init__(self):
+        given = sum(f is not None for f in (self.rho_fn, self.drho_fn, self.mass_fn))
+        if given not in (0, 3):
+            raise InputError("rho_fn, drho_fn and mass_fn go together: "
+                             "give all three or none")
         rho = np.asarray(self.rho, dtype=float)
         drho = np.asarray(self.drho, dtype=float)
         if rho.shape != (self.grid.n,) or drho.shape != (self.grid.n,):
@@ -249,18 +243,6 @@ def _column_mass_samples(profile: DensityProfile, xs: np.ndarray) -> np.ndarray:
     """Integral of the density from -l to each x in xs (ascending)."""
     if profile.mass_fn is not None:
         return np.array([profile.mass_fn(x) for x in xs])
-    if profile.rho_fn is not None:
-        # composite 5-point Gauss-Legendre between consecutive targets
-        out = np.empty(xs.size)
-        acc = 0.0
-        left = -profile.l
-        for i, xr in enumerate(xs):
-            mid = 0.5 * (left + xr)
-            half = 0.5 * (xr - left)
-            acc += half * np.dot(_GL_W, [profile.rho_fn(mid + half * t) for t in _GL_X])
-            out[i] = acc
-            left = xr
-        return out
     xt, rt = profile.table
     # cumulative trapezoid of the interpolant through table breakpoints
     xs_all = np.unique(np.concatenate([xt, xs, [-profile.l]]))
@@ -350,7 +332,7 @@ def build_equilibrium(profile: DensityProfile, params: PhysicalParams,
     dmc = -(dp * profile.drho + params.g * profile.rho) / (params.lambda0 * mc)
 
     field_fn = None
-    if profile.rho_fn is not None and profile.mass_fn is not None:
+    if profile.mass_fn is not None:
         def radicand_fn(x, C=pressure_const, pr=profile, pa=params):
             r = pr.rho_fn(x)
             return (2.0 / pa.lambda0) * (C - pa.A * r ** pa.gamma - pa.g * pr.mass_fn(x))

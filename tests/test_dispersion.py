@@ -179,7 +179,7 @@ def test_growth_newton_cost_and_root(case):
     lam = res.Lambda
     val, x = pen.alpha_ld(lam)
     h = float(abs(val - np.longdouble(lam) * np.longdouble(lam)))
-    vq = abs(float(x @ (pen.V @ x))) / float(x @ (pen.J @ x))
+    vq = abs(float(x @ (pen.C @ x))) / float(x @ (pen.B @ x))
     h_floor = (2.0 * lam + vq) * np.spacing(lam)
     assert h <= max(res.tol ** 2, 2.0 * h_floor)
     ref = scalar_growth_bisection(lambda s: pen.alpha_ld(s)[0], 0.0,
@@ -490,6 +490,22 @@ def test_cr_exact_sign_parker():
         assert math.isfinite(c)
         assert top(c - 1e-9 * abs(c)) > 0.0
         assert top(c + 1e-9 * abs(c)) <= 0.0
+
+
+def test_cr_certificate_is_growth_alpha0():
+    # the certificate lambda_max(E_c; J) is read by the pencil that reads
+    # alpha(0) of the growth solve, so the two are the same bits; a dense
+    # eigh of the assembled pencil is the independent route
+    eq, params, g1, modes = _parker_cr()
+    modes += _parker_cr(modes=[[0, 1], [0, 2]])[3]
+    rep = compute_cr(eq, params, g1, modes)
+    for mode, row in zip(modes, rep.per_mode):
+        forms = assemble_compressible(mode, eq, params, g1)
+        assert row.quotient == solve_growth_rate(forms).alpha0
+        n = forms.size
+        ref = eigh(forms.E, forms.J, eigvals_only=True,
+                   subset_by_index=(n - 1, n - 1))[0]
+        assert abs(row.quotient - ref) <= 1e-8 * abs(ref)
 
 
 def test_cr_xi1_zero_drops_null_block():

@@ -1,5 +1,7 @@
 """Density profiles, parameter validation, and the compressible background."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -88,6 +90,15 @@ def test_table_requires_covering_span(cheb64):
     xs = np.linspace(-0.5, 1.0, 100)
     with pytest.raises(InputError):
         make_table_profile(cheb64, xs, np.full(100, 2.0))
+
+
+@pytest.mark.parametrize("dropped", ["rho_fn", "drho_fn", "mass_fn"])
+def test_profile_closures_come_all_or_none(cheb64, dropped):
+    # the column mass of an analytic profile is its mass_fn; a profile
+    # with some closures but not all has no exact column mass to offer
+    prof = make_affine_profile(cheb64, 2.0, 1.0)
+    with pytest.raises(InputError, match="all three or none"):
+        dataclasses.replace(prof, **{dropped: None})
 
 
 def test_regrid_analytic_exact(cheb64):
