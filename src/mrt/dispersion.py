@@ -127,9 +127,9 @@ class CriticalReport:
 class _Pencil:
     """λmax(A − sC, B) over the factored terms of a ModeForms.
 
-    num, den and shift name the forms A, B and C ("E", "V", "J" or "D");
-    without a shift the pencil is (A, B) and s stays 0.  The defaults give
-    the growth pencil (E − sV, J).  Incompressible forms are restricted
+    A is always E; den and shift name the forms B and C ("V", "J" or
+    "D"); without a shift the pencil is (E, B) and s stays 0.  The
+    defaults give the growth pencil (E − sV, J).  Incompressible forms are restricted
     here to the v₃ block, which comes first in their layout, so the terms
     that read only that block apply unchanged to the restricted vector.
     The matrices are the forms' own: the cached dense ones, or CSR
@@ -145,13 +145,13 @@ class _Pencil:
     reuses the matrices base built and starts from base's maximizer.
     """
 
-    def __init__(self, forms: ModeForms, num: str = "E", den: str = "J",
+    def __init__(self, forms: ModeForms, den: str = "J",
                  shift: Optional[str] = "V", base: Optional["_Pencil"] = None):
         self.forms = forms
         self.slice = (forms.layout["v3"] if forms.kind == "incompressible"
                       else slice(0, forms.size))
         self.built = {} if base is None else base.built
-        self.A, self.tA = self._form(num)
+        self.A, self.tA = self._form("E")
         self.B, self.tB = self._form(den)
         self.C, self.tC = self._form(shift) if shift else (None, ())
         self.sparse = sp.issparse(self.B)
@@ -186,8 +186,8 @@ class _Pencil:
         M = self.A if s == 0.0 else self.A - s * self.C
         _, x = top_pair(M, self.Bf, sigma=upper, v0=self.x)
         self.x = x
-        c = qform_value_ld(self.tC, x) if self.tC else np.longdouble(0.0)
-        return qform_value_ld(self.tA, x), c, qform_value_ld(self.tB, x), x
+        return (qform_value_ld(self.tA, x), qform_value_ld(self.tC, x),
+                qform_value_ld(self.tB, x), x)
 
     def alpha_ld(self, s: float = 0.0, upper: Optional[float] = None
                  ) -> tuple[np.longdouble, np.ndarray]:
@@ -441,7 +441,10 @@ def compute_cr(eq: CompressibleEquilibrium, params: PhysicalParams,
     range).  The penalty always contains λ₀∫(v₃′)², so it never vanishes
     on the whole mode space.  The aggregate is the supremum; each row
     carries λ_max(E_c; J) as an independent sign certificate, read by the
-    growth pencil exactly as α(0) is.
+    growth pencil exactly as α(0) is.  That value is the Rayleigh quotient
+    of the refined top vector, a lower bound on λ_max accurate to rounding:
+    it fixes the sign of a mode whose λ_max is clear of 0, not of a
+    marginal one.
     """
     rows = []
     agg = -math.inf
