@@ -50,13 +50,12 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import InputError, NoGrowth, SolverFailure, ZeroMode
 from .eigcore import norm_inf, psd_ratio_sup, spd_factor, top_pair
 from .evolve import RateLaws
 from .grid1d import Grid1D
-from .modeforms import (FormTerm, ModeForms, ModeSpec, _sparse,
+from .modeforms import (FormTerm, ModeForms, ModeSpec, _dense, _sparse,
                         assemble_cr_forms, assemble_quotient, qform_value_ld)
 from .profiles import (CompressibleEquilibrium, DensityProfile, PhysicalParams)
 
@@ -132,8 +131,9 @@ class _Pencil:
     defaults give the growth pencil (E − sV, J).  Incompressible forms are restricted
     here to the v₃ block, which comes first in their layout, so the terms
     that read only that block apply unchanged to the restricted vector.
-    The matrices are the forms' own: the cached dense ones, or CSR
-    assembled from the terms when every operator is sparse, as on the box.
+    The pencil assembles each matrix itself from the terms it keeps, at
+    its own width: CSR when every operator is sparse, as on the box, dense
+    otherwise; it reads none of the forms' full-width matrices.
     B is checked and factored once here (Bf: Cholesky, or LDLᵀ when
     sparse), and every evaluation solves against that factor.  An
     evaluation reads the energies of its maximizer, from which both α(s)
@@ -154,23 +154,17 @@ class _Pencil:
         self.A, self.tA = self._form("E")
         self.B, self.tB = self._form(den)
         self.C, self.tC = self._form(shift) if shift else (None, ())
-        self.sparse = sp.issparse(self.B)
         self.Bf = spd_factor(self.B, den)
         self.x = None if base is None else base.x
 
     def _form(self, name: str) -> tuple:
         """The matrix of form name on the pencil's block, and its terms."""
         if name not in self.built:
-            forms, sv = self.forms, self.slice
-            terms = getattr(forms, "terms_" + name)
-            if forms.kind == "incompressible":
-                terms = tuple(t for t in terms if t.cols == sv)
-                M = getattr(forms, name)[sv, sv]
-            elif all(t.sparse for t in terms):
-                M = _sparse(terms, forms.size)
-            else:
-                M = getattr(forms, name)
-            self.built[name] = M, terms
+            terms = getattr(self.forms, "terms_" + name)
+            if self.forms.kind == "incompressible":
+                terms = tuple(t for t in terms if t.cols == self.slice)
+            build = _sparse if all(t.sparse for t in terms) else _dense
+            self.built[name] = build(terms, self.slice.stop), terms
         return self.built[name]
 
     def energies(self, s: float, upper: Optional[float] = None) -> tuple:
@@ -213,7 +207,10 @@ def alpha_of_s(forms: ModeForms, s: float) -> tuple[float, np.ndarray]:
 def _embed_maximizer(forms: ModeForms, pen: "_Pencil", x: np.ndarray) -> np.ndarray:
     y = np.zeros(forms.size)
     y[pen.slice] = x
-    J = pen.B if pen.sparse else forms.J
+    # a pencil over every column holds J itself; the v₃-restricted one of
+    # the incompressible forms normalizes on the full J, since the block
+    # product rounds differently and moves a growing mode's J0 by ~1e-11
+    J = pen.B if pen.slice.stop == forms.size else forms.J
     nrm = math.sqrt(max(float(y @ (J @ y)), np.finfo(float).tiny))
     return y / nrm
 
@@ -451,8 +448,9 @@ def compute_cr(eq: CompressibleEquilibrium, params: PhysicalParams,
     unbounded = False
     for mode in sweep:
         forms = assemble_cr_forms(mode, eq, params, g1)
-        cert, _ = _Pencil(forms, shift=None).alpha_ld()
-        c = psd_ratio_sup(forms.E, forms.D)
+        pen = _Pencil(forms, shift=None)
+        cert, _ = pen.alpha_ld()
+        c = psd_ratio_sup(pen.A, forms.D)
         note = "unbounded" if c == math.inf else ""
         rows.append(PerModeValue(mode.xi, c, float(cert), note))
         if c == math.inf:

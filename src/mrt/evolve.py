@@ -43,7 +43,7 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve, eig as dense_eig, get_lapack_funcs
 
 from .errors import IncompatibleData, InputError, SolverFailure
-from .modeforms import ModeForms, _coeff_at, _coupled_ops
+from .modeforms import ModeForms, _compressible_pieces
 
 # envelope constants above this are implausibly large and get flagged
 _FLAG_THRESHOLD = 1e6
@@ -60,9 +60,12 @@ class RateLaws:
     physical component.  forcing is the weak right-hand side b(ϱ, N),
     velocity(y) the complex nodal velocity (u₁, u₂, u₃).  Each operator is a
     pair (cols, R) and reads only the columns of the stacked unknown that
-    cols names, so a single-block operator is stored at its own width.  The
-    mass factor and the implicit step factor are built on first use, so a
-    growing mode built from these laws factors nothing.  Built where a
+    cols names, so a single-block operator is stored at its own width.
+    The compressible laws take their operators and flux-point coefficients
+    from modeforms._compressible_pieces, as the energy terms do, so
+    b(R_ρ y, R_N y) = E y holds to rounding.  The mass factor, the implicit
+    step factor and the norm matrices forms.aux are built on first use, so
+    a growing mode built from these laws factors nothing.  Built where a
     trajectory or a growing mode needs them, never during form assembly.
     """
 
@@ -132,24 +135,16 @@ class RateLaws:
 
     def _build_compressible(self, forms: ModeForms):
         g1 = forms.grid
-        p = forms.profile
-        eq = forms.equilibrium
         params = forms.params
-        s1, s2, s3 = (forms.layout[k] for k in ("v1", "v2", "v3"))
+        # d(v) couples all three blocks and A3 is its v₃ partner, at full width
+        layout, ops, c = _compressible_pieces(forms.mode, forms.equilibrium,
+                                              params, g1)
+        s1, s2, s3 = (layout[k] for k in ("v1", "v2", "v3"))
         xi1 = self.xi1
-        fx = g1.flux_points
-        A = g1.value_flux
-        # d(v) couples all three blocks; A3 is its v₃ partner, at full width
-        d, _, A3 = _coupled_ops(forms.mode, g1)
+        A, d, A3 = ops["A"], ops["d"], ops["A3"]
+        rho_f, drho_f, mc_f, pp_f = (c[k] for k in ("rho_f", "drho_f", "mc_f", "pp_f"))
         self.d = d
-        self.rho_len = fx.size
-
-        # sampled exactly as in the form assembly, so the weak forcing and
-        # the assembled energy stay bilinear-identical
-        rho_f = _coeff_at(fx, g1, p.rho, p.rho_fn, p.table)
-        drho_f = _coeff_at(fx, g1, p.drho, p.drho_fn)
-        mc_f = _coeff_at(fx, g1, eq.field, eq.field_fn)
-        pp_f = params.dpressure(rho_f)
+        self.rho_len = self.nf
         # slope of the field strength from the hydrostatic balance at the
         # same points; this exact pointwise relation is what cancels the
         # cross terms between the forcing and the assembled energy

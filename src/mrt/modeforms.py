@@ -18,9 +18,11 @@ A term's operators read only the columns of the stacked unknown it names
 (one block, or all of them for the few operators that couple blocks), and
 they may be dense arrays or scipy sparse matrices.  _dense turns terms into
 a dense matrix, block by block, and _sparse turns sparse ones into a CSR
-matrix; ModeForms builds its dense matrices from its terms only when they
-are first read, and the solvers' pencil builds CSR when every operator is
-sparse.
+matrix.  Each matrix is assembled where it is read, at the width it is
+read: ModeForms builds its full-width dense ones, the evolution norms too,
+on first read, and the solvers' pencil builds its own from the terms it
+keeps.  The compressible coefficients are sampled at the flux points once,
+in _compressible_pieces, which evolve's rate laws read too.
 
 First-derivative products are assembled on the staggered flux grid, never by
 squaring the nodal central difference (see grid1d).
@@ -176,9 +178,10 @@ class ModeForms:
     λmax(E, D)), so that a reported quotient can be read through them in
     long double.  E, V, J and D are the dense symmetric matrices of those
     terms, assembled the first time each is read; the solvers' pencil
-    (dispersion._Pencil) reads them, or assembles CSR from the terms when
-    every operator is sparse, so a sparse solve allocates no size² array.
-    aux holds named auxiliary PSD matrices used for diagnostics norms.
+    (dispersion._Pencil) does not read them but assembles its own from the
+    terms, at its own width.  terms_aux names the term tuples of the PSD
+    norm forms that only the evolution diagnostics read, and aux their
+    dense matrices, assembled on first read like E.
     """
 
     kind: str
@@ -190,7 +193,7 @@ class ModeForms:
     terms_V: Optional[tuple] = None
     terms_J: Optional[tuple] = None
     terms_D: Optional[tuple] = None
-    aux: dict = field(default_factory=dict)
+    terms_aux: dict = field(default_factory=dict)
     profile: Optional[DensityProfile] = None
     equilibrium: Optional[CompressibleEquilibrium] = None
     params: Optional[PhysicalParams] = None
@@ -213,6 +216,10 @@ class ModeForms:
     @cached_property
     def D(self) -> Optional[np.ndarray]:
         return self._assembled(self.terms_D)
+
+    @cached_property
+    def aux(self) -> dict:
+        return {k: _dense(t, self.size) for k, t in self.terms_aux.items()}
 
 
 def _coeff_at(points: np.ndarray, grid: Grid1D, nodal: np.ndarray,
@@ -302,7 +309,6 @@ def assemble_incompressible(mode: ModeSpec, p: DensityProfile,
     """
     layout, mass, unit_mass, unit_flux, bend, buoy = \
         _incompressible_pieces(mode, p, params, g1)
-    N = layout["phi"].stop
     m2 = mode.m * mode.m
     xi2 = mode.xi_norm2
 
@@ -314,10 +320,10 @@ def assemble_incompressible(mode: ModeSpec, p: DensityProfile,
     terms_V = tuple(t.scaled(params.mu * xi2) for t in unit_mass) + \
         tuple(t.scaled(params.mu) for t in bend)
 
-    aux = {"unit_mass": _dense(unit_mass, N), "bend": _dense(bend, N)}
     return ModeForms(kind="incompressible", mode=mode, grid=g1, layout=layout,
-                     size=N, terms_E=terms_E, terms_V=terms_V, terms_J=mass,
-                     aux=aux, profile=p, params=params)
+                     size=layout["phi"].stop, terms_E=terms_E, terms_V=terms_V,
+                     terms_J=mass, terms_aux={"unit_mass": unit_mass, "bend": bend},
+                     profile=p, params=params)
 
 
 def assemble_quotient(mode: ModeSpec, p: DensityProfile, params: PhysicalParams,
@@ -359,6 +365,8 @@ def _coupled_ops(mode: ModeSpec, g1: Grid1D):
 
 def _compressible_pieces(mode: ModeSpec, eq: CompressibleEquilibrium,
                          params: PhysicalParams, g1: Grid1D):
+    """Layout, operators and flux-point samples of ρ̄, ρ̄′, p′(ρ̄) and m_c;
+    the energy terms and evolve.RateLaws both read them."""
     n = g1.n
     layout = {"v1": slice(0, n), "v2": slice(n, 2 * n), "v3": slice(2 * n, 3 * n)}
     d, r, A3 = _coupled_ops(mode, g1)
@@ -368,11 +376,11 @@ def _compressible_pieces(mode: ModeSpec, eq: CompressibleEquilibrium,
     fx = g1.flux_points
     rho_f = _coeff_at(fx, g1, p.rho, p.rho_fn, p.table)
     drho_f = _coeff_at(fx, g1, p.drho, p.drho_fn)
-    prho_f = params.dpressure(rho_f) * rho_f
-    mc2_f = _coeff_at(fx, g1, eq.field, eq.field_fn) ** 2
+    pp_f = params.dpressure(rho_f)
+    mc_f = _coeff_at(fx, g1, eq.field, eq.field_fn)
     wf = g1.flux_weights
 
-    coeffs = dict(rho_f=rho_f, drho_f=drho_f, prho_f=prho_f, mc2_f=mc2_f, wf=wf)
+    coeffs = dict(rho_f=rho_f, drho_f=drho_f, pp_f=pp_f, mc_f=mc_f, wf=wf)
     return layout, ops, coeffs
 
 
@@ -385,15 +393,16 @@ def _compressible_energy_terms(mode, params, layout, ops, coeffs):
     the eigenpair residual.
     """
     xi1 = mode.xi[0]
-    wf = coeffs["wf"]
+    wf, rho_f, mc_f = coeffs["wf"], coeffs["rho_f"], coeffs["mc_f"]
+    wmc2 = wf * (mc_f * mc_f)
     A, s2, s3 = ops["A"], layout["v2"], layout["v3"]
     return (
         FormTerm(params.g, wf * coeffs["drho_f"], A, cols=s3),
-        FormTerm(2.0 * params.g, wf * coeffs["rho_f"], ops["d"], ops["A3"]),
-        FormTerm(-1.0, wf * coeffs["prho_f"], ops["d"]),
-        FormTerm(-params.lambda0 * xi1 ** 2, wf * coeffs["mc2_f"], A, cols=s2),
-        FormTerm(-params.lambda0 * xi1 ** 2, wf * coeffs["mc2_f"], A, cols=s3),
-        FormTerm(-params.lambda0, wf * coeffs["mc2_f"], ops["r"]),
+        FormTerm(2.0 * params.g, wf * rho_f, ops["d"], ops["A3"]),
+        FormTerm(-1.0, wf * (coeffs["pp_f"] * rho_f), ops["d"]),
+        FormTerm(-params.lambda0 * xi1 ** 2, wmc2, A, cols=s2),
+        FormTerm(-params.lambda0 * xi1 ** 2, wmc2, A, cols=s3),
+        FormTerm(-params.lambda0, wmc2, ops["r"]),
     )
 
 
@@ -408,7 +417,6 @@ def assemble_compressible(mode: ModeSpec, eq: CompressibleEquilibrium,
     if params.mu0 is None:
         raise InputError("compressible forms need mu0")
     layout, ops, coeffs = _compressible_pieces(mode, eq, params, g1)
-    N = 3 * g1.n
     p = eq.profile
     xi2 = mode.xi_norm2
     wf = coeffs["wf"]
@@ -422,14 +430,11 @@ def assemble_compressible(mode: ModeSpec, eq: CompressibleEquilibrium,
     terms_V = tuple(t.scaled(params.mu) for t in grad) + \
         (FormTerm(params.mu0, wf, ops["d"]),)
 
-    aux = {
-        "unit_mass": _dense(unit, N),
-        "grad": _dense(grad, N),
-        "divsq": FormTerm(1.0, wf, ops["d"]).matrix(),
-    }
+    norms = {"unit_mass": unit, "grad": grad, "divsq": (FormTerm(1.0, wf, ops["d"]),)}
     return ModeForms(kind="compressible", mode=mode, grid=g1, layout=layout,
-                     size=N, terms_E=terms_E, terms_V=terms_V, terms_J=terms_J,
-                     aux=aux, equilibrium=eq, profile=p, params=params)
+                     size=3 * g1.n, terms_E=terms_E, terms_V=terms_V,
+                     terms_J=terms_J, terms_aux=norms, equilibrium=eq, profile=p,
+                     params=params)
 
 
 def assemble_cr_forms(mode: ModeSpec, eq: CompressibleEquilibrium,
@@ -450,7 +455,4 @@ def assemble_cr_forms(mode: ModeSpec, eq: CompressibleEquilibrium,
         FormTerm(params.lambda0 * xi1 ** 2, wf, A, cols=base.layout["v3"]),
         FormTerm(params.lambda0, wf, r),
     )
-    return ModeForms(kind="crForms", mode=mode, grid=g1, layout=base.layout,
-                     size=base.size, terms_E=base.terms_E, terms_V=base.terms_V,
-                     terms_J=base.terms_J, terms_D=terms_D, aux=base.aux,
-                     equilibrium=eq, profile=eq.profile, params=params)
+    return replace(base, kind="crForms", terms_D=terms_D)

@@ -533,3 +533,35 @@ def test_compressible_growth_resolution_floor(steep_eq):
     res = solve_growth_rate(assemble_compressible(mode, eq, params, g1))
     assert res.unstable
     assert res.Lambda > 0.3
+
+
+def test_growth_solve_builds_no_full_width_form(params_std):
+    # the growth pencil of incompressible forms assembles E, V and J on the
+    # v3 block from the terms it keeps; only the maximizer's normalization
+    # reads the full-width J
+    g1 = Grid1D("chebyshev", 1.0, 64)
+    mode = ModeSpec.from_integers(1.0, 2, 0, field_dir=3, m=0.2)
+    forms = assemble_incompressible(mode, make_affine_profile(g1, 2.0, 1.0),
+                                    params_std, g1)
+    res = solve_growth_rate(forms)
+    assert abs(res.Lambda - LAMBDA_STD64) <= 1e-8
+    assert "E" not in vars(forms) and "V" not in vars(forms)
+
+
+@pytest.mark.parametrize("kind", ["incompressible", "crForms"])
+def test_pencil_matrices_are_the_forms_blocks(kind, params_std):
+    # the pencil's own assembly is bit-identical to the v3 block of the
+    # forms' full-width matrices, and to the whole matrix over every column
+    if kind == "incompressible":
+        g1 = Grid1D("chebyshev", 1.0, 64)
+        mode = ModeSpec.from_integers(1.0, 2, 1, field_dir=3, m=0.2)
+        forms = assemble_incompressible(
+            mode, make_affine_profile(g1, 2.0, 1.0), params_std, g1)
+        sv = forms.layout["v3"]
+    else:
+        eq, params, g1, modes = _parker_cr()
+        forms = assemble_cr_forms(modes[2], eq, params, g1)
+        sv = slice(None)
+    pen = _Pencil(forms)
+    for name, M in (("E", pen.A), ("V", pen.C), ("J", pen.B)):
+        assert np.array_equal(M, getattr(forms, name)[sv, sv]), name

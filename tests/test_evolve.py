@@ -23,6 +23,32 @@ def growing(forms_std):
     return res, gm
 
 
+@pytest.mark.parametrize("scheme, n", [("chebyshev", 48), ("fd2", 64)])
+@pytest.mark.parametrize("case", ["compressible-12", "compressible-31",
+                                  "incompressible-h", "incompressible-v"])
+def test_forcing_of_the_rates_is_the_energy(scheme, n, case):
+    # b(R_rho y, R_N y) = E y: the rate laws read the flux-point samples the
+    # energy terms are built from, including the xi1 != 0 field laws of the
+    # compressible problem that couple every block
+    params = PhysicalParams(g=1.0, lambda0=1.0, mu=0.1, mu0=0.5)
+    g1 = Grid1D(scheme, 1.0, n)
+    if case.startswith("compressible"):
+        eq = build_equilibrium(make_affine_profile(g1, 2.0, 0.5), params, 10.0)
+        xi = (1, 2) if case == "compressible-12" else (3, 1)
+        forms = assemble_compressible(ModeSpec.from_integers(1.0, *xi), eq,
+                                      params, g1)
+    else:
+        mode = ModeSpec.from_integers(1.0, 2, 1, m=0.3,
+                                      field_dir=1 if case.endswith("h") else 3)
+        forms = assemble_incompressible(mode, make_affine_profile(g1, 2.0, 1.0),
+                                        params, g1)
+    laws = evolve.RateLaws(forms)
+    y = np.random.default_rng(7).standard_normal(forms.size)
+    Ey = forms.E @ y
+    b = laws.forcing(*laws.rates(y))
+    assert np.max(np.abs(b - Ey)) <= 1e-13 * np.max(np.abs(Ey))
+
+
 def test_zero_data_stays_zero(forms_std):
     st = init_state(forms_std, np.zeros(forms_std.size))
     rec = run_trajectory(st, T=0.5, dt=0.1)

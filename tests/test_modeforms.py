@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mrt.bounded2d import Rect2D, _growth_forms_2d, assemble_2d_quotient
 from mrt.errors import InputError, ZeroMode
 from mrt.grid1d import Grid1D
 from mrt.modeforms import (
@@ -265,3 +266,26 @@ def test_qform_value_ld_compressible(symbolic_eq):
         _assert_qform_matches_dense(terms, _dense(terms, forms.size), 5)
     cr = assemble_cr_forms(ModeSpec.from_integers(1.0, 1, 2), eq, params, g1)
     _assert_qform_matches_dense(cr.terms_D, cr.D, 5)
+
+
+def test_assemblers_build_no_dense_matrix(affine64, params_std, symbolic_eq):
+    # each dense matrix, the evolution norms included, is assembled by the
+    # code that reads it; an assembler hands over term tuples only
+    eq, cparams, g1 = symbolic_eq
+    mode = ModeSpec.from_integers(1.0, 1, 2)
+    rect = Rect2D((-1.0, 1.0), (-1.0, 1.0), 8, 8)
+    box_prof = make_affine_profile(Grid1D("fd2", 1.0, 16), 2.0, 1.0)
+    built = (
+        assemble_incompressible(ModeSpec.from_integers(1.0, 2, 1, m=0.2),
+                                affine64, params_std, affine64.grid),
+        assemble_quotient(ModeSpec.from_integers(1.0, 2, 1), affine64,
+                          params_std, affine64.grid),
+        assemble_compressible(mode, eq, cparams, g1),
+        assemble_cr_forms(mode, eq, cparams, g1),
+        assemble_2d_quotient(rect, box_prof, params_std, 1),
+        _growth_forms_2d(rect, box_prof, params_std, 0.1, 3),
+    )
+    for forms in built:
+        assert not {"E", "V", "J", "D", "aux"} & set(vars(forms)), forms.kind
+    assert set(built[0].aux) == {"unit_mass", "bend"}
+    assert set(built[3].aux) == {"unit_mass", "grad", "divsq"}
