@@ -1,9 +1,14 @@
 """Batch front end: validated JSON configs in, CSV/JSON/SVG artifacts out.
 
 Commands: critical, growth, evolve, cr, verify.  Each takes --config and
---out; growth fans its modes out over worker threads (--threads or
-MRT_THREADS) with deterministic output ordering.  Exit codes: 0 success,
-1 verify failures, 2 config errors, 3 solver breakdown.
+--out; growth, critical and cr fan their modes out over worker threads
+(--threads or MRT_THREADS) with deterministic output ordering.  Exit
+codes: 0 success, 1 verify failures, 2 config errors, 3 solver breakdown.
+
+main sets every OpenBLAS that numpy and scipy ship to one thread before it
+runs a command, for the rest of the process: the pencils are too small for
+a second BLAS thread to pay, and a single thread makes the artifacts the
+same bytes on any host, whatever its core count.
 
 Numbers are serialized with 17 significant digits so every CSV round-trips
 losslessly; infinities appear as "inf"/"-inf" in both CSV and JSON.  Charts
@@ -14,6 +19,8 @@ from __future__ import annotations
 
 import argparse
 import copy
+import ctypes
+import functools
 import json
 import math
 import os
@@ -22,6 +29,7 @@ from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
+import scipy
 
 from .bounded2d import Rect2D, critical_m_2d, divergence_defect, growth_rate_2d
 from .dispersion import (alpha_of_s, build_growing_mode, compute_cr,
@@ -148,6 +156,29 @@ def _map_ordered(fn, items, threads: int) -> list:
         return [fn(it) for it in items]
     with ThreadPoolExecutor(max_workers=threads) as ex:
         return list(ex.map(fn, items))
+
+
+# the thread-count setters exported by the OpenBLAS builds in numpy's
+# (ILP64) and scipy's (LP64) wheels
+_OPENBLAS_SETTERS = ("scipy_openblas_set_num_threads64_",
+                     "scipy_openblas_set_num_threads")
+
+
+@functools.cache
+def _openblas_setters() -> tuple:
+    """The setter of every OpenBLAS in the numpy.libs and scipy.libs
+    directories; empty under any other BLAS."""
+    setters = []
+    for pkg in (np, scipy):
+        libs = Path(pkg.__file__).parent.parent / f"{pkg.__name__}.libs"
+        for path in sorted(libs.glob("*openblas*.so*")):
+            lib = ctypes.CDLL(str(path))
+            fn = next((getattr(lib, sym) for sym in _OPENBLAS_SETTERS
+                       if hasattr(lib, sym)), None)
+            if fn is not None:
+                fn.argtypes, fn.restype = [ctypes.c_int], None
+                setters.append(fn)
+    return tuple(setters)
 
 
 # --------------------------------------------------------------------------
@@ -302,7 +333,8 @@ def cmd_critical(cfg: dict, out: Path, threads: int) -> int:
     params = _build_params(cfg)
     modes = _build_modes(cfg)
     i = cfg["field_dir"]
-    report = critical_m_sweep(p, params, g1, i, modes)
+    sweep_map = functools.partial(_map_ordered, threads=threads)
+    report = critical_m_sweep(p, params, g1, i, modes, map_modes=sweep_map)
     if i == 3:
         aggregate = critical_M(p, params, g1).aggregate
     else:
@@ -441,7 +473,8 @@ def cmd_cr(cfg: dict, out: Path, threads: int) -> int:
     params = _build_params(cfg)
     eq = build_equilibrium(p, params, cfg["pressure_const"], cfg["sign"])
     modes = _build_modes(cfg)
-    report = compute_cr(eq, params, g1, modes)
+    sweep_map = functools.partial(_map_ordered, threads=threads)
+    report = compute_cr(eq, params, g1, modes, map_modes=sweep_map)
     rows = [(r.xi[0], r.xi[1], r.value, r.quotient, r.note)
             for r in report.per_mode]
     _write_csv(out / "cr.csv",
@@ -616,6 +649,8 @@ def main(argv=None) -> int:
             raise InputError("threads must be >= 1")
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
+        for set_blas_threads in _openblas_setters():
+            set_blas_threads(1)
         return _COMMANDS[args.command](cfg, out, threads)
     except InputError as e:
         print(f"mrt: config error: {e}", file=sys.stderr)

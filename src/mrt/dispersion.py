@@ -376,11 +376,14 @@ def quotient_proof_sequence(profile: DensityProfile, params: PhysicalParams,
 
 
 def critical_m_sweep(profile: DensityProfile, params: PhysicalParams,
-                     g1: Grid1D, i: int, sweep) -> CriticalReport:
+                     g1: Grid1D, i: int, sweep, map_modes=map) -> CriticalReport:
     """Per-mode critical strengths m_C(ξ) and their supremum over the sweep.
 
     :param i: field direction, 1 (horizontal) or 3 (vertical), applied to
         every mode of the sweep.
+    :param map_modes: ``map``-like callable that runs the per-mode solve
+        over the sweep and returns the rows in the sweep's order (the CLI
+        passes an ordered thread-pool map).
 
     For a horizontal field a buoyant profile is destabilized by modes with
     ξ₁ = 0 at every strength: those rows carry value +inf and the aggregate
@@ -390,28 +393,21 @@ def critical_m_sweep(profile: DensityProfile, params: PhysicalParams,
     """
     if i not in (1, 3):
         raise InputError(f"field direction must be 1 or 3, got {i}")
-    rows = []
-    agg = 0.0
-    unbounded = False
-    for mode in sweep:
-        if mode.xi_norm2 == 0.0:
-            raise ZeroMode("critical-strength sweep needs |xi| > 0 per mode")
+    if any(mode.xi_norm2 == 0.0 for mode in sweep):
+        raise ZeroMode("critical-strength sweep needs |xi| > 0 per mode")
+
+    def row(mode) -> PerModeValue:
         if i == 1 and mode.xi[0] == 0.0:
             if profile.rt_unstable:
-                rows.append(PerModeValue(mode.xi, math.inf, math.inf,
-                                         "no stabilization for xi1 = 0"))
-                unbounded = True
-                agg = math.inf
-            else:
-                rows.append(PerModeValue(mode.xi, 0.0, -math.inf,
-                                         "not buoyant"))
-            continue
+                return PerModeValue(mode.xi, math.inf, math.inf,
+                                    "no stabilization for xi1 = 0")
+            return PerModeValue(mode.xi, 0.0, -math.inf, "not buoyant")
         q = assemble_quotient(mode, profile, params, g1, i=i)
         val, _ = critical_quotient(q)
-        mc = math.sqrt(max(val, 0.0))
-        rows.append(PerModeValue(mode.xi, mc, val))
-        if mc > agg:
-            agg = mc
+        return PerModeValue(mode.xi, math.sqrt(max(val, 0.0)), val)
+
+    rows = tuple(map_modes(row, sweep))
+    agg = max([0.0] + [r.value for r in rows])
     diag = {}
     if i == 3:
         finite = [(math.sqrt(r.xi[0] ** 2 + r.xi[1] ** 2), r.value)
@@ -421,13 +417,13 @@ def critical_m_sweep(profile: DensityProfile, params: PhysicalParams,
                 "value": [b for _, b in finite],
                 "deltas": [b2 - b1 for (_, b1), (_, b2)
                            in zip(finite, finite[1:])]}
-    return CriticalReport(kind="critical_m", per_mode=tuple(rows),
-                          aggregate=agg, unbounded=unbounded,
+    return CriticalReport(kind="critical_m", per_mode=rows,
+                          aggregate=agg, unbounded=agg == math.inf,
                           diagnostics=diag)
 
 
 def compute_cr(eq: CompressibleEquilibrium, params: PhysicalParams,
-               g1: Grid1D, sweep) -> CriticalReport:
+               g1: Grid1D, sweep, map_modes=map) -> CriticalReport:
     """Stability ratio sup of the compressible energy against the field terms.
 
     Per mode: the smallest c with E_c ⪯ c·(field penalty form), by
@@ -442,22 +438,21 @@ def compute_cr(eq: CompressibleEquilibrium, params: PhysicalParams,
     of the refined top vector, a lower bound on λ_max accurate to rounding:
     it fixes the sign of a mode whose λ_max is clear of 0, not of a
     marginal one.
+
+    :param map_modes: as for :func:`critical_m_sweep`.
     """
-    rows = []
-    agg = -math.inf
-    unbounded = False
-    for mode in sweep:
+    def row(mode) -> PerModeValue:
         forms = assemble_cr_forms(mode, eq, params, g1)
         pen = _Pencil(forms, shift=None)
         cert, _ = pen.alpha_ld()
         c = psd_ratio_sup(pen.A, forms.D)
-        note = "unbounded" if c == math.inf else ""
-        rows.append(PerModeValue(mode.xi, c, float(cert), note))
-        if c == math.inf:
-            unbounded = True
-        agg = max(agg, c)
-    return CriticalReport(kind="cr", per_mode=tuple(rows), aggregate=agg,
-                          unbounded=unbounded)
+        return PerModeValue(mode.xi, c, float(cert),
+                            "unbounded" if c == math.inf else "")
+
+    rows = tuple(map_modes(row, sweep))
+    agg = max([-math.inf] + [r.value for r in rows])
+    return CriticalReport(kind="cr", per_mode=rows, aggregate=agg,
+                          unbounded=agg == math.inf)
 
 
 # --------------------------------------------------------------------------

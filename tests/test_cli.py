@@ -1,16 +1,24 @@
 """Command-line driver: config validation, artifacts, exit codes, determinism."""
 
+import ctypes
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import mrt
 from mrt.cli import _SCHEMA, _fmt, main, validate_config
 from mrt.errors import InputError
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 def run_cli(*args):
@@ -23,6 +31,10 @@ def write_cfg(tmp_path, name, cfg):
     return p
 
 
+def _artifacts(out: Path) -> dict:
+    return {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+
+
 def test_validate_config_defaults():
     cfg = validate_config({"problem": "incompressible"})
     assert cfg["scheme"] == "chebyshev"
@@ -31,7 +43,7 @@ def test_validate_config_defaults():
 
 
 @pytest.mark.parametrize(
-    "path", sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.json")),
+    "path", sorted(CONFIGS.glob("*.json")),
     ids=lambda p: p.name)
 def test_shipped_configs_validate(path):
     raw = json.loads(path.read_text())
@@ -313,7 +325,7 @@ def test_box_artifacts_repeat_across_threads(tmp_path):
             out = tmp_path / f"{command}{len(runs)}"
             assert run_cli(command, "--config", cfg, "--out", out,
                            "--threads", threads) == 0
-            runs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+            runs.append(_artifacts(out))
         assert runs[0]
         assert all(r == runs[0] for r in runs[1:])
 
@@ -330,7 +342,7 @@ def test_evolve_artifacts_repeat_across_threads(tmp_path):
         out = tmp_path / f"evolve{len(runs)}"
         assert run_cli("evolve", "--config", cfg, "--out", out,
                        "--threads", threads) == 0
-        runs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+        runs.append(_artifacts(out))
     assert set(runs[0]) == {"summary.json", "trajectory.csv", "trajectory.svg"}
     assert all(r == runs[0] for r in runs[1:])
 
@@ -353,3 +365,58 @@ def test_threads_env_fallback(tmp_path, monkeypatch):
     for bad in ("0", "abc", " "):
         monkeypatch.setenv("MRT_THREADS", bad)
         assert run_cli("critical", "--config", cfg, "--out", tmp_path / "o2") == 2
+
+
+def _openblas_libs() -> list:
+    """Every OpenBLAS that the numpy and scipy wheels ship."""
+    return [ctypes.CDLL(str(path)) for pkg in (np, scipy)
+            for path in sorted((Path(pkg.__file__).parent.parent
+                                / f"{pkg.__name__}.libs").glob("*openblas*.so*"))]
+
+
+def test_main_pins_every_openblas_to_one_thread(tmp_path):
+    libs = _openblas_libs()
+    if not libs:
+        pytest.skip("numpy and scipy ship no OpenBLAS here")
+    getters = []
+    for lib in libs:
+        suffix = "64_" if hasattr(lib, "scipy_openblas_get_num_threads64_") else ""
+        set_threads = getattr(lib, "scipy_openblas_set_num_threads" + suffix)
+        set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+        set_threads(2)
+        get_threads = getattr(lib, "scipy_openblas_get_num_threads" + suffix)
+        get_threads.argtypes, get_threads.restype = [], ctypes.c_int
+        getters.append(get_threads)
+    cfg = write_cfg(tmp_path, "c.json", _critical_cfg())
+    assert run_cli("critical", "--config", cfg, "--out", tmp_path / "o") == 0
+    assert [get() for get in getters] == [1] * len(libs)
+
+
+def test_evolve_bytes_do_not_depend_on_blas_threads(tmp_path):
+    # the process pins OpenBLAS to one thread whatever the environment asks
+    # for, so the trajectory is the same bits on any host
+    src = str(Path(mrt.__file__).resolve().parents[1])
+    runs = []
+    for blas_threads in ("1", "2"):
+        out = tmp_path / f"evolve{blas_threads}"
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=blas_threads,
+                   PYTHONPATH=src)
+        subprocess.run([sys.executable, "-m", "mrt.cli", "evolve",
+                        "--config", str(CONFIGS / "evolve_growing.json"),
+                        "--out", str(out)], env=env, check=True)
+        runs.append(_artifacts(out))
+    assert set(runs[0]) == {"summary.json", "trajectory.csv", "trajectory.svg"}
+    assert runs[0] == runs[1]
+
+
+@pytest.mark.parametrize("command, config", [("cr", "parker_cr.json"),
+                                             ("critical", "slab_critical.json")])
+def test_sweep_artifacts_repeat_across_threads(tmp_path, command, config):
+    runs = []
+    for threads in (1, 2):
+        out = tmp_path / f"{command}{threads}"
+        assert run_cli(command, "--config", CONFIGS / config, "--out", out,
+                       "--threads", threads) == 0
+        runs.append(_artifacts(out))
+    assert runs[0]
+    assert runs[0] == runs[1]
