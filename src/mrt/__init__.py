@@ -24,7 +24,7 @@ from .modeforms import (ModeForms, ModeSpec, assemble_compressible,
 from .profiles import (CompressibleEquilibrium, DensityProfile, PhysicalParams,
                        build_equilibrium, make_affine_profile,
                        make_table_profile, make_tanh_profile,
-                       min_admissible_pressure_const, validate_rt_conditions)
+                       min_admissible_pressure_const)
 
 __all__ = [
     "CompressibleEquilibrium",
@@ -68,7 +68,6 @@ __all__ = [
     "solve_growth_rate",
     "step",
     "top_pair",
-    "validate_rt_conditions",
     "viscous_time",
 ]
 

@@ -5,8 +5,8 @@ spd_factor checks a mass matrix B once and keeps its factor: Cholesky when
 dense, a SuperLU LDLᵀ with positive diagonal pivots when sparse, and a
 conditioning of at most 1e15 either way.  solve_gsym hands a dense
 A v = lam B v to LAPACK's symmetric-definite drivers (sygvx for an index
-subset, sygvd for the whole spectrum) and reports the residual and the
-B-orthonormality of what comes back; a factored B is not checked again.
+subset, sygvd for the whole spectrum) and reports the B-orthonormality of
+what comes back; a factored B is not checked again.
 
 top_pair returns the top Rayleigh quotient of (A, B) and its maximizer,
 refined by shifted inverse iteration on a factor of σB − A whose positive
@@ -53,7 +53,6 @@ class GEigResult:
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
-    residual_norm: float
     orthonormality: float
 
 
@@ -186,16 +185,11 @@ def solve_gsym(A: np.ndarray, B, subset: tuple | None = None) -> GEigResult:
         lam, V = eigh(A, B, subset_by_index=subset)
     except LinAlgError as e:
         raise NotPositiveDefinite(f"B: {e}") from None
-
-    R = A @ V - B @ V * lam[None, :]
-    denom = (norm_inf(A) + np.abs(lam) * norm_inf(B)) * np.linalg.norm(V, axis=0)
-    rn = np.max(np.linalg.norm(R, axis=0) / (denom + np.finfo(float).tiny))
     G = V.T @ B @ V - np.eye(lam.size)
     ortho = float(np.max(np.abs(G)))
     if ortho > 1e-8:
         raise SolverFailure(f"B-orthonormality defect {ortho:.3e} exceeds 1e-8")
-    return GEigResult(eigenvalues=lam, eigenvectors=V,
-                      residual_norm=float(rn), orthonormality=ortho)
+    return GEigResult(eigenvalues=lam, eigenvectors=V, orthonormality=ortho)
 
 
 def _arpack_top(A, Bf: SPD, sigma, v0):

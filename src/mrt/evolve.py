@@ -469,7 +469,6 @@ class TrajectoryRecord:
     of the record with a two-sigma confidence band.
     """
 
-    kind: str
     times: np.ndarray
     norm_rho: np.ndarray
     norm_u: np.ndarray
@@ -484,29 +483,6 @@ class TrajectoryRecord:
     fit_rate: Optional[float]
     fit_band: Optional[float]
     ledger: dict
-
-    _CSV_COLUMNS = ("t", "norm_rho", "norm_u", "norm_diu", "norm_ut",
-                    "norm_gradu", "norm_N", "energy_drift")
-
-    def csv_text(self) -> str:
-        cols = (self.times, self.norm_rho, self.norm_u, self.norm_diu,
-                self.norm_ut, self.norm_gradu, self.norm_N, self.energy_drift)
-        lines = [",".join(self._CSV_COLUMNS)]
-        for row in zip(*cols):
-            lines.append(",".join(f"{x:.17g}" for x in row))
-        return "\n".join(lines) + "\n"
-
-    def summary(self) -> dict:
-        return {
-            "kind": self.kind,
-            "J0": self.J0,
-            "forcing_norm": self.forcing_norm,
-            "fit_rate": self.fit_rate,
-            "fit_band": self.fit_band,
-            "max_energy_drift": float(np.max(self.energy_drift)),
-            "max_first_order_defect": float(np.max(self.first_order_defect)),
-            "ledger": dict(self.ledger),
-        }
 
 
 def _norms_row(ws: RateLaws, y, v, rho, N):
@@ -620,9 +596,9 @@ def run_trajectory(state: EvolveState, T: float, dt: float,
         "N_bounded": bool(np.max(norm_n) < np.inf),
     }
     return TrajectoryRecord(
-        kind=ws.forms.kind, times=times, norm_rho=norm_rho, norm_u=norm_u,
-        norm_diu=norm_diu, norm_ut=norm_ut, norm_gradu=norm_gradu,
-        norm_N=norm_n, energy_drift=drifts, first_order_defect=defects,
+        times=times, norm_rho=norm_rho, norm_u=norm_u, norm_diu=norm_diu,
+        norm_ut=norm_ut, norm_gradu=norm_gradu, norm_N=norm_n,
+        energy_drift=drifts, first_order_defect=defects,
         J0=j0, forcing_norm=state.meta["forcing_norm"],
         fit_rate=fit_rate, fit_band=fit_band, ledger=ledger)
 

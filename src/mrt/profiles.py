@@ -2,10 +2,10 @@
 
 A density profile is a sampled function of the vertical coordinate on the open
 slab (-l, l), optionally backed by closed-form callables so re-gridding loses
-nothing.  The compressible background additionally carries the vertical field
-strength that balances gravity and the isentropic pressure against the column
-weight; its construction fails loudly when the prescribed integration constant
-leaves no room for a real field.
+nothing.  The compressible background additionally carries the horizontal
+field strength that balances gravity and the isentropic pressure against the
+column weight; its construction fails loudly when the prescribed integration
+constant leaves no room for a real field.
 """
 
 from __future__ import annotations
@@ -123,32 +123,6 @@ class DensityProfile:
             )
         x, r = self.table
         return make_table_profile(grid, x, r, label=self.label)
-
-
-@dataclass(frozen=True)
-class RtConditionReport:
-    """Clause-by-clause check of the buoyancy instability hypotheses."""
-
-    positive: bool          # inf density > 0
-    bounded: bool           # density and slope finite
-    buoyant_interval: bool  # density increases with height somewhere
-    min_rho: float
-    max_drho: float
-
-    @property
-    def rt_capable(self) -> bool:
-        return self.positive and self.bounded and self.buoyant_interval
-
-
-def validate_rt_conditions(profile: DensityProfile) -> RtConditionReport:
-    rho, drho = profile.rho, profile.drho
-    return RtConditionReport(
-        positive=bool(np.min(rho) > 0.0),
-        bounded=bool(np.all(np.isfinite(rho)) and np.all(np.isfinite(drho))),
-        buoyant_interval=bool(np.max(drho) > 0.0),
-        min_rho=float(np.min(rho)),
-        max_drho=float(np.max(drho)),
-    )
 
 
 def make_affine_profile(grid: Grid1D, rho_mid: float, beta: float) -> DensityProfile:
@@ -270,7 +244,7 @@ def min_admissible_pressure_const(profile: DensityProfile, params: PhysicalParam
 
 @dataclass(frozen=True)
 class CompressibleEquilibrium:
-    """Vertical-field background in hydrostatic/magnetic balance.
+    """Horizontal-field background in hydrostatic/magnetic balance.
 
     field and dfield sample the balancing field strength and its derivative;
     column_mass is the running integral of the density from the lower wall;
@@ -307,7 +281,7 @@ def _independent_dfield(equil_fn, nodes: np.ndarray, l: float) -> np.ndarray:
 
 def build_equilibrium(profile: DensityProfile, params: PhysicalParams,
                       pressure_const: float, sign: int = 1) -> CompressibleEquilibrium:
-    """Solve the background balance for the vertical field strength.
+    """Solve the background balance for the horizontal field strength.
 
     :param pressure_const: integration constant of the balance; must exceed
         the column's pressure-plus-weight everywhere, else PressureDeficit.

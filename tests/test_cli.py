@@ -35,6 +35,13 @@ def _artifacts(out: Path) -> dict:
     return {p.name: p.read_bytes() for p in sorted(out.iterdir())}
 
 
+def test_every_public_name_resolves():
+    # import * raises on a name that __all__ keeps after the package lost it
+    ns = {}
+    exec("from mrt import *", ns)
+    assert set(mrt.__all__) <= set(ns)
+
+
 def test_validate_config_defaults():
     cfg = validate_config({"problem": "incompressible"})
     assert cfg["scheme"] == "chebyshev"

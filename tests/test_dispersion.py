@@ -22,8 +22,7 @@ from mrt.dispersion import (
 )
 from mrt.bounded2d import (Rect2D, assemble_2d_quotient, critical_m_2d,
                            growth_rate_2d)
-from mrt.cli import (_build_grid, _build_modes, _build_params, _build_profile,
-                     validate_config)
+from mrt.cli import _build_modes, _build_slab, validate_config
 from mrt.eigcore import psd_ratio_sup, top_pair
 from mrt.errors import NoGrowth, ZeroMode
 from mrt.grid1d import Grid1D
@@ -463,11 +462,8 @@ def _parker_cr(**overrides):
     """Inputs of `mrt cr` on configs/parker_cr.json, built as the CLI does."""
     path = Path(__file__).resolve().parents[1] / "configs" / "parker_cr.json"
     cfg = validate_config({**json.loads(path.read_text()), **overrides})
-    g1 = _build_grid(cfg)
-    params = _build_params(cfg)
-    eq = build_equilibrium(_build_profile(cfg, g1), params,
-                           cfg["pressure_const"], cfg["sign"])
-    return eq, params, g1, _build_modes(cfg)
+    slab = _build_slab(cfg)
+    return slab.eq, slab.params, slab.grid, _build_modes(cfg)
 
 
 def test_cr_exact_sign_parker():

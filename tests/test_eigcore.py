@@ -40,7 +40,12 @@ def test_solve_gsym_matches_jacobi_reference():
         ref = gsym_eigenvalues_reference(A, B)
         scale = max(1.0, np.max(np.abs(ref)))
         assert np.max(np.abs(res.eigenvalues - ref)) <= 1e-10 * scale
-        assert res.residual_norm <= 1e-10
+        lam, V = res.eigenvalues, res.eigenvectors
+        R = A @ V - B @ V * lam[None, :]
+        denom = ((np.linalg.norm(A, ord=np.inf)
+                  + np.abs(lam) * np.linalg.norm(B, ord=np.inf))
+                 * np.linalg.norm(V, axis=0))
+        assert np.max(np.linalg.norm(R, axis=0) / denom) <= 1e-10
         assert res.orthonormality <= 1e-10
 
 

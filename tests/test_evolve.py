@@ -1,11 +1,13 @@
 """Linearized time evolution: identities, guards, and envelope checks."""
 
+import json
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from mrt import evolve
+from mrt.cli import main
 from mrt.dispersion import build_growing_mode, solve_growth_rate
 from mrt.errors import IncompatibleData, InputError, SolverFailure
 from mrt.evolve import envelope_check, init_state, run_trajectory, step, viscous_time
@@ -52,7 +54,6 @@ def test_forcing_of_the_rates_is_the_energy(scheme, n, case):
 def test_zero_data_stays_zero(forms_std):
     st = init_state(forms_std, np.zeros(forms_std.size))
     rec = run_trajectory(st, T=0.5, dt=0.1)
-    assert rec.kind == "incompressible"
     assert np.max(rec.norm_u) == 0.0
     assert np.max(rec.norm_N) == 0.0
     assert np.max(np.abs(rec.energy_drift)) == 0.0
@@ -218,19 +219,25 @@ def test_run_trajectory_stops_at_the_horizon(forms_std):
     assert abs(run_trajectory(st, T=1.0, dt=0.3).times[-1] - 1.0) <= 0.15
 
 
-def test_record_csv_and_summary(forms_std, growing):
+def test_record_csv_and_summary(tmp_path, forms_std, growing):
+    # `mrt evolve` on the forms_std mode writes the record's rows and fit
     res, gm = growing
     st = init_state(forms_std, gm.y, gm.rho, gm.N)
     rec = run_trajectory(st, T=0.2, dt=0.02, diagnostics_every=2)
-    text = rec.csv_text()
-    lines = text.strip().split("\n")
+    cfg = tmp_path / "e.json"
+    cfg.write_text(json.dumps({"problem": "incompressible", "n": 64, "m": 0.2,
+                               "xi": [2, 0], "T": 0.2, "dt": 0.02,
+                               "diagnostics_every": 2}))
+    out = tmp_path / "out"
+    assert main(["evolve", "--config", str(cfg), "--out", str(out)]) == 0
+    lines = (out / "trajectory.csv").read_text().strip().split("\n")
     assert lines[0] == "t,norm_rho,norm_u,norm_diu,norm_ut,norm_gradu,norm_N,energy_drift"
     # full-precision round trip
     first = [float(v) for v in lines[1].split(",")]
     assert first[0] == rec.times[0]
     assert first[2] == rec.norm_u[0]
-    s = rec.summary()
-    assert s["fit_rate"] == rec.fit_rate
+    s = json.loads((out / "summary.json").read_text())
+    assert s["fit"]["lambda"] == rec.fit_rate
     assert "J0" in s and "max_energy_drift" in s
 
 

@@ -16,7 +16,6 @@ from mrt.profiles import (
     make_table_profile,
     make_tanh_profile,
     min_admissible_pressure_const,
-    validate_rt_conditions,
 )
 
 from oracles import gauss_legendre_integral
@@ -110,10 +109,10 @@ def test_regrid_analytic_exact(cheb64):
 
 
 def test_validate_rt_conditions(cheb64):
-    up = validate_rt_conditions(make_affine_profile(cheb64, 2.0, 1.0))
-    assert up.rt_capable and up.buoyant_interval and up.positive
-    down = validate_rt_conditions(make_affine_profile(cheb64, 2.0, -0.5))
-    assert down.positive and not down.buoyant_interval and not down.rt_capable
+    # positivity is checked when the profile is built
+    # (test_non_positive_density_rejected)
+    assert make_affine_profile(cheb64, 2.0, 1.0).rt_unstable
+    assert not make_affine_profile(cheb64, 2.0, -0.5).rt_unstable
 
 
 # --- compressible background ------------------------------------------------
