@@ -554,9 +554,8 @@ def _verify_checks(cfg: dict) -> list:
                    in zip(samples, samples[1:]))
     add("alpha_nonincreasing", monotone, evaluations=len(samples))
 
-    k2 = ModeSpec.from_integers(1.0, 2, 0, field_dir=3)
-    rep_k2 = critical_m_sweep(p64, params, g64, 3, [k2])
-    mck2 = rep_k2.aggregate
+    # the threshold of xi = (2, 0), the second mode of the sweep above
+    mck2 = rep3.per_mode[1].value
     lo = solve_growth_rate(assemble_incompressible(
         ModeSpec.from_integers(1.0, 2, 0, field_dir=3, m=0.999 * mck2),
         p64, params, g64))

@@ -22,14 +22,19 @@ terms in long double.  That keeps the fixed-point defect, the critical
 strengths and the certificates at the rounding level of the energies
 rather than of the assembled matrices.
 
-The slab's matrices are dense: LAPACK gives the top vector, and inverse
-iteration on a Cholesky factor of σB − A, σ just above its eigenvalue,
-refines it.  The box's are sparse: ARPACK shift-invert at a σ certified
-above λmax by an LDLᵀ of σB − A with positive pivots gives the top vector,
-and that same factor refines it.  For α(t) at an iterate, σ starts just
-above α at the iterate before, a bound since α is nonincreasing and the
-iterates rise.  α(0), frak_s and the box quotient start from a Lanczos
-estimate.  B is checked and factored once per pencil.
+The slab's matrices are dense.  For α(0), frak_s, the critical quotients
+and the certificate, LAPACK gives the top vector, and inverse iteration on
+a Cholesky factor of σB − A, σ just above its eigenvalue, refines it.  For
+α(t) at a later iterate no eigensolver runs: inverse iteration starts from
+the maximizer before, on a Cholesky factor at σ just above α at the
+iterate before (a bound, since α is nonincreasing and the iterates rise),
+until the quotient settles; a factor just above the settled quotient
+certifies it as the top and refines the vector, and LAPACK takes over when
+it cannot.  The box's matrices are sparse: ARPACK shift-invert at a σ
+certified above λmax by an LDLᵀ of σB − A with positive pivots gives the
+top vector, and that same factor refines it; σ starts from the same bound
+at an iterate and from a Lanczos estimate elsewhere.  B is checked and
+factored once per pencil.
 
 The stability ratio of compute_cr is one Schur-complement eigenproblem per
 mode (eigcore.psd_ratio_sup); it is the one reported eigenvalue that does
@@ -56,7 +61,7 @@ from .eigcore import norm_inf, psd_ratio_sup, spd_factor, top_pair
 from .evolve import RateLaws
 from .grid1d import Grid1D
 from .modeforms import (FormTerm, ModeForms, ModeSpec, _dense, _sparse,
-                        assemble_cr_forms, assemble_quotient, qform_value_ld)
+                        assemble_cr_forms, assemble_quotient, qform_reader)
 from .profiles import (CompressibleEquilibrium, DensityProfile, PhysicalParams)
 
 _MAX_STEPS = 200
@@ -128,21 +133,28 @@ class _Pencil:
 
     A is always E; den and shift name the forms B and C ("V", "J" or
     "D"); without a shift the pencil is (E, B) and s stays 0.  The
-    defaults give the growth pencil (E − sV, J).  Incompressible forms are restricted
-    here to the v₃ block, which comes first in their layout, so the terms
-    that read only that block apply unchanged to the restricted vector.
-    The pencil assembles each matrix itself from the terms it keeps, at
-    its own width: CSR when every operator is sparse, as on the box, dense
-    otherwise; it reads none of the forms' full-width matrices.
+    defaults give the growth pencil (E − sV, J).  Incompressible forms are
+    restricted here to the v₃ block, which comes first in their layout, so
+    the terms that read only that block apply unchanged to the restricted
+    vector.  The pencil assembles each matrix itself from the terms it
+    keeps, at its own width: CSR when every operator is sparse, as on the
+    box, dense otherwise.  A dense matrix over every column of the forms is
+    the forms' own cached one (the same assembly), so that the growth solve
+    and an evolution of the same compressible mode build it once.
     B is checked and factored once here (Bf: Cholesky, or LDLᵀ when
     sparse), and every evaluation solves against that factor.  An
     evaluation reads the energies of its maximizer, from which both α(s)
-    and the next growth iterate follow.  A sparse solve starts ARPACK from
-    the previous maximizer x and refines ARPACK's vector with the factor of
-    σB − (A − sC) that certified its shift; a dense one refines LAPACK's
-    vector with a Cholesky factor of that matrix at σ just above its
-    eigenvalue.  A pencil made from another one, base, on the same forms
-    reuses the matrices base built and starts from base's maximizer.
+    and the next growth iterate follow; one long-double product per
+    distinct operator serves all three energies (modeforms.qform_reader).
+    An evaluation given an upper bound starts from the previous maximizer
+    x: a sparse one runs ARPACK from x and refines ARPACK's vector with the
+    factor of σB − (A − sC) that certified its shift; a dense one
+    inverse-iterates from x at certified shifts and refines with a factor
+    that certifies its settled quotient as the top (eigcore.top_pair).  A
+    dense evaluation without a bound refines LAPACK's vector with a
+    Cholesky factor of that matrix at σ just above its eigenvalue.  A
+    pencil made from another one, base, on the same forms reuses the
+    matrices base built and starts from base's maximizer.
     """
 
     def __init__(self, forms: ModeForms, den: str = "J",
@@ -155,6 +167,7 @@ class _Pencil:
         self.B, self.tB = self._form(den)
         self.C, self.tC = self._form(shift) if shift else (None, ())
         self.Bf = spd_factor(self.B, den)
+        self.read = qform_reader((self.tA, self.tC, self.tB))
         self.x = None if base is None else base.x
 
     def _form(self, name: str) -> tuple:
@@ -163,8 +176,13 @@ class _Pencil:
             terms = getattr(self.forms, "terms_" + name)
             if self.forms.kind == "incompressible":
                 terms = tuple(t for t in terms if t.cols == self.slice)
-            build = _sparse if all(t.sparse for t in terms) else _dense
-            self.built[name] = build(terms, self.slice.stop), terms
+            if all(t.sparse for t in terms):
+                M = _sparse(terms, self.slice.stop)
+            elif self.slice.stop == self.forms.size:
+                M = getattr(self.forms, name)
+            else:
+                M = _dense(terms, self.slice.stop)
+            self.built[name] = M, terms
         return self.built[name]
 
     def energies(self, s: float, upper: Optional[float] = None) -> tuple:
@@ -180,8 +198,7 @@ class _Pencil:
         M = self.A if s == 0.0 else self.A - s * self.C
         _, x = top_pair(M, self.Bf, sigma=upper, v0=self.x)
         self.x = x
-        return (qform_value_ld(self.tA, x), qform_value_ld(self.tC, x),
-                qform_value_ld(self.tB, x), x)
+        return (*self.read(x), x)
 
     def alpha_ld(self, s: float = 0.0, upper: Optional[float] = None
                  ) -> tuple[np.longdouble, np.ndarray]:

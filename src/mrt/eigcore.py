@@ -10,14 +10,20 @@ what comes back; a factored B is not checked again.
 
 top_pair returns the top Rayleigh quotient of (A, B) and its maximizer,
 refined by shifted inverse iteration on a factor of σB − A whose positive
-definiteness certifies σ above λmax.  A dense top vector comes from LAPACK
-and refine_top refines it at σ = λ + 1e-6·max(1, |λ|).  A sparse one (the
-2D box) comes from ARPACK shift-invert, and the factor that certified its
-shift refines it.  ARPACK starts from a fixed or the caller's vector, so
-the same inputs give the same bits.  The LAPACK vector carries an absolute
-noise floor of order eps·‖L⁻¹AL⁻ᵀ‖ (B = LLᵀ), many orders above eps on
-stiff pencils; refinement brings the quotient down to quadrature rounding,
-which the growth-rate fixed point relies on.
+definiteness certifies σ above λmax.  A warm dense call, one that brings
+an upper bound and a start vector, as each growth iterate does, runs no
+eigensolver: it inverse-iterates from the start vector at certified shifts
+until the quotient q settles to its rounding floor, certifies
+q + 1e-6·max(1, |q|) above λmax and refines with that factor.  A cold dense
+call, or a warm one that does not settle on the top within its budget,
+takes LAPACK's top vector, and refine_top refines it at
+σ = λ + 1e-6·max(1, |λ|).  A sparse top vector (the 2D box) comes from
+ARPACK shift-invert, and the factor that certified its shift refines it.
+ARPACK starts from a fixed or the caller's vector, so the same inputs give
+the same bits.  The LAPACK vector carries an absolute noise floor of order
+eps·‖L⁻¹AL⁻ᵀ‖ (B = LLᵀ), many orders above eps on stiff pencils;
+refinement brings the quotient down to quadrature rounding, which the
+growth-rate fixed point relies on.
 """
 
 from __future__ import annotations
@@ -45,6 +51,14 @@ _REESTIMATE_TOL = 1e-8
 _NCV_SHIFT = 6
 # inverse-iteration steps that refine a top vector
 _REFINE_ITERS = 3
+# the warm dense path: the inverse-iteration steps it may take before it
+# falls back to LAPACK; the quotient's rounding floor, in units of
+# eps·(|x|ᵀ|A||x| + |q|); and the steps within which the quotient must reach
+# that floor at its current rate, or else the shift moves down to the
+# quotient (one factorization costs about as much as a few steps)
+_WARM_STEPS = 30
+_WARM_FLOOR = 32.0
+_WARM_AHEAD = 3
 
 
 @dataclass(frozen=True)
@@ -168,6 +182,48 @@ def _inverse_iteration(solve, B, v: np.ndarray) -> np.ndarray:
     return x
 
 
+def _warm_top(A, B, sigma: float, v0: np.ndarray):
+    """The top vector of a dense pencil by inverse iteration from v0 at
+    shifts certified above λmax, refined as refine_top refines; None when
+    _WARM_STEPS steps do not get there.
+
+    The first shift is the first σ at or above sigma where σB − A factors.
+    The quotient q of the iterate settles when a step moves it by no more
+    than its rounding floor; q + 1e-6·max(1, |q|) is then certified above
+    λmax, and the factor there refines the vector.  Where that first shift
+    does not factor, or the current rate would not bring q to its floor
+    within _WARM_AHEAD more steps, the pencil is shifted down to the first
+    σ above q that factors, and the iteration goes on from there (inverse
+    iteration at a certified shift: Parlett, The Symmetric Eigenvalue
+    Problem, ch. 4).  A v0 with no part in the top eigenspace settles on a
+    lower eigenvalue, where the first shift cannot factor; once that shift
+    stops falling the path gives up.
+    """
+    solve, shift, _ = _shift_factor(A, B, sigma)
+    x = v0 / np.sqrt(v0 @ (B @ v0))
+    q = float(x @ (A @ x))
+    floor = _WARM_FLOOR * np.finfo(float).eps * (
+        float(np.abs(x) @ (np.abs(A) @ np.abs(x))) + abs(q))
+    moved = np.inf
+    for _ in range(_WARM_STEPS):
+        y = solve(B @ x)
+        x = y / np.sqrt(y @ (B @ y))
+        q_next = float(x @ (A @ x))
+        step, q = abs(q_next - q), q_next
+        settled = step <= floor
+        slow = moved > 0.0 and step * min(step / moved, 1.0) ** _WARM_AHEAD > floor
+        if settled or slow:
+            solve_q, shift_q, close = _shift_factor(A, B, q)
+            if settled and close:
+                return _inverse_iteration(solve_q, B, x)
+            if shift_q < shift:
+                solve, shift = solve_q, shift_q
+            elif settled:
+                return None
+        moved = step
+    return None
+
+
 def solve_gsym(A: np.ndarray, B, subset: tuple | None = None) -> GEigResult:
     """Solve A v = lam B v for symmetric A and SPD B.
 
@@ -241,36 +297,51 @@ def top_pair(A, B, sigma: float | None = None,
     The value is the Rayleigh quotient of the refined vector: a lower bound
     on λmax(A, B) that keeps the shift rule max(A + cB, B) = max(A, B) + c
     to rounding.  B may be an SPD from spd_factor, built once for many
-    pencils.  Dense: LAPACK's top vector, refined by refine_top; sigma and
-    v0 are not used.  Sparse: ARPACK shift-invert at a σ that an LDLᵀ of
-    σB − A with positive pivots certifies above λmax, searched upward from
-    sigma (a known upper bound) or else from a Lanczos estimate; that
-    factor refines the vector.  v0 is ARPACK's start vector, a fixed one
-    when None.
+    pencils.  sigma is a known upper bound on λmax and v0 a start vector.
+    Dense with both: inverse iteration from v0 on a Cholesky factor of
+    σB − A, σ certified from sigma upward and lowered toward the quotient
+    when convergence is slow, then refinement at the settled quotient
+    certified as the top (_warm_top); when that fails within its budget,
+    the cold path.  Dense otherwise (cold): LAPACK's top vector, refined by
+    refine_top.  Sparse: ARPACK shift-invert at a σ that an LDLᵀ of σB − A
+    with positive pivots certifies above λmax, searched upward from sigma
+    or else from a Lanczos estimate; that factor refines the vector.  v0 is
+    ARPACK's start vector, a fixed one when None.
 
+    :raises NotSymmetric: A fails the symmetry tolerance.
     :raises SolverFailure: ARPACK did not converge, or its vector is not
         B-normalized.
     """
     B = B if isinstance(B, SPD) else spd_factor(B)
+    A = _require_symmetric(A, "A")
     if sp.issparse(B.matrix):
-        A = _require_symmetric(A, "A")
         solve, v = _arpack_top(A, B, sigma, v0)
         x = _inverse_iteration(solve, B.matrix, v)
     else:
-        n = A.shape[0]
-        r = solve_gsym(A, B, subset=(n - 1, n - 1))
-        x = refine_top(A, B, float(r.eigenvalues[-1]), r.eigenvectors[:, -1])
+        x = None
+        if sigma is not None and v0 is not None:
+            try:
+                x = _warm_top(A, B.matrix, sigma, v0)
+            except SolverFailure:
+                pass
+        if x is None:
+            n = A.shape[0]
+            r = solve_gsym(A, B, subset=(n - 1, n - 1))
+            x = refine_top(A, B, float(r.eigenvalues[-1]), r.eigenvectors[:, -1])
     return float((x @ (A @ x)) / (x @ (B.matrix @ x))), x
 
 
 def refine_top(A, B, lam: float, v: np.ndarray) -> np.ndarray:
-    """Shifted inverse iteration toward the top eigenvector.
+    """Shifted inverse iteration toward the top eigenvector, from LAPACK's
+    vector on the cold dense path of top_pair.
 
-    The shift sits just above the given eigenvalue estimate so the shifted
-    pencil stays SPD; each solve multiplies the error transverse to the top
-    eigenspace by gap ratios < 1 while solve roundoff stays at the eps level
-    in the directions that matter.  B may be an SPD.  Returns the
-    B-normalized vector.
+    The shift sits just above the given eigenvalue estimate, at the first
+    lam + 1e-6·max(1, |lam|)·32ᵏ where σB − A factors, so the shifted pencil
+    is SPD; each of the _REFINE_ITERS solves multiplies the error transverse
+    to the top eigenspace by gap ratios < 1 while solve roundoff stays at
+    the eps level in the directions that matter.  The warm path of top_pair
+    refines the same way, on the factor that certified its settled
+    quotient.  B may be an SPD.  Returns the B-normalized vector.
     """
     B = B.matrix if isinstance(B, SPD) else B
     solve, _, _ = _shift_factor(A, B, lam)

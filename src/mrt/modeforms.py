@@ -21,8 +21,9 @@ a dense matrix, block by block, and _sparse turns sparse ones into a CSR
 matrix.  Each matrix is assembled where it is read, at the width it is
 read: ModeForms builds its full-width dense ones, the evolution norms too,
 on first read, and the solvers' pencil builds its own from the terms it
-keeps.  The compressible coefficients are sampled at the flux points once,
-in _compressible_pieces, which evolve's rate laws read too.
+keeps, unless it spans every column and reads the forms' ones.  The
+compressible coefficients are sampled at the flux points once, in
+_compressible_pieces, which evolve's rate laws read too.
 
 First-derivative products are assembled on the staggered flux grid, never by
 squaring the nodal central difference (see grid1d).
@@ -85,8 +86,7 @@ class FormTerm:
 
     P and Q hold only the columns that cols names, so a single-block operator
     is stored at its own width; cols defaults to every column.  They may be
-    dense arrays or scipy sparse matrices.  Q = None means Q = P.  ld is the
-    long-double copy of (P, Q, w), converted once per term.
+    dense arrays or scipy sparse matrices.  Q = None means Q = P.
     """
 
     coef: float
@@ -97,11 +97,6 @@ class FormTerm:
 
     def scaled(self, c: float) -> "FormTerm":
         return replace(self, coef=c * self.coef)
-
-    @cached_property
-    def ld(self) -> tuple:
-        Q = None if self.Q is None else self.Q.astype(np.longdouble)
-        return self.P.astype(np.longdouble), Q, self.w.astype(np.longdouble)
 
     @property
     def sparse(self) -> bool:
@@ -121,27 +116,56 @@ class FormTerm:
         return self.coef * M
 
 
-def qform_value_ld(terms, x: np.ndarray) -> np.longdouble:
-    """Extended-precision evaluation of a factored quadratic form.
+def qform_reader(groups):
+    """Extended-precision reader of several factored quadratic forms.
 
-    Energies of smooth fields are O(1) integrals even when the assembled
-    matrices have huge norms; evaluating through the factored terms keeps
-    the rounding proportional to the value instead of the matrix norm, and
-    running the derivative matvecs and quadrature sums in long double drops
-    the remaining noise floor a further few orders.  The growth-rate fixed
-    point needs exactly this to certify |Λ² − α(Λ)| at the 1e-16 level.
-    Sparse operators give the same sums as their dense form: the skipped
-    entries are exact zeros.
+    groups is a tuple of term tuples, and the reader maps x to the tuple of
+    their values at x.  Energies of smooth fields are O(1) integrals even
+    when the assembled matrices have huge norms; evaluating through the
+    factored terms keeps the rounding proportional to the value instead of
+    the matrix norm, and running the derivative matvecs and quadrature sums
+    in long double drops the remaining noise floor a further few orders.
+    The growth-rate fixed point needs exactly this to certify |Λ² − α(Λ)|
+    at the 1e-16 level.  Each distinct (operator, columns) pair among the
+    terms is converted to long double once, here, and applied to x once per
+    read, however many terms share it, as E, V and J share the few
+    derivative operators of a mode.  Sparse operators give the same sums as
+    their dense form: the skipped entries are exact zeros.
     """
-    xl = np.asarray(x, dtype=np.longdouble)
-    total = np.longdouble(0.0)
-    for t in terms:
-        P, Q, w = t.ld
-        y = xl[t.cols]
-        Px = P @ y
-        Qx = Px if Q is None else Q @ y
-        total += np.longdouble(t.coef) * np.sum(w * Px * Qx)
-    return total
+    ops, index, plan = [], {}, []
+
+    def product(op, cols) -> int:
+        key = (id(op), cols.start, cols.stop, cols.step)
+        if key not in index:
+            index[key] = len(ops)
+            ops.append((op.astype(np.longdouble), cols))
+        return index[key]
+
+    for terms in groups:
+        plan.append(tuple(
+            (np.longdouble(t.coef), t.w.astype(np.longdouble),
+             product(t.P, t.cols),
+             product(t.P if t.Q is None else t.Q, t.cols))
+            for t in terms))
+
+    def read(x: np.ndarray) -> tuple:
+        xl = np.asarray(x, dtype=np.longdouble)
+        px = [P @ xl[cols] for P, cols in ops]
+        values = []
+        for row in plan:
+            total = np.longdouble(0.0)
+            for coef, w, i, j in row:
+                total += coef * np.sum(w * px[i] * px[j])
+            values.append(total)
+        return tuple(values)
+
+    return read
+
+
+def qform_value_ld(terms, x: np.ndarray) -> np.longdouble:
+    """Extended-precision value of one factored quadratic form at x, read
+    as qform_reader reads it."""
+    return qform_reader((terms,))(x)[0]
 
 
 def _symmetrize(M: np.ndarray) -> np.ndarray:
@@ -178,7 +202,8 @@ class ModeForms:
     λmax(E, D)), so that a reported quotient can be read through them in
     long double.  E, V, J and D are the dense symmetric matrices of those
     terms, assembled the first time each is read; the solvers' pencil
-    (dispersion._Pencil) does not read them but assembles its own from the
+    (dispersion._Pencil) reads them when it spans every column and sparse
+    assembly does not apply, and otherwise assembles its own from the
     terms, at its own width.  terms_aux names the term tuples of the PSD
     norm forms that only the evolution diagnostics read, and aux their
     dense matrices, assembled on first read like E.

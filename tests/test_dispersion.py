@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from scipy.linalg import eigh
 
-from mrt import dispersion, eigcore
+from mrt import dispersion, eigcore, modeforms
 from mrt.dispersion import (
     _Pencil,
     alpha_of_s,
@@ -187,10 +187,13 @@ def test_growth_newton_cost_and_root(case):
 
 
 def test_growth_factorizations_per_solve(params_std, monkeypatch):
-    # J and V are each checked and factored once per solve.  A dense alpha
-    # evaluation factors once more, to refine LAPACK's vector; a sparse one
-    # factors once per shift it tries and refines ARPACK's vector with the
-    # factor that certified its shift
+    # J and V are each checked and factored once per solve.  The cold dense
+    # evaluations, alpha(0) and frak_s, factor once more each, to refine
+    # LAPACK's vector.  A warm one (the probe and the 4 iterates) factors at
+    # the caller's bound and again where its quotient settles, and refines
+    # with that second factor.  A sparse evaluation factors once per shift
+    # it tries and refines ARPACK's vector with the factor that certified
+    # its shift
     counts = {"factor": 0, "refine": 0}
     for name, key in (("cholesky", "factor"), ("cho_factor", "factor"),
                       ("_ldl", "factor"), ("refine_top", "refine")):
@@ -205,7 +208,7 @@ def test_growth_factorizations_per_solve(params_std, monkeypatch):
                                     params_std, g1)
     res = solve_growth_rate(forms)
     assert res.evaluations == 7
-    assert counts == {"factor": res.evaluations + 2, "refine": res.evaluations}
+    assert counts == {"factor": 2 + 2 + 2 * 5, "refine": 2}
 
     rect = Rect2D((-1.0, 1.0), (-1.0, 1.0), 32, 32)
     box_prof = make_affine_profile(Grid1D("fd2", 1.0, 64), 2.0, 1.0)
@@ -214,6 +217,44 @@ def test_growth_factorizations_per_solve(params_std, monkeypatch):
         res = growth_rate_2d(rect, box_prof, params_std, 0.12, i)
         assert res.unstable and res.evaluations == evaluations
         assert counts == {"factor": factorizations, "refine": 0}
+
+
+def _count_eigh(monkeypatch) -> list:
+    """Every LAPACK eigensolve eigcore makes from here on, one entry each."""
+    calls = []
+
+    def counted(*args, _f=eigcore.eigh, **kwargs):
+        calls.append(args[0].shape[0])
+        return _f(*args, **kwargs)
+
+    monkeypatch.setattr(eigcore, "eigh", counted)
+    return calls
+
+
+_CI_COMPRESSIBLE = {"problem": "compressible", "n": 64, "beta": 0.5,
+                    "mu0": 0.5, "pressure_const": 10.0}
+
+
+@pytest.mark.parametrize("cfg", [
+    json.loads((Path(__file__).resolve().parents[1] / "configs"
+                / "slab_growth.json").read_text()),
+    {**_CI_COMPRESSIBLE, "modes": [[0, 1], [0, 2], [1, 0]]},
+], ids=["slab_growth", "ci_compressible"])
+def test_growth_iterates_run_no_dense_eigensolve(cfg, monkeypatch):
+    # LAPACK runs only for the cold evaluations: alpha(0) on every mode and
+    # frak_s on an unstable one.  The probe and the iterates inverse-iterate
+    # from the previous maximizer at the certified bound the step before
+    # left, so no iterate falls back to LAPACK
+    cfg = validate_config(cfg)
+    slab = _build_slab(cfg)
+    calls = _count_eigh(monkeypatch)
+    statuses = []
+    for mode in _build_modes(cfg):
+        calls.clear()
+        res = solve_growth_rate(slab.assemble(mode))
+        statuses.append(res.status)
+        assert len(calls) == (2 if res.unstable else 1), mode.xi
+    assert "unstable" in statuses and "stable" in statuses
 
 
 def _two_block_forms(e, v):
@@ -237,19 +278,24 @@ def _quadratic_root(e: float, v: float) -> float:
         return float((-v + (v * v + 4 * e).sqrt()) / 2)
 
 
-@pytest.mark.parametrize("e,v", [
+@pytest.mark.parametrize("e,v,fallbacks", [
     # the steep first block holds the top from the probe to Lambda
-    ((12.0, 4.0), (7.0, 2.0)),
+    ((12.0, 4.0), (7.0, 2.0), 0),
     # the steep second block holds the top at the probe, and its root lies
-    # past the crossing at s = 2/8.9, where the flat first block takes over
-    ((1.0, 3.0), (0.1, 9.0)),
+    # past the crossing at s = 2/8.9, where the flat first block takes over;
+    # inverse iteration from the second block's vector never leaves that
+    # block, its quotient cannot be certified as the top, and the iterate
+    # falls back to LAPACK once
+    ((1.0, 3.0), (0.1, 9.0), 1),
 ], ids=["one_block", "block_switch"])
-def test_growth_iterates_rise_to_root(e, v):
+def test_growth_iterates_rise_to_root(e, v, fallbacks, monkeypatch):
     # alpha(s) = max_i(e_i - v_i s): each iterate is the root of the top
     # block's quadratic, a lower bound on Lambda, so the samples past the
     # probe rise strictly and never pass Lambda, which is the first block's
     # root
+    calls = _count_eigh(monkeypatch)
     res = solve_growth_rate(_two_block_forms(e, v))
+    assert len(calls) == 2 + fallbacks
     assert res.unstable
     lam = res.Lambda
     assert abs(lam - _quadratic_root(e[0], v[0])) <= np.spacing(lam)
@@ -544,10 +590,32 @@ def test_growth_solve_builds_no_full_width_form(params_std):
     assert "E" not in vars(forms) and "V" not in vars(forms)
 
 
+def test_compressible_evolve_assembles_each_form_once(monkeypatch):
+    # a growing-mode evolve on the CI xi = (0, 2) config: the full-width
+    # growth pencil reads the forms' own E, V and J, so init_state finds
+    # them built and adds only the three evolution norms
+    cfg = validate_config({**_CI_COMPRESSIBLE, "xi": [0, 2]})
+    slab = _build_slab(cfg)
+    forms = slab.assemble(ModeSpec.from_integers(cfg["L"], 0, 2))
+    built = []
+
+    def counted(terms, n, _f=modeforms._dense):
+        built.append(n)
+        return _f(terms, n)
+
+    monkeypatch.setattr(modeforms, "_dense", counted)
+    monkeypatch.setattr(dispersion, "_dense", counted)
+    gm = build_growing_mode(forms)
+    assert len(built) == 3
+    init_state(forms, gm.y, gm.rho, gm.N)
+    assert built == [forms.size] * 6
+
+
 @pytest.mark.parametrize("kind", ["incompressible", "crForms"])
 def test_pencil_matrices_are_the_forms_blocks(kind, params_std):
     # the pencil's own assembly is bit-identical to the v3 block of the
-    # forms' full-width matrices, and to the whole matrix over every column
+    # forms' full-width matrices; over every column it holds the forms'
+    # matrices themselves
     if kind == "incompressible":
         g1 = Grid1D("chebyshev", 1.0, 64)
         mode = ModeSpec.from_integers(1.0, 2, 1, field_dir=3, m=0.2)

@@ -151,6 +151,27 @@ def test_refine_top_reduces_residual():
     assert abs(float(v_ref @ (B @ v_ref)) - 1.0) <= 1e-10
 
 
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_dense_warm_top_pair_runs_no_eigensolver(seed, monkeypatch):
+    # from a bound above lambda_max, or a shift below it that is raised
+    # until sigma B - A factors, and a start vector near the top one, the
+    # dense path inverse-iterates to the top pair without LAPACK
+    A, B = _random_pencil(seed, 16)
+    ref, v = top_pair(A, B)
+    rng = np.random.default_rng(seed)
+    v0 = v + 1e-2 * rng.standard_normal(v.shape)
+    calls = []
+    monkeypatch.setattr(eigcore, "eigh", lambda *a, **k: calls.append(a))
+    for sigma in (ref + 0.5, ref - 0.01):
+        lam, x = top_pair(A, spd_factor(B), sigma=sigma, v0=v0)
+        assert abs(lam - ref) <= 1e-12 * max(1.0, abs(ref))
+        assert abs(float(x @ (B @ x)) - 1.0) <= 1e-12
+    assert calls == []
+    A[0, 1] += 1e-6
+    with pytest.raises(NotSymmetric):
+        top_pair(A, B, sigma=ref + 0.5, v0=v0)
+
+
 def _sparse_pencil(seed, n=80, density=0.05):
     """Sparse symmetric A and sparse SPD B with a few nonzeros per row."""
     rng = np.random.default_rng(seed)

@@ -15,6 +15,7 @@ from mrt.modeforms import (
     assemble_cr_forms,
     assemble_incompressible,
     assemble_quotient,
+    qform_reader,
     qform_value_ld,
 )
 from mrt.profiles import PhysicalParams, build_equilibrium, make_affine_profile
@@ -266,6 +267,45 @@ def test_qform_value_ld_compressible(symbolic_eq):
         _assert_qform_matches_dense(terms, _dense(terms, forms.size), 5)
     cr = assemble_cr_forms(ModeSpec.from_integers(1.0, 1, 2), eq, params, g1)
     _assert_qform_matches_dense(cr.terms_D, cr.D, 5)
+
+
+def _qform_longhand(terms, x):
+    """A factored form in long double, one conversion and one product per
+    term."""
+    xl = np.asarray(x, dtype=np.longdouble)
+    total = np.longdouble(0.0)
+    for t in terms:
+        y = xl[t.cols]
+        Px = t.P.astype(np.longdouble) @ y
+        Qx = Px if t.Q is None else t.Q.astype(np.longdouble) @ y
+        total += np.longdouble(t.coef) * np.sum(t.w.astype(np.longdouble) * Px * Qx)
+    return total
+
+
+@pytest.mark.parametrize("kind", ["slab", "compressible", "box"])
+def test_shared_operator_read_is_bit_identical(kind, affine64, params_std,
+                                               symbolic_eq):
+    # one product per distinct operator across E, V and J gives each form
+    # the value it has read alone, and read one term at a time, bit for bit
+    if kind == "slab":
+        forms = assemble_incompressible(ModeSpec.from_integers(1.0, 2, 1, m=0.2),
+                                        affine64, params_std, affine64.grid)
+    elif kind == "compressible":
+        eq, cparams, g1 = symbolic_eq
+        forms = assemble_compressible(ModeSpec.from_integers(1.0, 1, 2), eq,
+                                      cparams, g1)
+    else:
+        rect = Rect2D((-1.0, 1.0), (-1.0, 1.0), 12, 10)
+        forms = _growth_forms_2d(rect, make_affine_profile(
+            Grid1D("fd2", 1.0, 16), 2.0, 1.0), params_std, 0.1, 3)
+    groups = (forms.terms_E, forms.terms_V, forms.terms_J)
+    read = qform_reader(groups)
+    rng = np.random.default_rng(11)
+    for _ in range(3):
+        x = rng.standard_normal(forms.size)
+        values = read(x)
+        assert values == tuple(qform_value_ld(t, x) for t in groups)
+        assert values == tuple(_qform_longhand(t, x) for t in groups)
 
 
 def test_assemblers_build_no_dense_matrix(affine64, params_std, symbolic_eq):
