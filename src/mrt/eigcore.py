@@ -29,12 +29,12 @@ growth-rate fixed point relies on.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 from typing import Callable
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg import cholesky, cho_factor, cho_solve, eigh, LinAlgError
+from scipy.linalg import (cholesky, cho_factor, eigh, get_lapack_funcs,
+                          LinAlgError)
 from scipy.sparse.linalg import (ArpackNoConvergence, LinearOperator, eigsh,
                                  splu)
 
@@ -144,11 +144,27 @@ def spd_factor(B, name: str = "B") -> SPD:
         except LinAlgError as e:
             raise NotPositiveDefinite(f"{name}: {e}") from None
         d = np.diag(L)
-        solve, ratio = partial(cho_solve, (L, True)), (d.max() / d.min()) ** 2
+        solve, ratio = _potrs_solver(L, True), (d.max() / d.min()) ** 2
     if ratio > _COND_LIMIT:
         raise NotPositiveDefinite(
             f"{name} numerically singular (condition ~{ratio:.1e})")
     return SPD(B, solve)
+
+
+def _potrs_solver(c: np.ndarray, lower: bool):
+    """Solver x = S⁻¹b on a checked Cholesky factor c of S: LAPACK potrs
+    bound to c.  It is the call cho_solve makes, so the floats are the
+    same, without cho_solve's scans of the factor and the right-hand side,
+    which cost as much again as the solve."""
+    potrs, = get_lapack_funcs(("potrs",), (c,))
+
+    def solve(b):
+        x, info = potrs(c, b, lower=lower)
+        if info != 0:
+            raise SolverFailure(f"potrs rejected its arguments (info {info})")
+        return x
+
+    return solve
 
 
 def _shift_factor(A, B, lam: float):
@@ -166,8 +182,8 @@ def _shift_factor(A, B, lam: float):
                 return lu.solve, shift, k == 0
         else:
             try:
-                F = cho_factor(S)
-                return partial(cho_solve, F), shift, k == 0
+                c, lower = cho_factor(S)
+                return _potrs_solver(c, lower), shift, k == 0
             except LinAlgError:
                 pass
     raise SolverFailure("could not shift the pencil to SPD")

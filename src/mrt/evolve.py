@@ -14,6 +14,7 @@ no resistivity the linearized transport and induction laws ϱ̇ = R_ρ y and
 recovered from Y only where they are read.  RateLaws is the one
 implementation of R_ρ and R_N; the growing mode e^{Λt}(y, ϱ, N) of
 dispersion.build_growing_mode takes its carriers as R_ρ y/Λ and R_N y/Λ.
+
 Every energy term that pairs with a recovered quantity is assembled on the
 same staggered points as the rate law (see modeforms), which makes the weak
 relation J ẏ = −V y + b(ϱ, N) an exact invariant of the discrete flow: the
@@ -22,6 +23,21 @@ bilinear identity b(R_ρ y, R_N y) = E y.  The same identity gives a growing
 mode the initial acceleration ẏ(0) = Λy up to the eigenpair residual.  The
 energy identity and its time-integrated variant inherit their convergence
 order from the dissipation quadrature alone.
+
+The step is taken in the coordinates of the step matrix's Cholesky factor,
+S = M + (dt/2)C − (dt²/4)K = LLᵀ (the congruence that reduces a symmetric
+pencil to standard form: Golub & Van Loan, Matrix Computations, §8.7).  In
+x̂ = Lᵀx the implicit solve S ÿ = K y_pred − C ẏ_pred of the
+average-acceleration step becomes the product â = K̂ ŷ_pred − Ĉ v̂_pred with
+K̂ = L⁻¹KL⁻ᵀ and Ĉ = L⁻¹CL⁻ᵀ, and the dissipation rate ẏᵀCẏ = v̂ᵀĈv̂.  The
+predictor, the corrector and the Y update are linear and keep their form.
+A call of step maps the state in by Lᵀ, or goes on from the congruent
+state the call before left on it, takes its steps with three matrix-vector
+products each and no solve, and maps back once by a triangular solve.
+run_trajectory makes one call per recorded interval and reads the recorded
+states in blocks, each form applied to a block by one matrix–matrix
+product; the norms and the energy are read through the factored terms of
+their forms.
 
 Phase convention (real carriers): for the vertical-field incompressible
 problem N = (i·N₁, i·N₂, N₃); for the horizontal-field incompressible and
@@ -35,12 +51,13 @@ above 1e-8 of their size.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Optional
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, eig as dense_eig, get_lapack_funcs
+from scipy.linalg import (cho_factor, cho_solve, cholesky, eig as dense_eig,
+                          get_lapack_funcs)
 
 from .errors import IncompatibleData, InputError, SolverFailure
 from .modeforms import ModeForms, _compressible_pieces
@@ -51,22 +68,27 @@ _FLAG_THRESHOLD = 1e6
 # largest off-phase fraction init_state accepts in complex initial data
 _PHASE_TOL = 1e-8
 
+# recorded states that run_trajectory reads with one set of products
+_RECORD_BLOCK = 32
+
+
 class RateLaws:
     """The rate laws ϱ̇ = R_ρ y and Ṅ = R_N y of one mode, what pairs with
-    them, and the factors a trajectory solves with.
+    them, and the factors a trajectory steps with.
 
     rates(y) returns R_ρ y and R_N y, the latter as a (3, n_f) array of real
     carriers; phase holds the factor that turns each carrier row into its
     physical component.  forcing is the weak right-hand side b(ϱ, N),
-    velocity(y) the complex nodal velocity (u₁, u₂, u₃).  Each operator is a
-    pair (cols, R) and reads only the columns of the stacked unknown that
+    velocity(y) the complex nodal velocity (u₁, u₂, u₃).  rates and forcing
+    also take a block of records, one per trailing column.  Each operator is
+    a pair (cols, R) and reads only the columns of the stacked unknown that
     cols names, so a single-block operator is stored at its own width.
     The compressible laws take their operators and flux-point coefficients
     from modeforms._compressible_pieces, as the energy terms do, so
-    b(R_ρ y, R_N y) = E y holds to rounding.  The mass factor, the implicit
-    step factor and the norm matrices forms.aux are built on first use, so
-    a growing mode built from these laws factors nothing.  Built where a
-    trajectory or a growing mode needs them, never during form assembly.
+    b(R_ρ y, R_N y) = E y holds to rounding.  The mass factor and the step
+    matrix's congruence are built on first use, so a growing mode built
+    from these laws factors nothing.  Built where a trajectory or a growing
+    mode needs them, never during form assembly.
     """
 
     def __init__(self, forms: ModeForms):
@@ -79,7 +101,7 @@ class RateLaws:
         self.nf = g1.flux_points.size
         self.xi1, self.xi2 = forms.mode.xi
         self.xin2 = forms.mode.xi_norm2
-        self._step = (None, None)
+        self._congruence = (None, None)
         if forms.kind == "incompressible":
             self._build_incompressible(forms)
         else:
@@ -166,27 +188,31 @@ class RateLaws:
     # -- shared pieces ------------------------------------------------------
 
     def rates(self, y: np.ndarray):
-        """R_ρ y and the (3, n_f) real carriers of R_N y."""
+        """R_ρ y and the (3, n_f) real carriers of R_N y; y may be a block
+        of records, one per column."""
         cols, R = self.Rrho
         return R @ y[cols], np.array([R @ y[c] for c, R in self.RN])
 
     def forcing(self, rho: np.ndarray, N: np.ndarray) -> np.ndarray:
-        """Weak right-hand side b(ϱ, N) in the reduced coordinates."""
+        """Weak right-hand side b(ϱ, N) in the reduced coordinates; one
+        column per record when ϱ and N carry a trailing axis of records."""
         forms = self.forms
         params = forms.params
-        lam0, wf = params.lambda0, self.wf
-        b = np.zeros(forms.size)
+        # the pointwise weights and coefficients, broadcast over records
+        pt = (slice(None),) + (None,) * (np.ndim(rho) - 1)
+        lam0, wf = params.lambda0, self.wf[pt]
+        b = np.zeros((forms.size,) + np.shape(rho)[1:])
         if forms.kind == "incompressible":
-            b[forms.layout["v3"]] = -params.g * (self.Z.T @ (self.quad * rho))
+            b[forms.layout["v3"]] = -params.g * (self.Z.T @ (self.quad[pt] * rho))
             for (cols, R), Nk in zip(self.RN, N):
                 b[cols] -= lam0 * (R.T @ (wf * Nk))
             return b
         s1, s2, s3 = (forms.layout[k] for k in ("v1", "v2", "v3"))
         A = forms.grid.value_flux
-        xi1, mc_f = self.xi1, self.mc_f
-        q = self.pp_f * rho + lam0 * mc_f * N[0]
+        xi1, mc_f = self.xi1, self.mc_f[pt]
+        q = self.pp_f[pt] * rho + lam0 * mc_f * N[0]
         b += self.d.T @ (wf * q)
-        b[s1] += lam0 * (A.T @ (wf * (self.dmc_f * N[2] + xi1 * mc_f * N[0])))
+        b[s1] += lam0 * (A.T @ (wf * (self.dmc_f[pt] * N[2] + xi1 * mc_f * N[0])))
         b[s2] += lam0 * xi1 * (A.T @ (wf * mc_f * N[1]))
         b[s3] -= A.T @ (wf * (lam0 * xi1 * mc_f * N[2] + params.g * rho))
         return b
@@ -213,36 +239,47 @@ class RateLaws:
 
     # -- trajectory pieces --------------------------------------------------
 
-    def energy(self, y: np.ndarray, v: np.ndarray, Jv: np.ndarray) -> float:
-        """ẏᵀJẏ − yᵀEy, with Jv = J ẏ formed by the caller."""
-        return float(v @ Jv - y @ (self.forms.E @ y))
+    def energy(self, y: np.ndarray, v: np.ndarray):
+        """ẏᵀJẏ − yᵀEy, read through the factored terms; one value per
+        column of a block of states."""
+        forms = self.forms
+        return _qform(forms.terms_J, v) - _qform(forms.terms_E, y)
 
     @cached_property
     def mass_factor(self):
         return cho_factor(self.forms.J, lower=True)
 
-    def step_factor(self, dt: float):
-        """Lower Cholesky factor of J + (dt/2)V − (dt²/4)E and the LAPACK
-        potrs bound to it, kept for the last dt.
+    def congruence(self, dt: float):
+        """(L, K̂, Ĉ, trtrs) of the step matrix S = J + (dt/2)V − (dt²/4)E,
+        kept for the last dt.
 
-        cho_factor has checked the matrix, so the factor is finite and the
-        step solves with potrs directly, without cho_solve's scan of the
-        factor and the right-hand side; cho_solve calls the same potrs, so
-        the solution is the same floats.
+        L is the lower Cholesky factor of S = LLᵀ, K̂ = L⁻¹EL⁻ᵀ and
+        Ĉ = L⁻¹VL⁻ᵀ, each from two triangular solves and symmetrized, and
+        trtrs the LAPACK triangular solver that maps a step's state back.
         """
-        if self._step[0] != dt:
+        if self._congruence[0] != dt:
             forms = self.forms
             S = forms.J + (dt / 2.0) * forms.V - (dt * dt / 4.0) * forms.E
             try:
-                c, _ = cho_factor(S, lower=True)
+                L = cholesky(S, lower=True)
             except np.linalg.LinAlgError as e:
                 dg = np.diag(S)
                 raise SolverFailure(
                     f"implicit step matrix not positive definite at dt={dt:g} "
                     f"(diag range [{dg.min():.3e}, {dg.max():.3e}]): {e}") from e
-            potrs, = get_lapack_funcs(("potrs",), (c,))
-            self._step = (dt, (c, potrs))
-        return self._step[1]
+            del S
+            trtrs, = get_lapack_funcs(("trtrs",), (L,))
+
+            def congruent(A):
+                X, _ = trtrs(L, A, lower=1)
+                X, _ = trtrs(L, X.T, lower=1, overwrite_b=1)
+                X += X.T
+                X *= 0.5
+                return X
+
+            self._congruence = (dt, (L, congruent(forms.E), congruent(forms.V),
+                                     trtrs))
+        return self._congruence[1]
 
 
 @dataclass(frozen=True)
@@ -258,7 +295,12 @@ class EvolveState:
     are recovered on read as rho = rho0 + R_ρ Y and N = N0 + R_N Y, N a
     (3, n_f) array.  ws holds the rate laws and factors shared by the states
     of one trajectory; meta the initial diagnostics (J0, forcing_norm,
-    stability_denom).
+    stability_denom).  congruent is set by step: its dt, the state
+    (ŷ, v̂, â, Ŷ) in the coordinates of RateLaws.congruence(dt), and the
+    four arrays (y, ydot, acc, Y) they were mapped back to.  A step at the
+    same dt from those same arrays goes on from the congruent state instead
+    of mapping the arrays in again, so the record interval does not change
+    the trajectory.
     """
 
     t: float
@@ -272,6 +314,7 @@ class EvolveState:
     N0: np.ndarray
     ws: RateLaws
     meta: dict
+    congruent: Optional[tuple] = field(default=None, repr=False, compare=False)
 
     def carriers(self):
         """(rho, N) recovered from the integrated velocity Y."""
@@ -355,7 +398,7 @@ def init_state(forms: ModeForms, u0, rho0=None, N0=None) -> EvolveState:
     v0 = cho_solve(ws.mass_factor, -(forms.V @ y) + b0)
     a0 = cho_solve(ws.mass_factor, forms.E @ y - forms.V @ v0)
 
-    meta = {"J0": ws.energy(y, v0, forms.J @ v0)}
+    meta = {"J0": float(ws.energy(y, v0))}
     meta.update(_initial_diagnostics(ws, y, rho, N))
     return EvolveState(t=0.0, y=y, ydot=v0, acc=a0, Y=np.zeros_like(y),
                        diss=0.0, diss_rate=float(v0 @ (forms.V @ v0)),
@@ -393,8 +436,8 @@ def _initial_diagnostics(ws: RateLaws, y, rho, N) -> dict:
             q3 = -lam0m * xi1 * (P @ N[2]) - params.g * rho
             q0sq = l2f(q1) + l2f(q2) + l2q(q3)
         out["forcing_norm"] = math.sqrt(q0sq)
-        di_u0 = (float(y @ (forms.aux["bend"] @ y)) if mode.field_dir == 3
-                 else xi1 * xi1 * float(y @ (forms.aux["unit_mass"] @ y)))
+        di_u0 = (_qform(forms.terms_aux["bend"], y) if mode.field_dir == 3
+                 else xi1 * xi1 * _qform(forms.terms_aux["unit_mass"], y))
         di_n0 = (sum(l2q(g1.flux_div @ c) for c in N) if mode.field_dir == 3
                  else xi1 * xi1 * sum(l2f(c) for c in N))
         rho_sq = l2q(rho)
@@ -406,7 +449,7 @@ def _initial_diagnostics(ws: RateLaws, y, rho, N) -> dict:
         c3 = (g1.flux_div @ q
               + P @ (lam0 * ws.mc_f * xi1 * N[2] + params.g * rho))
         out["forcing_norm"] = math.sqrt(l2f(c1) + l2f(c2) + l2q(c3))
-        di_u0 = xi1 * xi1 * float(y @ (forms.aux["unit_mass"] @ y))
+        di_u0 = xi1 * xi1 * _qform(forms.terms_aux["unit_mass"], y)
         di_n0 = xi1 * xi1 * sum(l2f(c) for c in N)
         rho_sq = l2f(rho)
 
@@ -416,41 +459,62 @@ def _initial_diagnostics(ws: RateLaws, y, rho, N) -> dict:
     return out
 
 
-def step(state: EvolveState, dt: float) -> EvolveState:
-    """One implicit time step; returns a new state.
+def step(state: EvolveState, dt: float, n: int = 1) -> EvolveState:
+    """n implicit time steps; returns the new state.
 
     Average-acceleration update of (y, ẏ, ÿ), then the trapezoidal rule
-    for Y = ∫y and for the dissipation over the same interval.  Costs one
-    potrs solve on the factor of step_factor(dt) and three matrix-vector
-    products: E and V on the predictor, V on the new velocity.
+    for Y = ∫y and for the dissipation over each step, taken in the
+    coordinates x̂ = Lᵀx of RateLaws.congruence(dt) (see the module
+    docstring).  The state is mapped in by one product with L, unless it
+    carries its congruent coordinates from the step that made it, and back
+    by one LAPACK trtrs on its four columns; each step in between costs
+    three matrix-vector products (K̂ and Ĉ on the predictor, Ĉ on the new
+    velocity) and no solve.  t accumulates as t += dt, step by step.
 
-    :raises InputError: dt ≤ 0.
-    :raises SolverFailure: the implicit solve breaks down or the new
-        acceleration is not finite (as from a non-finite state).
+    :raises InputError: dt ≤ 0 or n < 1.
+    :raises SolverFailure: the step matrix is not positive definite, or a
+        step's dissipation rate is not finite (as from a non-finite state).
     """
     if not dt > 0.0:
         raise InputError(f"dt must be positive, got {dt}")
+    if n < 1:
+        raise InputError(f"step count must be at least 1, got {n}")
     ws = state.ws
-    forms = ws.forms
-    C = forms.V
-    y, v, a = state.y, state.ydot, state.acc
-    c, potrs = ws.step_factor(dt)
-    y_pred = y + dt * v + (dt * dt / 4.0) * a
-    v_pred = v + (dt / 2.0) * a
-    a_new, info = potrs(c, forms.E @ y_pred - C @ v_pred, lower=True,
-                        overwrite_b=True)
+    L, Kh, Ch, trtrs = ws.congruence(dt)
+    h, q = dt / 2.0, dt * dt / 4.0
+    arrays = (state.y, state.ydot, state.acc, state.Y)
+    cg = state.congruent
+    if cg is not None and cg[0] == dt and all(
+            a is b for a, b in zip(cg[2], arrays)):
+        y, v, a, Y = cg[1]
+    else:
+        # rows xᵀL = (Lᵀx)ᵀ: the state in congruent coordinates
+        y, v, a, Y = np.vstack(arrays) @ L
+    t, diss, rate = state.t, state.diss, state.diss_rate
+    for _ in range(n):
+        y_pred = y + dt * v + q * a
+        v_pred = v + h * a
+        a = Kh @ y_pred - Ch @ v_pred
+        v = v_pred + h * a
+        y_new = y_pred + q * a
+        Y = Y + h * (y + y_new)
+        y = y_new
+        rate_new = float(v @ (Ch @ v))
+        # 0·∞ is NaN, so one non-finite entry of the new state makes every
+        # entry of Ĉv̂, and the rate, non-finite
+        if not math.isfinite(rate_new):
+            raise SolverFailure("implicit step produced a non-finite state")
+        diss += dt * (rate + rate_new)
+        rate = rate_new
+        t += dt
+    hat = (y, v, a, Y)
+    X, info = trtrs(L, np.vstack(hat).T, lower=1, trans=1)
     if info != 0:
-        raise SolverFailure(f"implicit step solve failed (potrs info {info})")
-    if not np.isfinite(a_new).all():
-        raise SolverFailure("implicit step produced non-finite acceleration")
-    v_new = v_pred + (dt / 2.0) * a_new
-    y_new = y_pred + (dt * dt / 4.0) * a_new
-    rate = float(v_new @ (C @ v_new))
-    return EvolveState(t=state.t + dt, y=y_new, ydot=v_new, acc=a_new,
-                       Y=state.Y + (dt / 2.0) * (y + y_new),
-                       diss=state.diss + dt * (state.diss_rate + rate),
-                       diss_rate=rate, rho0=state.rho0, N0=state.N0, ws=ws,
-                       meta=state.meta)
+        raise SolverFailure(f"step back-transform failed (trtrs info {info})")
+    y, v, a, Y = arrays = tuple(X.T)
+    return EvolveState(t=t, y=y, ydot=v, acc=a, Y=Y, diss=diss, diss_rate=rate,
+                       rho0=state.rho0, N0=state.N0, ws=ws, meta=state.meta,
+                       congruent=(dt, hat, arrays))
 
 
 @dataclass(frozen=True)
@@ -485,33 +549,49 @@ class TrajectoryRecord:
     ledger: dict
 
 
-def _norms_row(ws: RateLaws, y, v, rho, N):
+def _qform(terms, x: np.ndarray):
+    """Σ coef·Σ_k w[k] (P x)_k (Q x)_k over a term tuple, for a vector x or
+    for each column of a block.  Read through the factored terms, the
+    rounding stays proportional to the value of each term instead of to the
+    norm of the assembled matrix."""
+    total = 0.0
+    for t in terms:
+        px = t.P @ x[t.cols]
+        qx = px if t.Q is None else t.Q @ x[t.cols]
+        total = total + t.coef * (t.w @ (px * qx))
+    return total
+
+
+def _norms(ws: RateLaws, y, v, rho, N) -> np.ndarray:
+    """The six recorded norms (ϱ, u, ∂ᵢu, uₜ, ∇u, N) of a block of states,
+    one column per state."""
     forms = ws.forms
-    aux = forms.aux
-    u_sq = float(y @ (aux["unit_mass"] @ y))
-    ut_sq = float(v @ (aux["unit_mass"] @ v))
-    n_sq = sum(float(ws.wf @ (c * c)) for c in N)
-    rho_sq = float(ws.rho_weights @ (rho * rho))
+    terms = forms.terms_aux
+    u_sq = _qform(terms["unit_mass"], y)
+    ut_sq = _qform(terms["unit_mass"], v)
+    n_sq = (ws.wf @ (N * N)).sum(axis=0)
+    rho_sq = ws.rho_weights @ (rho * rho)
     if forms.kind == "incompressible":
-        bend_sq = float(y @ (aux["bend"] @ y))
+        bend_sq = _qform(terms["bend"], y)
         if forms.mode.field_dir == 3:
             diu_sq = bend_sq
         else:
             diu_sq = ws.xi1 * ws.xi1 * u_sq
         grad_sq = ws.xin2 * u_sq + bend_sq
     else:
-        diu_sq = ws.xi1 * ws.xi1 * u_sq + float(y @ (aux["divsq"] @ y))
-        grad_sq = float(y @ (aux["grad"] @ y))
-    return (math.sqrt(max(rho_sq, 0.0)), math.sqrt(max(u_sq, 0.0)),
-            math.sqrt(max(diu_sq, 0.0)), math.sqrt(max(ut_sq, 0.0)),
-            math.sqrt(max(grad_sq, 0.0)), math.sqrt(max(n_sq, 0.0)))
+        diu_sq = ws.xi1 * ws.xi1 * u_sq + _qform(terms["divsq"], y)
+        grad_sq = _qform(terms["grad"], y)
+    return np.sqrt(np.maximum([rho_sq, u_sq, diu_sq, ut_sq, grad_sq, n_sq], 0.0))
 
 
 def run_trajectory(state: EvolveState, T: float, dt: float,
                    diagnostics_every: int = 1) -> TrajectoryRecord:
     """Advance to time T recording diagnostics every given number of steps.
 
-    ϱ and N are recovered from Y at the recorded steps only.
+    Each recorded interval is one call of step.  The recorded states are
+    read in blocks of up to _RECORD_BLOCK, each form applied to a block by
+    one matrix–matrix product, and ϱ and N are recovered from Y at the
+    recorded steps only.
 
     Args:
         state: initial state from init_state.
@@ -538,46 +618,64 @@ def run_trajectory(state: EvolveState, T: float, dt: float,
     defects = []
     rho_inc = []
     n_inc = []
-    scale0 = np.finfo(float).tiny
+    scale0 = None
+    last = None
 
-    def record(st: EvolveState, rho, N):
-        nonlocal scale0
-        times.append(st.t)
-        rows.append(_norms_row(ws, st.y, st.ydot, rho, N))
-        Jv, Cy = M @ st.ydot, C @ st.y
-        en = ws.energy(st.y, st.ydot, Jv)
+    def read(block):
+        nonlocal scale0, last
+        t, diss, y, v, Y = zip(*block)
+        times.append(np.array(t))
+        diss = np.array(diss)
+        y, v, Y = np.column_stack(y), np.column_stack(v), np.column_stack(Y)
+        r, n = ws.rates(Y)
+        rho, N = state.rho0[:, None] + r, state.N0[:, :, None] + n
+        rows.append(_norms(ws, y, v, rho, N))
+        Jv, Cy = M @ v, C @ y
+        en = ws.energy(y, v)
         # the two identity terms cancel down to J0 along a growing mode, so
         # the drift is relative to their running size, not just to J0
-        scale = max(1.0, abs(j0), abs(en) + abs(st.diss))
-        drifts.append(abs(en + st.diss - j0) / scale)
+        scale = np.maximum(max(1.0, abs(j0)), np.abs(en) + np.abs(diss))
+        drifts.append(np.abs(en + diss - j0) / scale)
         # b(ϱ, N) of the recovered carriers, not b₀ + E·Y: an independent
         # check of the bilinear identity
         bb = ws.forcing(rho, N)
-        res = Jv + Cy - bb
-        scl = max(float(np.max(np.abs(Jv))), float(np.max(np.abs(Cy))),
-                  float(np.max(np.abs(bb))))
-        if st is state:
-            scale0 = max(scale0, scl)
-        defects.append(float(np.max(np.abs(res))) / max(scl, scale0))
+        scl = np.maximum.reduce([np.max(np.abs(x), axis=0) for x in (Jv, Cy, bb)])
+        if scale0 is None:
+            scale0 = max(float(scl[0]), np.finfo(float).tiny)
+        defects.append(np.max(np.abs(Jv + Cy - bb), axis=0)
+                       / np.maximum(scl, scale0))
+        # increments between consecutive records, across blocks too
+        if last is not None:
+            rho = np.concatenate((last[0], rho), axis=-1)
+            N = np.concatenate((last[1], N), axis=-1)
+        d, dn = np.diff(rho), np.diff(N)
+        rho_inc.append(np.sqrt(ws.rho_weights @ (d * d)))
+        n_inc.append(np.sqrt((ws.wf @ (dn * dn)).sum(axis=0)))
+        last = rho[:, -1:], N[..., -1:]
 
-    prev_rho, prev_n = state.carriers()
-    record(state, prev_rho, prev_n)
+    def record(st):
+        return st.t, st.diss, st.y, st.ydot, st.Y
+
+    block = [record(state)]
     st = state
-    for k in range(1, n_steps + 1):
-        st = step(st, dt)
-        if k % diagnostics_every == 0 or k == n_steps:
-            rho, N = st.carriers()
-            record(st, rho, N)
-            d, dn = rho - prev_rho, N - prev_n
-            rho_inc.append(math.sqrt(float(ws.rho_weights @ (d * d))))
-            n_inc.append(math.sqrt(sum(float(ws.wf @ (c * c)) for c in dn)))
-            prev_rho, prev_n = rho, N
+    done = 0
+    while done < n_steps:
+        k = min(diagnostics_every, n_steps - done)
+        st = step(st, dt, k)
+        done += k
+        block.append(record(st))
+        if len(block) == _RECORD_BLOCK:
+            read(block)
+            block = []
+    if block:
+        read(block)
 
-    times = np.asarray(times)
-    cols = np.asarray(rows).T
-    norm_rho, norm_u, norm_diu, norm_ut, norm_gradu, norm_n = cols
-    drifts = np.asarray(drifts)
-    defects = np.asarray(defects)
+    times = np.concatenate(times)
+    norm_rho, norm_u, norm_diu, norm_ut, norm_gradu, norm_n = np.hstack(rows)
+    drifts = np.concatenate(drifts)
+    defects = np.concatenate(defects)
+    rho_inc = np.concatenate(rho_inc)
+    n_inc = np.concatenate(n_inc)
 
     fit_rate, fit_band = _fit_growth(times, norm_u)
     denom = state.meta["stability_denom"]
@@ -590,8 +688,8 @@ def run_trajectory(state: EvolveState, T: float, dt: float,
         "max_comb_sq_ratio": float(np.max(norm_ut ** 2 + norm_u ** 2
                                           + norm_diu ** 2)) / max(denom, tiny),
         "h1_final_over_max": float(h1[-1] / max(float(np.max(h1)), tiny)),
-        "rho_increment_late": float(max(rho_inc[late:], default=0.0)),
-        "N_increment_late": float(max(n_inc[late:], default=0.0)),
+        "rho_increment_late": float(np.max(rho_inc[late:], initial=0.0)),
+        "N_increment_late": float(np.max(n_inc[late:], initial=0.0)),
         "rho_bounded": bool(np.max(norm_rho) < np.inf),
         "N_bounded": bool(np.max(norm_n) < np.inf),
     }

@@ -205,8 +205,8 @@ class ModeForms:
     (dispersion._Pencil) reads them when it spans every column and sparse
     assembly does not apply, and otherwise assembles its own from the
     terms, at its own width.  terms_aux names the term tuples of the PSD
-    norm forms that only the evolution diagnostics read, and aux their
-    dense matrices, assembled on first read like E.
+    norm forms that only the evolution diagnostics read, through their
+    factors, and aux their dense matrices, assembled on first read like E.
     """
 
     kind: str

@@ -377,9 +377,7 @@ def newmark_step_reference(M, C, K, dt: float):
     afresh at both ends of the step.
 
     Returns step(y, v, a, Y, diss) -> (y, v, a, Y, diss), with Y the
-    trapezoidal integral of y and diss the integral 2∫ẏᵀCẏ.  The evolve
-    step must reproduce it bit for bit: it does the same float operations
-    in the same order, only without the repeated products and checks.
+    trapezoidal integral of y and diss the integral 2∫ẏᵀCẏ.
     """
     from scipy.linalg import cho_factor, cho_solve
 
@@ -394,5 +392,39 @@ def newmark_step_reference(M, C, K, dt: float):
         diss_new = diss + dt * (float(v @ (C @ v))
                                 + float(v_new @ (C @ v_new)))
         return y_new, v_new, a_new, Y + (dt / 2.0) * (y + y_new), diss_new
+
+    return step
+
+
+def newmark_step_longdouble(M, C, K, dt: float, refinements: int = 3):
+    """The average-acceleration step of newmark_step_reference carried in
+    long double: the predictor, the corrector and the right-hand side
+    K y_pred − C v_pred are formed in long double, and the solve with
+    S = M + (dt/2)C − (dt²/4)K takes a double Cholesky solve and then
+    `refinements` rounds of residual refinement, with S and the residual in
+    long double (mixed-precision iterative refinement).
+
+    Returns step(y, v, a) -> (y, v, a) on long-double arrays; seed it with
+    np.longdouble copies of a double state.
+    """
+    from scipy.linalg import cho_factor, cho_solve
+
+    ld = np.longdouble
+    h, q = ld(dt) / 2, ld(dt) * ld(dt) / 4
+    S = M.astype(ld) + h * C.astype(ld) - q * K.astype(ld)
+    Cl, Kl = C.astype(ld), K.astype(ld)
+    fac = cho_factor(S.astype(float), lower=True)
+
+    def solve(r):
+        x = cho_solve(fac, r.astype(float)).astype(ld)
+        for _ in range(refinements):
+            x = x + cho_solve(fac, (r - S @ x).astype(float))
+        return x
+
+    def step(y, v, a):
+        y_pred = y + ld(dt) * v + q * a
+        v_pred = v + h * a
+        a_new = solve(Kl @ y_pred - Cl @ v_pred)
+        return y_pred + q * a_new, v_pred + h * a_new, a_new
 
     return step

@@ -26,7 +26,7 @@ from mrt.cli import _build_modes, _build_slab, validate_config
 from mrt.eigcore import psd_ratio_sup, top_pair
 from mrt.errors import NoGrowth, ZeroMode
 from mrt.grid1d import Grid1D
-from mrt.evolve import init_state
+from mrt.evolve import init_state, run_trajectory
 from mrt.modeforms import (FormTerm, ModeForms, ModeSpec, assemble_compressible,
                            assemble_cr_forms, assemble_incompressible,
                            assemble_quotient, qform_value_ld)
@@ -592,8 +592,8 @@ def test_growth_solve_builds_no_full_width_form(params_std):
 
 def test_compressible_evolve_assembles_each_form_once(monkeypatch):
     # a growing-mode evolve on the CI xi = (0, 2) config: the full-width
-    # growth pencil reads the forms' own E, V and J, so init_state finds
-    # them built and adds only the three evolution norms
+    # growth pencil reads the forms' own E, V and J, so the trajectory finds
+    # them built, and it reads the evolution norms through their terms
     cfg = validate_config({**_CI_COMPRESSIBLE, "xi": [0, 2]})
     slab = _build_slab(cfg)
     forms = slab.assemble(ModeSpec.from_integers(cfg["L"], 0, 2))
@@ -607,8 +607,8 @@ def test_compressible_evolve_assembles_each_form_once(monkeypatch):
     monkeypatch.setattr(dispersion, "_dense", counted)
     gm = build_growing_mode(forms)
     assert len(built) == 3
-    init_state(forms, gm.y, gm.rho, gm.N)
-    assert built == [forms.size] * 6
+    run_trajectory(init_state(forms, gm.y, gm.rho, gm.N), T=0.01, dt=0.002)
+    assert built == [forms.size] * 3
 
 
 @pytest.mark.parametrize("kind", ["incompressible", "crForms"])

@@ -5,6 +5,7 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import cho_factor, cho_solve, cholesky
 from scipy.sparse.linalg import ArpackNoConvergence
 
 from mrt import eigcore
@@ -259,6 +260,18 @@ def test_spd_factor_solves_against_b(sparse):
     Bf = spd_factor(B if sparse else B.toarray())
     b = np.arange(30.0)
     assert np.allclose(B @ Bf.solve(b), b, rtol=0, atol=1e-10 * np.abs(b).max())
+
+
+def test_dense_factor_solves_are_cho_solve_bit_for_bit():
+    # the dense factors hand back the potrs that cho_solve calls, so the
+    # solves keep cho_solve's floats
+    A, B = _random_pencil(21, 12)
+    b = np.random.default_rng(4).standard_normal(12)
+    want = cho_solve((cholesky(B, lower=True), True), b)
+    assert np.array_equal(spd_factor(B).solve(b), want)
+    lam = float(solve_gsym(A, B).eigenvalues[-1])
+    solve, shift, _ = eigcore._shift_factor(A, B, lam)
+    assert np.array_equal(solve(b), cho_solve(cho_factor(shift * B - A), b))
 
 
 def test_solve_gsym_takes_a_checked_mass_as_is(monkeypatch):

@@ -15,7 +15,8 @@ from mrt.grid1d import Grid1D
 from mrt.modeforms import ModeSpec, assemble_compressible, assemble_incompressible
 from mrt.profiles import PhysicalParams, build_equilibrium, make_affine_profile
 
-from oracles import newmark_step_reference, stepwise_carriers
+from oracles import (newmark_step_longdouble, newmark_step_reference,
+                     stepwise_carriers)
 
 
 @pytest.fixture(scope="module")
@@ -161,21 +162,124 @@ def test_recovered_carriers_match_stepwise_quadrature(case):
     assert np.max(np.abs(st.N - N)) <= 1e-9 * np.max(np.abs(N))
 
 
+def _rel_err(got, want) -> float:
+    return float(np.max(np.abs(got - want)) / np.max(np.abs(want)))
+
+
 @pytest.mark.parametrize("case", _CASES)
-def test_step_is_bit_identical_to_the_newmark_reference(case):
-    # one potrs on the checked factor, the carried dissipation rate and three
-    # products do the reference step's float operations in the same order
+def test_step_matches_the_long_double_newmark_oracle(case):
+    # against a long-double Newmark step with a refined solve, the congruent
+    # step loses at most 4x what the plain double step with its solve loses
     st = _case_state(case)
     forms = st.ws.forms
     dt = 0.002
     ref_step = newmark_step_reference(forms.J, forms.V, forms.E, dt)
+    ld_step = newmark_step_longdouble(forms.J, forms.V, forms.E, dt)
     ref = (st.y, st.ydot, st.acc, st.Y, st.diss)
-    for _ in range(2000):
-        st = step(st, dt)
-        ref = ref_step(*ref)
-    for got, want in zip((st.y, st.ydot, st.acc, st.Y), ref[:4]):
-        assert np.array_equal(got, want)
-    assert st.diss == ref[4]
+    exact = tuple(x.astype(np.longdouble) for x in (st.y, st.ydot, st.acc))
+    done = 0
+    for k in (20, 200):
+        st = step(st, dt, k - done)
+        for _ in range(k - done):
+            ref = ref_step(*ref)
+            exact = ld_step(*exact)
+        done = k
+        for name, got, plain, want in zip(("y", "ydot", "acc"),
+                                          (st.y, st.ydot, st.acc), ref, exact):
+            err, err_ref = _rel_err(got, want), _rel_err(plain, want)
+            assert err <= max(4.0 * err_ref, 1e-11), (k, name, err, err_ref)
+
+
+@pytest.mark.parametrize("case", ["growing-96", "compressible-64"])
+def test_steps_in_one_call_match_single_steps(case):
+    # each state carries its congruent coordinates into the next call, so
+    # how the steps are split into calls does not change the trajectory
+    st = _case_state(case)
+    dt = 0.002
+    many = step(st, dt, 50)
+    one = st
+    for _ in range(50):
+        one = step(one, dt)
+    assert many.t == one.t
+    for got, want in ((many.y, one.y), (many.ydot, one.ydot),
+                      (many.acc, one.acc), (many.Y, one.Y)):
+        assert _rel_err(got, want) <= 1e-12
+    assert abs(many.diss - one.diss) <= 1e-12 * abs(one.diss)
+
+
+def test_record_times_accumulate_dt(forms_std):
+    st = init_state(forms_std, np.zeros(forms_std.size))
+    dt, every = 0.003, 7
+    rec = run_trajectory(st, T=0.3, dt=dt, diagnostics_every=every)
+    n_steps = int(round(0.3 / dt))
+    want, t = [0.0], 0.0
+    for k in range(1, n_steps + 1):
+        t += dt
+        if k % every == 0 or k == n_steps:
+            want.append(t)
+    assert np.array_equal(rec.times, want)
+
+
+def test_a_run_solves_once_per_record(forms_std, growing, monkeypatch):
+    # one Cholesky of the step matrix per run, one back-transform per
+    # recorded interval, and no solve in the steps between
+    _, gm = growing
+    st = init_state(forms_std, gm.y, gm.rho, gm.N)
+    counts = {"cholesky": 0, "trtrs": 0}
+    cholesky = evolve.cholesky
+
+    def counted_cholesky(*args, **kw):
+        counts["cholesky"] += 1
+        return cholesky(*args, **kw)
+
+    congruence = evolve.RateLaws.congruence
+
+    def counted_congruence(self, dt):
+        L, Kh, Ch, trtrs = congruence(self, dt)
+
+        def counted_trtrs(*args, **kw):
+            counts["trtrs"] += 1
+            return trtrs(*args, **kw)
+
+        return L, Kh, Ch, counted_trtrs
+
+    def no_solve(*args, **kw):
+        raise AssertionError("a step solved with the mass factor")
+
+    monkeypatch.setattr(evolve, "cholesky", counted_cholesky)
+    monkeypatch.setattr(evolve.RateLaws, "congruence", counted_congruence)
+    monkeypatch.setattr(evolve, "cho_solve", no_solve)
+    rec = run_trajectory(st, T=0.5, dt=0.001, diagnostics_every=25)
+    assert len(rec.times) == 21
+    assert counts == {"cholesky": 1, "trtrs": 20}
+
+
+def test_record_blocks_match_one_record_at_a_time(forms_std, growing,
+                                                  monkeypatch):
+    # 400 steps recorded every 3: 135 records in blocks of 32, four full
+    # ones and 7 more, the last interval one step long
+    _, gm = growing
+    st = init_state(forms_std, gm.y, gm.rho, gm.N)
+    monkeypatch.setattr(evolve, "_RECORD_BLOCK", 32)
+    blocked = run_trajectory(st, T=0.4, dt=0.001, diagnostics_every=3)
+    monkeypatch.setattr(evolve, "_RECORD_BLOCK", 1)
+    single = run_trajectory(st, T=0.4, dt=0.001, diagnostics_every=3)
+    assert len(blocked.times) == 135
+    assert np.array_equal(blocked.times, single.times)
+    for name in ("norm_rho", "norm_u", "norm_diu", "norm_ut", "norm_gradu",
+                 "norm_N"):
+        got, want = getattr(blocked, name), getattr(single, name)
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want)), name
+    assert np.max(np.abs(blocked.energy_drift - single.energy_drift)) <= 1e-13
+    # the defect is a residual at rounding level, whose floats depend on the
+    # shape of the products (one column or a block)
+    for rec in (blocked, single):
+        assert np.max(rec.first_order_defect) <= 1e-9
+    # increments are differences of the carriers, which agree to rounding
+    for key, size in (("rho_increment_late", single.norm_rho),
+                      ("N_increment_late", single.norm_N)):
+        got, want = blocked.ledger[key], single.ledger[key]
+        assert abs(got - want) <= 1e-13 * np.max(size), key
 
 
 def test_first_order_defect_stays_at_rounding_on_decaying_data():
@@ -199,6 +303,8 @@ def test_step_validation(forms_std):
     st = init_state(forms_std, np.zeros(forms_std.size))
     with pytest.raises(InputError):
         step(st, 0.0)
+    with pytest.raises(InputError):
+        step(st, 0.1, 0)
 
 
 def test_run_trajectory_validation(forms_std):
