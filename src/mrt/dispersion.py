@@ -23,7 +23,8 @@ strengths and the certificates at the rounding level of the energies
 rather than of the assembled matrices.
 
 The slab's matrices are dense.  For α(0), frak_s, the critical quotients
-and the certificate, LAPACK gives the top vector, and inverse iteration on
+and the certificate, LAPACK gives the top vector, reduced on the held
+Cholesky factor of B, and inverse iteration on
 a Cholesky factor of σB − A, σ just above its eigenvalue, refines it.  For
 α(t) at a later iterate no eigensolver runs: inverse iteration starts from
 the maximizer before, on a Cholesky factor at σ just above α at the
@@ -40,9 +41,19 @@ The stability ratio of compute_cr is one Schur-complement eigenproblem per
 mode (eigcore.psd_ratio_sup); it is the one reported eigenvalue that does
 not go through the pencil.
 
-For the incompressible problem the transverse stream component φ never
-helps the numerator (its energy block is nonpositive), so the pencil
-maximizes over the vertical-displacement block alone.
+The growth pencil solves only on the blocks of the unknown that can
+grow.  Blocks that one term of E, V or J reads together are coupled; a
+component of that coupling on which every E term is a nonpositive square
+has α(s) ≤ 0 for all s ≥ 0 and is dropped, since it cannot carry Λ or
+frak_s (_kept_columns).  That drops the transverse stream component φ of
+the incompressible problem, whose energy block is a bending penalty; the
+v₁ block of a compressible interchange mode (ξ₁ = 0), which no form
+couples to (v₂, v₃) and E does not see; and v₂ of a compressible mode
+with ξ₂ = 0, where E reads it only through the field's bending penalty.
+Other compressible modes, the box and the quotients keep every column.
+A stable mode then reports the α(0) of the kept blocks.  The cr
+certificate keeps every column, since it reads the sign of λmax over the
+whole space.
 
 A growing mode e^{Λt}(u, ϱ, N) takes its density and field carriers from
 the rate laws of evolve.RateLaws, divided by Λ, and carries nothing else.
@@ -51,13 +62,15 @@ the rate laws of evolve.RateLaws, divided by Λ, and carries nothing else.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
+import scipy.sparse as sp
 
 from .errors import InputError, NoGrowth, SolverFailure, ZeroMode
-from .eigcore import norm_inf, psd_ratio_sup, spd_factor, top_pair
+from .eigcore import (norm_inf, psd_ratio_sup, require_symmetric, spd_factor,
+                      top_pair)
 from .evolve import RateLaws
 from .grid1d import Grid1D
 from .modeforms import (FormTerm, ModeForms, ModeSpec, _dense, _sparse,
@@ -128,61 +141,160 @@ class CriticalReport:
     diagnostics: dict = field(default_factory=dict)
 
 
+def _nonzero_columns(op) -> np.ndarray:
+    """Mask of the columns of an operator that hold a nonzero (a stored
+    entry, when sparse)."""
+    if sp.issparse(op):
+        return op.getnnz(axis=0) > 0
+    return np.any(op != 0.0, axis=0)
+
+
+def _kept_columns(forms: ModeForms) -> np.ndarray:
+    """Mask of the columns on which the growth pencil of forms is solved.
+
+    Blocks of the layout that one E, V or J term reads, by the nonzero
+    columns of its operators, are joined; a component of that relation is
+    closed under every form, so E, V and J are block diagonal over the
+    components and α(s) is the largest of the components' own α(s).  A
+    component whose E terms are all nonpositive squares (coef ≤ 0, w ≥ 0,
+    Q None), or that has no E term, has α(s) ≤ 0 for every s ≥ 0 and is
+    dropped; the rest keep α(s) wherever it is positive, and with it Λ
+    and frak_s.  That drops φ of the incompressible forms, and v₁ of the
+    compressible ones at ξ₁ = 0 and v₂ at ξ₂ = 0; a layout of one block
+    (the box, the quotients) keeps it.  When every component would drop,
+    every column is kept.
+    """
+    size = forms.size
+    blocks = list(forms.layout.values())
+    keep = np.ones(size, dtype=bool)
+    if len(blocks) < 2:
+        return keep
+    label = np.empty(size, dtype=int)
+    for k, b in enumerate(blocks):
+        label[b] = k
+
+    def read(t: FormTerm) -> set:
+        labels = label[t.cols]
+        if labels.min() == labels.max():
+            return {int(labels[0])}
+        nz = _nonzero_columns(t.P)
+        if t.Q is not None:
+            nz = nz | _nonzero_columns(t.Q)
+        return set(labels[nz].tolist())
+
+    comp = list(range(len(blocks)))
+    e_terms = []
+    for name in ("E", "V", "J"):
+        for t in getattr(forms, "terms_" + name) or ():
+            ks = read(t)
+            if name == "E":
+                e_terms.append((t, ks))
+            joined = {comp[k] for k in ks}
+            if len(joined) > 1:
+                comp = [min(joined) if c in joined else c for c in comp]
+    live = set()
+    for t, ks in e_terms:
+        if ks and not (t.Q is None and t.coef <= 0.0 and np.all(t.w >= 0.0)):
+            live.add(comp[min(ks)])
+    if live:
+        keep[:] = False
+        for k, b in enumerate(blocks):
+            keep[b] = comp[k] in live
+    return keep
+
+
 class _Pencil:
     """λmax(A − sC, B) over the factored terms of a ModeForms.
 
     A is always E; den and shift name the forms B and C ("V", "J" or
     "D"); without a shift the pencil is (E, B) and s stays 0.  The
-    defaults give the growth pencil (E − sV, J).  Incompressible forms are
-    restricted here to the v₃ block, which comes first in their layout, so
-    the terms that read only that block apply unchanged to the restricted
-    vector.  The pencil assembles each matrix itself from the terms it
-    keeps, at its own width: CSR when every operator is sparse, as on the
-    box, dense otherwise.  A dense matrix over every column of the forms is
-    the forms' own cached one (the same assembly), so that the growth solve
-    and an evolution of the same compressible mode build it once.
-    B is checked and factored once here (Bf: Cholesky, or LDLᵀ when
-    sparse), and every evaluation solves against that factor.  An
-    evaluation reads the energies of its maximizer, from which both α(s)
-    and the next growth iterate follow; one long-double product per
-    distinct operator serves all three energies (modeforms.qform_reader).
-    An evaluation given an upper bound starts from the previous maximizer
-    x: a sparse one runs ARPACK from x and refines ARPACK's vector with the
-    factor of σB − (A − sC) that certified its shift; a dense one
-    inverse-iterates from x at certified shifts and refines with a factor
-    that certifies its settled quotient as the top (eigcore.top_pair).  A
-    dense evaluation without a bound refines LAPACK's vector with a
-    Cholesky factor of that matrix at σ just above its eigenvalue.  A
-    pencil made from another one, base, on the same forms reuses the
-    matrices base built and starts from base's maximizer.
+    defaults give the growth pencil (E − sV, J).  The pencil solves on the
+    columns _kept_columns keeps, or on every column when whole is set, as
+    the cr certificate is, since it reads the sign of λmax over the whole
+    space.  It keeps the terms that read those columns, each operator
+    sliced to them where it also reads dropped ones (once per operator,
+    so that the terms sharing one still share it).  The pencil assembles
+    each matrix itself from the terms it keeps, at its own width: CSR when
+    every operator is sparse, as on the box, dense otherwise.  A dense
+    matrix over every column of the forms is the forms' own cached one
+    (the same assembly), so that the growth solve and an evolution of the
+    same mode build it once.  Each matrix is checked for symmetry once, as
+    it is built, so the solves of A − sC skip the check.  B is factored
+    once here (Bf: Cholesky, or LDLᵀ when sparse), and every evaluation
+    solves against that factor.  An evaluation reads the energies of its
+    maximizer, from which both α(s) and the next growth iterate follow;
+    one long-double product per distinct operator serves all three
+    energies (modeforms.qform_reader).  An evaluation given an upper bound
+    starts from the previous maximizer x: a sparse one runs ARPACK from x
+    and refines ARPACK's vector with the factor of σB − (A − sC) that
+    certified its shift; a dense one inverse-iterates from x at certified
+    shifts and refines with a factor that certifies its settled quotient
+    as the top (eigcore.top_pair).  A dense evaluation without a bound
+    refines LAPACK's vector with a Cholesky factor of that matrix at σ
+    just above its eigenvalue.  A pencil made from another one, base, on
+    the same forms solves on base's columns, reuses the matrices, sliced
+    operators and long-double operators base built, and starts from
+    base's maximizer.
     """
 
     def __init__(self, forms: ModeForms, den: str = "J",
-                 shift: Optional[str] = "V", base: Optional["_Pencil"] = None):
+                 shift: Optional[str] = "V", base: Optional["_Pencil"] = None,
+                 whole: bool = False):
         self.forms = forms
-        self.slice = (forms.layout["v3"] if forms.kind == "incompressible"
-                      else slice(0, forms.size))
-        self.built = {} if base is None else base.built
+        if base is None:
+            self.keep = (np.ones(forms.size, dtype=bool) if whole
+                         else _kept_columns(forms))
+            self.built, self.sliced, self.ld = {}, {}, {}
+        else:
+            self.keep, self.built = base.keep, base.built
+            self.sliced, self.ld = base.sliced, base.ld
+        self.width = int(np.count_nonzero(self.keep))
         self.A, self.tA = self._form("E")
         self.B, self.tB = self._form(den)
         self.C, self.tC = self._form(shift) if shift else (None, ())
         self.Bf = spd_factor(self.B, den)
-        self.read = qform_reader((self.tA, self.tC, self.tB))
+        self.read = qform_reader((self.tA, self.tC, self.tB), self.ld)
         self.x = None if base is None else base.x
 
+    def _restrict(self, terms) -> tuple:
+        """terms on the kept columns: a term that reads none of them goes,
+        and one that also reads dropped columns has its operators sliced."""
+        if self.width == self.forms.size:
+            return terms
+        pos = np.cumsum(self.keep) - 1
+        out = []
+        for t in terms:
+            k = self.keep[t.cols]
+            if not k.any():
+                continue
+            idx = pos[t.cols][k]
+            cols = slice(int(idx[0]), int(idx[-1]) + 1)
+            if not k.all():
+                P, Q = (None if op is None else self._slice(op, t.cols, k)
+                        for op in (t.P, t.Q))
+                t = replace(t, P=P, Q=Q)
+            out.append(t if t.cols == cols else replace(t, cols=cols))
+        return tuple(out)
+
+    def _slice(self, op, cols: slice, k: np.ndarray):
+        """op, which reads cols, on the kept ones among them (k)."""
+        key = (id(op), cols.start, cols.stop)
+        if key not in self.sliced:
+            self.sliced[key] = op[:, np.flatnonzero(k)]
+        return self.sliced[key]
+
     def _form(self, name: str) -> tuple:
-        """The matrix of form name on the pencil's block, and its terms."""
+        """The matrix of form name on the pencil's columns, checked for
+        symmetry, and its terms."""
         if name not in self.built:
-            terms = getattr(self.forms, "terms_" + name)
-            if self.forms.kind == "incompressible":
-                terms = tuple(t for t in terms if t.cols == self.slice)
+            terms = self._restrict(getattr(self.forms, "terms_" + name))
             if all(t.sparse for t in terms):
-                M = _sparse(terms, self.slice.stop)
-            elif self.slice.stop == self.forms.size:
+                M = _sparse(terms, self.width)
+            elif self.width == self.forms.size:
                 M = getattr(self.forms, name)
             else:
-                M = _dense(terms, self.slice.stop)
-            self.built[name] = M, terms
+                M = _dense(terms, self.width)
+            self.built[name] = require_symmetric(M, name), terms
         return self.built[name]
 
     def energies(self, s: float, upper: Optional[float] = None) -> tuple:
@@ -196,7 +308,7 @@ class _Pencil:
         the sparse path shift-invert just above it.
         """
         M = self.A if s == 0.0 else self.A - s * self.C
-        _, x = top_pair(M, self.Bf, sigma=upper, v0=self.x)
+        _, x = top_pair(M, self.Bf, sigma=upper, v0=self.x, checked=True)
         self.x = x
         return (*self.read(x), x)
 
@@ -223,11 +335,11 @@ def alpha_of_s(forms: ModeForms, s: float) -> tuple[float, np.ndarray]:
 
 def _embed_maximizer(forms: ModeForms, pen: "_Pencil", x: np.ndarray) -> np.ndarray:
     y = np.zeros(forms.size)
-    y[pen.slice] = x
-    # a pencil over every column holds J itself; the v₃-restricted one of
-    # the incompressible forms normalizes on the full J, since the block
-    # product rounds differently and moves a growing mode's J0 by ~1e-11
-    J = pen.B if pen.slice.stop == forms.size else forms.J
+    y[pen.keep] = x
+    # a pencil over every column holds J itself; a restricted one
+    # normalizes on the full J, since the block product rounds differently
+    # and moves a growing mode's J0 by ~1e-11
+    J = pen.B if pen.width == forms.size else forms.J
     nrm = math.sqrt(max(float(y @ (J @ y)), np.finfo(float).tiny))
     return y / nrm
 
@@ -460,7 +572,7 @@ def compute_cr(eq: CompressibleEquilibrium, params: PhysicalParams,
     """
     def row(mode) -> PerModeValue:
         forms = assemble_cr_forms(mode, eq, params, g1)
-        pen = _Pencil(forms, shift=None)
+        pen = _Pencil(forms, shift=None, whole=True)
         cert, _ = pen.alpha_ld()
         c = psd_ratio_sup(pen.A, forms.D)
         return PerModeValue(mode.xi, c, float(cert),

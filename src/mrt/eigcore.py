@@ -6,7 +6,8 @@ dense, a SuperLU LDLᵀ with positive diagonal pivots when sparse, and a
 conditioning of at most 1e15 either way.  solve_gsym hands a dense
 A v = lam B v to LAPACK's symmetric-definite drivers (sygvx for an index
 subset, sygvd for the whole spectrum) and reports the B-orthonormality of
-what comes back; a factored B is not checked again.
+what comes back; a factored B is not checked again.  psd_ratio_sup solves
+the cr ratio with it.
 
 top_pair returns the top Rayleigh quotient of (A, B) and its maximizer,
 refined by shifted inverse iteration on a factor of σB − A whose positive
@@ -16,7 +17,8 @@ eigensolver: it inverse-iterates from the start vector at certified shifts
 until the quotient q settles to its rounding floor, certifies
 q + 1e-6·max(1, |q|) above λmax and refines with that factor.  A cold dense
 call, or a warm one that does not settle on the top within its budget,
-takes LAPACK's top vector, and refine_top refines it at
+takes LAPACK's top vector on B's held Cholesky factor (sygst, a standard
+eigh, trtrs: _lapack_top), and refine_top refines it at
 σ = λ + 1e-6·max(1, |λ|).  A sparse top vector (the 2D box) comes from
 ARPACK shift-invert, and the factor that certified its shift refines it.
 ARPACK starts from a fixed or the caller's vector, so the same inputs give
@@ -29,7 +31,7 @@ growth-rate fixed point relies on.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Optional
 
 import numpy as np
 import scipy.sparse as sp
@@ -74,7 +76,12 @@ def _absmax(M) -> float:
     return float(np.max(np.abs(M.data if sp.issparse(M) else M), initial=0.0))
 
 
-def _require_symmetric(M, name: str):
+def require_symmetric(M, name: str):
+    """M as a float matrix, checked symmetric to 1e-12 relative: itself
+    when it is symmetric bit for bit, else its symmetric part.
+
+    :raises NotSymmetric: M is not square or fails the tolerance.
+    """
     sparse = sp.issparse(M)
     M = sp.csr_matrix(M, dtype=float) if sparse else np.asarray(M, dtype=float)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
@@ -84,7 +91,7 @@ def _require_symmetric(M, name: str):
     gap = _absmax(M - MT)
     if gap > _SYM_TOL * scale:
         raise NotSymmetric(f"{name} asymmetry {gap:.3e} exceeds {_SYM_TOL:g} relative")
-    return 0.5 * (M + MT)
+    return M if gap == 0.0 else 0.5 * (M + MT)
 
 
 def norm_inf(M) -> float:
@@ -116,10 +123,12 @@ def _ldl(M):
 @dataclass(frozen=True)
 class SPD:
     """A symmetric positive definite matrix, checked and factored once for
-    every solve against it; solve(b) returns matrix⁻¹b."""
+    every solve against it; solve(b) returns matrix⁻¹b, and factor is the
+    lower Cholesky factor of a dense matrix (None when sparse)."""
 
     matrix: object
     solve: Callable[[np.ndarray], np.ndarray]
+    factor: Optional[np.ndarray] = None
 
 
 def spd_factor(B, name: str = "B") -> SPD:
@@ -131,13 +140,13 @@ def spd_factor(B, name: str = "B") -> SPD:
         LDLᵀ pivot, or is numerically singular: the squared ratio of the
         Cholesky diagonal, or the ratio of the pivots, exceeds 1e15.
     """
-    B = _require_symmetric(B, name)
+    B = require_symmetric(B, name)
     if sp.issparse(B):
         lu = _ldl(B)
         if lu is None:
             raise NotPositiveDefinite(f"{name}: LDLᵀ has a nonpositive pivot")
         d = lu.U.diagonal()
-        solve, ratio = lu.solve, d.max() / d.min()
+        solve, ratio, L = lu.solve, d.max() / d.min(), None
     else:
         try:
             L = cholesky(B, lower=True)
@@ -148,7 +157,7 @@ def spd_factor(B, name: str = "B") -> SPD:
     if ratio > _COND_LIMIT:
         raise NotPositiveDefinite(
             f"{name} numerically singular (condition ~{ratio:.1e})")
-    return SPD(B, solve)
+    return SPD(B, solve, L)
 
 
 def _potrs_solver(c: np.ndarray, lower: bool):
@@ -251,7 +260,7 @@ def solve_gsym(A: np.ndarray, B, subset: tuple | None = None) -> GEigResult:
     :raises NotPositiveDefinite: B fails spd_factor's checks, or the LAPACK
         driver cannot factor it.
     """
-    A = _require_symmetric(A, "A")
+    A = require_symmetric(A, "A")
     B = (B if isinstance(B, SPD) else spd_factor(B)).matrix
     try:
         lam, V = eigh(A, B, subset_by_index=subset)
@@ -262,6 +271,34 @@ def solve_gsym(A: np.ndarray, B, subset: tuple | None = None) -> GEigResult:
     if ortho > 1e-8:
         raise SolverFailure(f"B-orthonormality defect {ortho:.3e} exceeds 1e-8")
     return GEigResult(eigenvalues=lam, eigenvectors=V, orthonormality=ortho)
+
+
+def _lapack_top(A: np.ndarray, Bf: SPD) -> tuple[float, np.ndarray]:
+    """LAPACK's top eigenpair of a dense pencil on B's held factor L.
+
+    sygst reduces the pencil to C = L⁻¹AL⁻ᵀ, eigh takes the top of the
+    standard problem C y = λy, and trtrs maps y back to x = L⁻ᵀy; the
+    reduction sygvx makes, without factoring B again.
+
+    :raises SolverFailure: LAPACK fails, or x is not B-normalized to 1e-8.
+    """
+    sygst, trtrs = get_lapack_funcs(("sygst", "trtrs"), (A,))
+    C, info = sygst(A, Bf.factor, lower=1)
+    if info != 0:
+        raise SolverFailure(f"sygst rejected its arguments (info {info})")
+    n = A.shape[0]
+    try:
+        lam, Y = eigh(C, subset_by_index=[n - 1, n - 1])
+    except LinAlgError as e:
+        raise SolverFailure(f"eigh: {e}") from None
+    x, info = trtrs(Bf.factor, Y, lower=1, trans=1)
+    if info != 0:
+        raise SolverFailure(f"trtrs rejected its arguments (info {info})")
+    x = x[:, 0]
+    ortho = abs(float(x @ (Bf.matrix @ x)) - 1.0)
+    if ortho > 1e-8:
+        raise SolverFailure(f"B-orthonormality defect {ortho:.3e} exceeds 1e-8")
+    return float(lam[0]), x
 
 
 def _arpack_top(A, Bf: SPD, sigma, v0):
@@ -306,8 +343,8 @@ def _arpack_top(A, Bf: SPD, sigma, v0):
     return solve, v
 
 
-def top_pair(A, B, sigma: float | None = None,
-             v0: np.ndarray | None = None) -> tuple[float, np.ndarray]:
+def top_pair(A, B, sigma: float | None = None, v0: np.ndarray | None = None,
+             checked: bool = False) -> tuple[float, np.ndarray]:
     """Maximum of x·Ax / x·Bx over x ≠ 0, and its B-normalized maximizer.
 
     The value is the Rayleigh quotient of the refined vector: a lower bound
@@ -318,18 +355,22 @@ def top_pair(A, B, sigma: float | None = None,
     σB − A, σ certified from sigma upward and lowered toward the quotient
     when convergence is slow, then refinement at the settled quotient
     certified as the top (_warm_top); when that fails within its budget,
-    the cold path.  Dense otherwise (cold): LAPACK's top vector, refined by
-    refine_top.  Sparse: ARPACK shift-invert at a σ that an LDLᵀ of σB − A
-    with positive pivots certifies above λmax, searched upward from sigma
-    or else from a Lanczos estimate; that factor refines the vector.  v0 is
-    ARPACK's start vector, a fixed one when None.
+    the cold path.  Dense otherwise (cold): LAPACK's top vector on the
+    held Cholesky factor of B (_lapack_top), refined by refine_top.
+    Sparse: ARPACK shift-invert at a σ that an LDLᵀ of σB − A with
+    positive pivots certifies above λmax, searched upward from sigma or
+    else from a Lanczos estimate; that factor refines the vector.  v0 is
+    ARPACK's start vector, a fixed one when None.  checked says that A is
+    known to be symmetric bit for bit, as a pencil that checked its
+    matrices once knows of A − sC, and skips the check.
 
     :raises NotSymmetric: A fails the symmetry tolerance.
     :raises SolverFailure: ARPACK did not converge, or its vector is not
         B-normalized.
     """
     B = B if isinstance(B, SPD) else spd_factor(B)
-    A = _require_symmetric(A, "A")
+    if not checked:
+        A = require_symmetric(A, "A")
     if sp.issparse(B.matrix):
         solve, v = _arpack_top(A, B, sigma, v0)
         x = _inverse_iteration(solve, B.matrix, v)
@@ -341,9 +382,7 @@ def top_pair(A, B, sigma: float | None = None,
             except SolverFailure:
                 pass
         if x is None:
-            n = A.shape[0]
-            r = solve_gsym(A, B, subset=(n - 1, n - 1))
-            x = refine_top(A, B, float(r.eigenvalues[-1]), r.eigenvectors[:, -1])
+            x = refine_top(A, B, *_lapack_top(A, B))
     return float((x @ (A @ x)) / (x @ (B.matrix @ x))), x
 
 
@@ -364,47 +403,69 @@ def refine_top(A, B, lam: float, v: np.ndarray) -> np.ndarray:
     return _inverse_iteration(solve, B, v)
 
 
+def _fold_kernel(Nkk: np.ndarray, Nkr: np.ndarray, tol: float):
+    """W with N_rr + WᵀW the Schur complement that removes a block k on
+    which no c moves N − cD, or None when N is positive there.
+
+    N_kk = Z diag(ν) Zᵀ.  A null direction (|ν| ≤ tol) that N does not
+    couple to r drops out of N − cD altogether; a positive one, or a null
+    one N couples to r, keeps N − cD positive for every c.  The rest of
+    N_kk is negative definite, and −N_rk N_kk⁻¹ N_kr = WᵀW over it.
+    """
+    nu, Z = np.linalg.eigh(Nkk)
+    C = Z.T @ Nkr
+    null = nu >= -tol
+    if nu[-1] > tol or np.any(np.abs(C[null]) > tol):
+        return None
+    return C[~null] / np.sqrt(-nu[~null])[:, None]
+
+
 def psd_ratio_sup(N: np.ndarray, D: np.ndarray) -> float:
     """inf{c : N - c D is negative semidefinite}, as one eigenproblem.
 
-    In the eigenbasis of the PSD form D, split its kernel K (eigenvalues
-    d ≤ 1e-12·‖D‖) from its range R.  No c moves N on K, so the ratio is
-    +inf if N_KK has a positive eigenvalue, or a null direction (|ν| ≤
-    1e-12·‖N‖) that N couples to R.  Null directions N leaves uncoupled
-    drop out; on the rest of K, N_KK is negative definite, and Haynsworth
-    inertia additivity makes N - cD ⪯ 0 equivalent to the Schur complement
-    N_RR - N_RK N_KK⁻¹ N_KR - c·diag(d_R) ⪯ 0.  The answer is the top
-    eigenvalue of that complement against diag(d_R).  The result is
-    positive exactly when N is positive somewhere that D is too.  The mass
-    form of the certificate pencil (N - cD; J) does not enter the ratio.
-    When D vanishes, N - cD = N for every c, and the answer is -inf if
-    N ⪯ 0 and +inf otherwise.
+    The kernel K of the PSD form D is removed first, where no c moves N:
+    the ratio is +inf if N_KK has a positive eigenvalue, or a null
+    direction (|ν| ≤ 1e-12·‖N‖) that N couples to the rest.  Null
+    directions N leaves uncoupled drop out; on the rest of K, N_KK is
+    negative definite, and Haynsworth inertia additivity makes N - cD ⪯ 0
+    equivalent to the Schur complement N_RR - N_RK N_KK⁻¹ N_KR - c·D_RR ⪯ 0
+    (_fold_kernel).  This runs in two stages.  The structural part of K,
+    the columns where D is exactly zero (v₁ of the cr forms: at ξ₁ = 0
+    neither form sees it, and at ξ₁ ≠ 0 N is negative definite there),
+    is folded in the unit basis, so that D is eigendecomposed only on the
+    rest; the remaining kernel, eigenvalues d ≤ 1e-12·‖D‖, is folded in
+    that eigenbasis.  The answer is the top eigenvalue of the complement
+    against diag(d_R) on the range R.  The result is positive exactly when
+    N is positive somewhere that D is too.  The mass form of the
+    certificate pencil (N - cD; J) does not enter the ratio.  When D
+    vanishes, N - cD = N for every c, and the answer is -inf if N ⪯ 0 and
+    +inf otherwise.
 
     :raises NotPositiveDefinite: D has an eigenvalue below -1e-10 * ||D||.
     """
-    N = _require_symmetric(N, "N")
-    D = _require_symmetric(D, "D")
-    dvals, dvecs = np.linalg.eigh(D)
-    dmin = float(dvals[0])
-    dnorm = float(np.linalg.norm(D, ord=np.inf))
-    if dmin < -1e-10 * (dnorm + np.finfo(float).tiny):
-        raise NotPositiveDefinite(f"penalty form has eigenvalue {dmin:.3e} < 0")
+    N = require_symmetric(N, "N")
+    D = require_symmetric(D, "D")
+    tiny = np.finfo(float).tiny
+    tol = 1e-12 * (norm_inf(N) + tiny)
+    dnorm = norm_inf(D)
+    live = np.any(D != 0.0, axis=0)
+    dvals, dvecs = np.linalg.eigh(D[np.ix_(live, live)])
+    if dvals.size and dvals[0] < -1e-10 * (dnorm + tiny):
+        raise NotPositiveDefinite(f"penalty form has eigenvalue {dvals[0]:.3e} < 0")
+    if not live.all():
+        z = ~live
+        W = _fold_kernel(N[np.ix_(z, z)], N[np.ix_(z, live)], tol)
+        if W is None:
+            return float("inf")
+        N = N[np.ix_(live, live)] + W.T @ W
 
-    in_range = dvals > 1e-12 * (dnorm + np.finfo(float).tiny)
+    in_range = dvals > 1e-12 * (dnorm + tiny)
     K, R = dvecs[:, ~in_range], dvecs[:, in_range]
     S = R.T @ N @ R
     if K.shape[1]:
-        # N_KK = Z diag(nu) Z^T.  A null direction of N_KK that N does not
-        # couple to R drops out of N - cD altogether (at xi1 = 0 neither cr
-        # form sees the v1 component); a positive or a coupled null
-        # direction keeps N - cD positive for every c.
-        tol = 1e-12 * (float(np.linalg.norm(N, ord=np.inf)) + np.finfo(float).tiny)
-        nu, Z = np.linalg.eigh(K.T @ N @ K)
-        C = Z.T @ (K.T @ N @ R)
-        null = nu >= -tol
-        if nu[-1] > tol or np.any(np.abs(C[null]) > tol):
+        W = _fold_kernel(K.T @ N @ K, K.T @ N @ R, tol)
+        if W is None:
             return float("inf")
-        W = C[~null] / np.sqrt(-nu[~null])[:, None]
         S = S + W.T @ W
     k = S.shape[0]
     if k == 0:

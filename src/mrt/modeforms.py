@@ -116,7 +116,7 @@ class FormTerm:
         return self.coef * M
 
 
-def qform_reader(groups):
+def qform_reader(groups, cache: Optional[dict] = None):
     """Extended-precision reader of several factored quadratic forms.
 
     groups is a tuple of term tuples, and the reader maps x to the tuple of
@@ -129,16 +129,21 @@ def qform_reader(groups):
     at the 1e-16 level.  Each distinct (operator, columns) pair among the
     terms is converted to long double once, here, and applied to x once per
     read, however many terms share it, as E, V and J share the few
-    derivative operators of a mode.  Sparse operators give the same sums as
-    their dense form: the skipped entries are exact zeros.
+    derivative operators of a mode.  cache, a dict kept by the caller,
+    holds the converted operators by identity, so that readers over the
+    same operators convert each once between them.  Sparse operators give
+    the same sums as their dense form: the skipped entries are exact zeros.
     """
     ops, index, plan = [], {}, []
+    cache = {} if cache is None else cache
 
     def product(op, cols) -> int:
         key = (id(op), cols.start, cols.stop, cols.step)
         if key not in index:
+            if id(op) not in cache:
+                cache[id(op)] = op, op.astype(np.longdouble)
             index[key] = len(ops)
-            ops.append((op.astype(np.longdouble), cols))
+            ops.append((cache[id(op)][1], cols))
         return index[key]
 
     for terms in groups:

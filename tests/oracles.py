@@ -428,3 +428,22 @@ def newmark_step_longdouble(M, C, K, dt: float, refinements: int = 3):
         return y_pred + q * a_new, v_pred + h * a_new, a_new
 
     return step
+
+
+def psd_ratio_schur(N: np.ndarray, D: np.ndarray, tol: float = 1e-12) -> float:
+    """inf{c : N - cD is negative semidefinite} when N is negative definite
+    on the kernel of the PSD form D, on the full width in one pass.
+
+    D is eigendecomposed whole (LAPACK through numpy, the only step not
+    written out here), its kernel block of N is eliminated by a linear
+    solve, N_RR - N_RK N_KK⁻¹ N_KR, and the answer is the top eigenvalue of
+    that Schur complement scaled by diag(d_R)^(-1/2) on both sides.
+    """
+    d, Q = np.linalg.eigh(D)
+    in_range = d > tol * float(np.max(np.abs(d)))
+    K, R = Q[:, ~in_range], Q[:, in_range]
+    Nkk, Nkr = K.T @ N @ K, K.T @ N @ R
+    S = R.T @ N @ R - Nkr.T @ np.linalg.solve(Nkk, Nkr)
+    h = 1.0 / np.sqrt(d[in_range])
+    T = h[:, None] * S * h[None, :]
+    return float(np.linalg.eigvalsh(0.5 * (T + T.T))[-1])

@@ -3,6 +3,7 @@
 import json
 import math
 from decimal import Decimal, localcontext
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -39,7 +40,8 @@ from mrt.profiles import (
     min_admissible_pressure_const,
 )
 
-from oracles import growing_mode_checks, scalar_growth_bisection
+from oracles import (growing_mode_checks, gsym_eigenvalues_reference,
+                     psd_ratio_schur, scalar_growth_bisection)
 
 TWO_OVER_PI = 2.0 / np.pi
 # frozen solver outputs for rho' = 1, g = lambda0 = 1, l = 1
@@ -591,9 +593,11 @@ def test_growth_solve_builds_no_full_width_form(params_std):
 
 
 def test_compressible_evolve_assembles_each_form_once(monkeypatch):
-    # a growing-mode evolve on the CI xi = (0, 2) config: the full-width
-    # growth pencil reads the forms' own E, V and J, so the trajectory finds
-    # them built, and it reads the evolution norms through their terms
+    # a growing-mode evolve on the CI xi = (0, 2) config: the growth pencil
+    # drops the uncoupled v1 block and builds its own E, V and J on
+    # (v2, v3); the maximizer's normalization reads the forms' full-width J,
+    # and the trajectory builds their E and V once and finds J built; it
+    # reads the evolution norms through their terms
     cfg = validate_config({**_CI_COMPRESSIBLE, "xi": [0, 2]})
     slab = _build_slab(cfg)
     forms = slab.assemble(ModeSpec.from_integers(cfg["L"], 0, 2))
@@ -606,26 +610,172 @@ def test_compressible_evolve_assembles_each_form_once(monkeypatch):
     monkeypatch.setattr(modeforms, "_dense", counted)
     monkeypatch.setattr(dispersion, "_dense", counted)
     gm = build_growing_mode(forms)
-    assert len(built) == 3
+    assert built == [2 * forms.size // 3] * 3 + [forms.size]
     run_trajectory(init_state(forms, gm.y, gm.rho, gm.N), T=0.01, dt=0.002)
-    assert built == [forms.size] * 3
+    assert built == [2 * forms.size // 3] * 3 + [forms.size] * 3
 
 
-@pytest.mark.parametrize("kind", ["incompressible", "crForms"])
+@pytest.mark.parametrize("kind", ["incompressible", "crForms", "interchange"])
 def test_pencil_matrices_are_the_forms_blocks(kind, params_std):
-    # the pencil's own assembly is bit-identical to the v3 block of the
-    # forms' full-width matrices; over every column it holds the forms'
-    # matrices themselves
+    # the pencil's own assembly, from the terms it keeps with the
+    # full-width operators sliced, is bit-identical to the kept block of the
+    # forms' full-width matrices (v3; (v2, v3) at xi1 = 0); over every
+    # column it holds the forms' matrices themselves
     if kind == "incompressible":
         g1 = Grid1D("chebyshev", 1.0, 64)
         mode = ModeSpec.from_integers(1.0, 2, 1, field_dir=3, m=0.2)
         forms = assemble_incompressible(
             mode, make_affine_profile(g1, 2.0, 1.0), params_std, g1)
         sv = forms.layout["v3"]
-    else:
+    elif kind == "crForms":
         eq, params, g1, modes = _parker_cr()
         forms = assemble_cr_forms(modes[2], eq, params, g1)
         sv = slice(None)
+    else:
+        forms = _ci_forms(0, 2)
+        sv = slice(forms.layout["v2"].start, forms.size)
     pen = _Pencil(forms)
     for name, M in (("E", pen.A), ("V", pen.C), ("J", pen.B)):
         assert np.array_equal(M, getattr(forms, name)[sv, sv]), name
+
+
+def _ci_forms(k1: int, k2: int, **overrides) -> ModeForms:
+    """Growth forms of the CI compressible config at xi = (k1, k2)."""
+    cfg = validate_config({**_CI_COMPRESSIBLE, **overrides,
+                           "modes": [[k1, k2]]})
+    return _build_slab(cfg).assemble(_build_modes(cfg)[0])
+
+
+def test_growth_pencil_solves_the_blocks_that_can_grow(params_std):
+    # the growth pencil keeps the components of the block coupling that an
+    # E term can make positive: v3 of the incompressible forms; (v2, v3) of
+    # the compressible ones at xi1 = 0, where every form leaves v1
+    # uncoupled and E has no v1 part; (v1, v3) at xi2 = 0, where E reads
+    # the uncoupled v2 only through the bending penalty; every column at
+    # xi1, xi2 != 0.  The frak_s pencil solves on the same columns, the cr
+    # certificate on all
+    g1 = Grid1D("chebyshev", 1.0, 64)
+    mode = ModeSpec.from_integers(1.0, 2, 1, field_dir=3, m=0.2)
+    inc = assemble_incompressible(mode, make_affine_profile(g1, 2.0, 1.0),
+                                  params_std, g1)
+    pen = _Pencil(inc)
+    assert np.array_equal(np.flatnonzero(pen.keep), np.arange(62))
+    v3 = inc.layout["v3"]
+    assert pen.tA == tuple(t for t in inc.terms_E if t.cols == v3)
+    for (k1, k2), dropped in (((0, 2), "v1"), ((1, 0), "v2"), ((1, 2), None)):
+        forms = _ci_forms(k1, k2)
+        pen = _Pencil(forms)
+        kept = np.ones(forms.size, dtype=bool)
+        if dropped:
+            kept[forms.layout[dropped]] = False
+        assert np.array_equal(pen.keep, kept)
+        assert pen.width == np.count_nonzero(kept) == pen.A.shape[0]
+        frak = _Pencil(forms, den="V", shift=None, base=pen)
+        assert frak.width == pen.width
+        assert _Pencil(forms, shift=None, whole=True).width == forms.size
+
+
+@pytest.mark.parametrize("term", ["coupling_V", "positive_E"])
+def test_growth_pencil_keeps_a_block_that_can_grow(term):
+    # v1 stays when a V term couples it to (v2, v3), or when an E term on
+    # it alone is not a nonpositive square
+    forms = _ci_forms(0, 2)
+    n, g1 = forms.grid.n, forms.grid
+    A, wf = g1.value_flux, g1.flux_weights
+    if term == "coupling_V":
+        op = np.hstack([A, A, np.zeros_like(A)])
+        forms = replace(forms,
+                        terms_V=forms.terms_V + (FormTerm(1e-3, wf, op),))
+    else:
+        t = FormTerm(1e-3, wf, A, cols=forms.layout["v1"])
+        forms = replace(forms, terms_E=forms.terms_E + (t,))
+    assert _Pencil(forms).width == 3 * n
+
+
+def test_interchange_growth_brackets_the_full_width_alpha():
+    # at xi1 = 0 the 2n pencil's Lambda is the fixed point of the dense
+    # full-width alpha(s) of the longhand Cholesky + Jacobi oracle, and its
+    # alpha(0) and frak_s are the full-width tops
+    forms = _ci_forms(0, 1, n=16)
+    res = solve_growth_rate(forms)
+    assert res.unstable and _Pencil(forms).width == 2 * forms.size // 3
+    E, V, J = forms.E, forms.V, forms.J
+
+    def alpha(s):
+        return gsym_eigenvalues_reference(E - s * V, J)[-1]
+
+    lam = res.Lambda
+    assert alpha(lam * (1.0 - 1e-7)) > (lam * (1.0 - 1e-7)) ** 2
+    assert alpha(lam * (1.0 + 1e-7)) < (lam * (1.0 + 1e-7)) ** 2
+    assert abs(res.alpha0 - alpha(0.0)) <= 1e-10 * res.alpha0
+    frak = gsym_eigenvalues_reference(E, V)[-1]
+    assert abs(res.frak_s - frak) <= 1e-10 * frak
+
+
+def test_stable_interchange_reports_the_kept_alpha0():
+    # a light-on-top compressible slab: at xi1 = 0 alpha(0) over every
+    # column is 0, carried by the dropped v1 block; the kept block's own
+    # alpha(0) is negative, and the longhand oracle on that block agrees
+    forms = _ci_forms(0, 1, n=16, beta=-0.5)
+    res = solve_growth_rate(forms)
+    assert not res.unstable
+    keep = _Pencil(forms).keep
+    sub = np.ix_(keep, keep)
+    ref = gsym_eigenvalues_reference(forms.E[sub], forms.J[sub])[-1]
+    assert res.alpha0 < 0.0
+    assert abs(res.alpha0 - ref) <= 1e-9 * abs(ref)
+
+
+@pytest.mark.parametrize("k1", [1, 2, 3, 4])
+def test_cr_ratio_matches_the_dense_schur_oracle(k1):
+    # the ratio folds D's structural kernel (the v1 columns) before it
+    # eigendecomposes the rest of D; the oracle eliminates the whole kernel
+    # of the full-width D by a solve
+    eq, params, g1, modes = _parker_cr(modes=[[k1, 1]])
+    forms = assemble_cr_forms(modes[0], eq, params, g1)
+    c = psd_ratio_sup(forms.E, forms.D)
+    ref = psd_ratio_schur(forms.E, forms.D)
+    assert abs(c - ref) <= 1e-12 * abs(ref)
+
+
+def test_cr_ratio_unbounded_at_xi1_zero():
+    # the interchange modes of the Parker config: no field term reaches
+    # them, so the ratio is +inf
+    eq, params, g1, modes = _parker_cr(modes=[[0, 1], [0, 2]])
+    for mode in modes:
+        forms = assemble_cr_forms(mode, eq, params, g1)
+        assert psd_ratio_sup(forms.E, forms.D) == math.inf
+
+
+def test_pencil_checks_each_matrix_once(params_std, monkeypatch):
+    # E, V and J are checked for symmetry as the pencil builds them, and
+    # J and V again as spd_factor factors them; no evaluation checks A - sC
+    calls = []
+
+    def counted(M, name, _f=eigcore.require_symmetric):
+        calls.append(name)
+        return _f(M, name)
+
+    monkeypatch.setattr(eigcore, "require_symmetric", counted)
+    monkeypatch.setattr(dispersion, "require_symmetric", counted)
+    g1 = Grid1D("chebyshev", 1.0, 96)
+    mode = ModeSpec.from_integers(1.0, 2, 1, field_dir=3, m=0.2)
+    forms = assemble_incompressible(mode, make_affine_profile(g1, 2.0, 1.0),
+                                    params_std, g1)
+    res = solve_growth_rate(forms)
+    assert res.evaluations == 7
+    assert sorted(calls) == ["E", "J", "J", "V", "V"]
+
+
+def test_frak_pencil_converts_no_operator_again():
+    # the frak_s pencil reads E and V through the long-double operators its
+    # base converted for the growth pencil
+    forms = _ci_forms(0, 2)
+    pen = _Pencil(forms)
+    converted = dict(pen.ld)
+    frak = _Pencil(forms, den="V", shift=None, base=pen)
+    assert frak.ld is pen.ld and pen.ld.keys() == converted.keys()
+    assert all(pen.ld[k] is v for k, v in converted.items())
+    x = np.random.default_rng(0).standard_normal(frak.width)
+    e, _, v = frak.read(x)
+    assert e == qform_value_ld(frak.tA, x) and v == qform_value_ld(frak.tB, x)

@@ -288,6 +288,48 @@ def test_solve_gsym_takes_a_checked_mass_as_is(monkeypatch):
     assert np.array_equal(res.eigenvectors, ref.eigenvectors)
 
 
+def test_spd_factor_keeps_the_dense_cholesky_factor():
+    # the lower factor the cold top reduces on; a sparse mass holds none
+    _, B = _random_pencil(16, 10)
+    assert np.array_equal(spd_factor(B).factor, cholesky(B, lower=True))
+    _, Bs = _sparse_pencil(8, n=30, density=0.2)
+    assert spd_factor(Bs).factor is None
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_cold_top_pair_reduces_on_the_held_factor(seed, monkeypatch):
+    # a cold dense top is one standard eigensolve of L^-1 A L^-T on the
+    # held factor of B, with no factorization of B; its eigenvalue and
+    # vector are those of the generalized sygvx solve to rounding
+    A, B = _random_pencil(seed, 40)
+    ref = solve_gsym(A, B, subset=(39, 39))
+    Bf = spd_factor(B)
+    calls = []
+
+    def counted(*args, _f=eigcore.eigh, **kwargs):
+        calls.append((len(args), "b" in kwargs))
+        return _f(*args, **kwargs)
+
+    monkeypatch.setattr(eigcore, "eigh", counted)
+    monkeypatch.setattr(eigcore, "cholesky", lambda *a, **k: calls.append(a))
+    lam, x = eigcore._lapack_top(A, Bf)
+    assert calls == [(1, False)]
+    lam_ref, v = float(ref.eigenvalues[-1]), ref.eigenvectors[:, -1]
+    assert abs(lam - lam_ref) <= 1e-13 * max(1.0, abs(lam_ref))
+    assert np.max(np.abs(x * np.sign(x @ v) - v)) <= 1e-10
+    q, y = top_pair(A, Bf)
+    assert abs(q - lam_ref) <= 1e-12 * max(1.0, abs(lam_ref))
+    assert abs(float(y @ (B @ y)) - 1.0) <= 1e-12
+
+
+def test_cold_top_keeps_the_b_orthonormality_check():
+    # a factor that does not belong to B leaves x off the B-unit sphere
+    A, B = _random_pencil(3, 12)
+    held = spd_factor(2.0 * B)
+    with pytest.raises(SolverFailure, match="B-orthonormality"):
+        eigcore._lapack_top(A, eigcore.SPD(B, held.solve, held.factor))
+
+
 def test_sparse_zero_pivot_mass_raises():
     # a zero diagonal forces SuperLU off the diagonal, so no LDL^T exists
     B = sp.csr_matrix(np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0],
