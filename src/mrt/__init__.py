@@ -14,8 +14,7 @@ from .dispersion import (DispersionResult, GrowingMode, ProofSequence,
                          solve_growth_rate)
 from .errors import InputError, MrtError, SolverError
 from .evolve import (EnvelopeReport, EvolveState, TrajectoryRecord,
-                     envelope_check, init_state, run_trajectory, step,
-                     viscous_time)
+                     envelope_check, init_state, run_trajectory, step)
 from .eigcore import psd_ratio_sup, solve_gsym, top_pair
 from .grid1d import Grid1D
 from .modeforms import (ModeForms, ModeSpec, assemble_compressible,
@@ -68,7 +67,6 @@ __all__ = [
     "solve_growth_rate",
     "step",
     "top_pair",
-    "viscous_time",
 ]
 
 __version__ = "0.1.0"

@@ -24,20 +24,21 @@ mode the initial acceleration ẏ(0) = Λy up to the eigenpair residual.  The
 energy identity and its time-integrated variant inherit their convergence
 order from the dissipation quadrature alone.
 
-The step is taken in the coordinates of the step matrix's Cholesky factor,
-S = M + (dt/2)C − (dt²/4)K = LLᵀ (the congruence that reduces a symmetric
-pencil to standard form: Golub & Van Loan, Matrix Computations, §8.7).  In
-x̂ = Lᵀx the implicit solve S ÿ = K y_pred − C ẏ_pred of the
-average-acceleration step becomes the product â = K̂ ŷ_pred − Ĉ v̂_pred with
-K̂ = L⁻¹KL⁻ᵀ and Ĉ = L⁻¹CL⁻ᵀ, and the dissipation rate ẏᵀCẏ = v̂ᵀĈv̂.  The
-predictor, the corrector and the Y update are linear and keep their form.
-A call of step maps the state in by Lᵀ, or goes on from the congruent
-state the call before left on it, takes its steps with three matrix-vector
-products each and no solve, and maps back once by a triangular solve.
-run_trajectory makes one call per recorded interval and reads the recorded
-states in blocks, each form applied to a block by one matrix–matrix
-product; the norms and the energy are read through the factored terms of
-their forms.
+The step is taken in the basis X that diagonalizes the step matrix and the
+dissipation at once.  S = M + (dt/2)C − (dt²/4)K is positive definite and
+C ⪰ 0, so the pencil (C, S) has a real eigenbasis with XᵀSX = I and
+XᵀCX = diag(c) (Golub & Van Loan, Matrix Computations, §8.7): with
+S = LLᵀ and L⁻¹CL⁻ᵀ = Q diag(c) Qᵀ, X = L⁻ᵀQ.  In x̂ = X⁻¹x the implicit
+solve S ÿ = K y_pred − C ẏ_pred of the average-acceleration step becomes
+â = K̂ ŷ_pred − c⊙v̂_pred with K̂ = XᵀKX, and the dissipation rate is
+ẏᵀCẏ = cᵀ(v̂⊙v̂).  The predictor, the corrector and the Y update are linear
+and keep their form.  A call of step maps the state in by one product, or
+goes on from the congruent state the call before left on it, takes its
+steps with one matrix-vector product each, elementwise work and no solve,
+and maps back by one product.  run_trajectory makes one call per recorded
+interval and reads the recorded states in blocks, each form applied to a
+block by one matrix–matrix product; the norms and the energy are read
+through the factored terms of their forms.
 
 Phase convention (real carriers): for the vertical-field incompressible
 problem N = (i·N₁, i·N₂, N₃); for the horizontal-field incompressible and
@@ -56,8 +57,8 @@ from functools import cached_property
 from typing import Optional
 
 import numpy as np
-from scipy.linalg import (cho_factor, cho_solve, cholesky, eig as dense_eig,
-                          get_lapack_funcs)
+from scipy.linalg import (cho_factor, cho_solve, cholesky, eigh,
+                          solve_triangular)
 
 from .errors import IncompatibleData, InputError, SolverFailure
 from .modeforms import ModeForms, _compressible_pieces
@@ -250,12 +251,13 @@ class RateLaws:
         return cho_factor(self.forms.J, lower=True)
 
     def congruence(self, dt: float):
-        """(L, K̂, Ĉ, trtrs) of the step matrix S = J + (dt/2)V − (dt²/4)E,
+        """(K, c, W, Xᵀ) of the step matrix S = J + (dt/2)V − (dt²/4)E,
         kept for the last dt.
 
-        L is the lower Cholesky factor of S = LLᵀ, K̂ = L⁻¹EL⁻ᵀ and
-        Ĉ = L⁻¹VL⁻ᵀ, each from two triangular solves and symmetrized, and
-        trtrs the LAPACK triangular solver that maps a step's state back.
+        X is the basis with XᵀSX = I, XᵀVX = diag(c) and XᵀEX = K: with
+        S = LLᵀ and L⁻¹VL⁻ᵀ = Q diag(c) Qᵀ, X = L⁻ᵀQ.  A state x maps in
+        as x̂ᵀ = xᵀW with W = LQ, and rows of states map back by one product
+        with Xᵀ.  K is symmetrized; L, Q and S are not kept.
         """
         if self._congruence[0] != dt:
             forms = self.forms
@@ -268,17 +270,21 @@ class RateLaws:
                     f"implicit step matrix not positive definite at dt={dt:g} "
                     f"(diag range [{dg.min():.3e}, {dg.max():.3e}]): {e}") from e
             del S
-            trtrs, = get_lapack_funcs(("trtrs",), (L,))
-
-            def congruent(A):
-                X, _ = trtrs(L, A, lower=1)
-                X, _ = trtrs(L, X.T, lower=1, overwrite_b=1)
-                X += X.T
-                X *= 0.5
-                return X
-
-            self._congruence = (dt, (L, congruent(forms.E), congruent(forms.V),
-                                     trtrs))
+            Ch = solve_triangular(L, forms.V, lower=True, check_finite=False)
+            Ch = solve_triangular(L, Ch.T, lower=True, check_finite=False,
+                                  overwrite_b=True)
+            Ch += Ch.T
+            Ch *= 0.5
+            c, Q = eigh(Ch, overwrite_a=True, check_finite=False)
+            del Ch
+            X = solve_triangular(L, Q, lower=True, trans="T", check_finite=False)
+            W = L @ Q
+            # L and Q are not kept: at most four n × n arrays live at once
+            del L, Q
+            K = X.T @ (forms.E @ X)
+            K += K.T
+            K *= 0.5
+            self._congruence = (dt, (K, c, W, X.T))
         return self._congruence[1]
 
 
@@ -289,18 +295,18 @@ class EvolveState:
     y, ydot, acc: reduced velocity unknowns and their first and second time
     derivatives; Y the trapezoidal integral ∫₀ᵗ y; diss the accumulated
     dissipation integral 2∫ẏᵀVẏ dτ and diss_rate its integrand ẏᵀVẏ at t,
-    carried so that a step forms V ẏ for its new velocity only.  rho0 and
-    N0 are the initial perturbations projected onto real carriers (see the
-    module docstring for the phase convention).  The current perturbations
-    are recovered on read as rho = rho0 + R_ρ Y and N = N0 + R_N Y, N a
-    (3, n_f) array.  ws holds the rate laws and factors shared by the states
-    of one trajectory; meta the initial diagnostics (J0, forcing_norm,
-    stability_denom).  congruent is set by step: its dt, the state
-    (ŷ, v̂, â, Ŷ) in the coordinates of RateLaws.congruence(dt), and the
-    four arrays (y, ydot, acc, Y) they were mapped back to.  A step at the
-    same dt from those same arrays goes on from the congruent state instead
-    of mapping the arrays in again, so the record interval does not change
-    the trajectory.
+    carried so that a call of step reads the rate at its last step only.
+    rho0 and N0 are the initial perturbations projected onto real carriers
+    (see the module docstring for the phase convention).  The current
+    perturbations are recovered on read as rho = rho0 + R_ρ Y and
+    N = N0 + R_N Y, N a (3, n_f) array.  ws holds the rate laws and factors
+    shared by the states of one trajectory; meta the initial diagnostics
+    (J0, forcing_norm, stability_denom).  congruent is set by step: its dt,
+    the state (ŷ, v̂, â, Ŷ) in the basis of RateLaws.congruence(dt), and
+    the four arrays (y, ydot, acc, Y) one product with Xᵀ mapped it back
+    to.  A step at the same dt from those same arrays goes on from the
+    congruent state instead of mapping the arrays in again, so the record
+    interval does not change the trajectory.
     """
 
     t: float
@@ -463,55 +469,70 @@ def step(state: EvolveState, dt: float, n: int = 1) -> EvolveState:
     """n implicit time steps; returns the new state.
 
     Average-acceleration update of (y, ẏ, ÿ), then the trapezoidal rule
-    for Y = ∫y and for the dissipation over each step, taken in the
-    coordinates x̂ = Lᵀx of RateLaws.congruence(dt) (see the module
-    docstring).  The state is mapped in by one product with L, unless it
-    carries its congruent coordinates from the step that made it, and back
-    by one LAPACK trtrs on its four columns; each step in between costs
-    three matrix-vector products (K̂ and Ĉ on the predictor, Ĉ on the new
-    velocity) and no solve.  t accumulates as t += dt, step by step.
+    for Y = ∫y and for the dissipation over each step, taken in the basis
+    x̂ᵀ = xᵀW of RateLaws.congruence(dt) (see the module docstring).  The
+    state is mapped in by one product with W, unless it carries its
+    congruent coordinates from the step that made it, and back by one
+    product with Xᵀ on its four rows.  The steps run in the predictor
+    variables p = ŷ + dt·v̂ + (dt²/4)â and w = v̂ + (dt/2)â: each forms
+    â = Kp − c⊙w by one matrix–vector product, then ŷ and v̂ of the new
+    step from it, adds ŷ to the sum that makes Y and v̂⊙v̂ to the sum whose
+    product with c makes the dissipation, and moves p and w on.
+    t accumulates as t += dt, step by step.
 
     :raises InputError: dt ≤ 0 or n < 1.
-    :raises SolverFailure: the step matrix is not positive definite, or a
-        step's dissipation rate is not finite (as from a non-finite state).
+    :raises SolverFailure: the step matrix is not positive definite, or the
+        dissipation of the steps is not finite (as from a non-finite state).
     """
     if not dt > 0.0:
         raise InputError(f"dt must be positive, got {dt}")
     if n < 1:
         raise InputError(f"step count must be at least 1, got {n}")
     ws = state.ws
-    L, Kh, Ch, trtrs = ws.congruence(dt)
+    K, c, W, Xt = ws.congruence(dt)
     h, q = dt / 2.0, dt * dt / 4.0
     arrays = (state.y, state.ydot, state.acc, state.Y)
     cg = state.congruent
     if cg is not None and cg[0] == dt and all(
             a is b for a, b in zip(cg[2], arrays)):
-        y, v, a, Y = cg[1]
+        y0, v0, a0, Y0 = cg[1]
     else:
-        # rows xᵀL = (Lᵀx)ᵀ: the state in congruent coordinates
-        y, v, a, Y = np.vstack(arrays) @ L
-    t, diss, rate = state.t, state.diss, state.diss_rate
+        y0, v0, a0, Y0 = np.vstack(arrays) @ W
+    p = y0 + dt * v0 + q * a0
+    w = v0 + h * a0
+    y, v, a, ha, tmp = (np.empty_like(p) for _ in range(5))
+    y_sum, v2_sum = np.zeros_like(p), np.zeros_like(p)
+    t = state.t
     for _ in range(n):
-        y_pred = y + dt * v + q * a
-        v_pred = v + h * a
-        a = Kh @ y_pred - Ch @ v_pred
-        v = v_pred + h * a
-        y_new = y_pred + q * a
-        Y = Y + h * (y + y_new)
-        y = y_new
-        rate_new = float(v @ (Ch @ v))
-        # 0·∞ is NaN, so one non-finite entry of the new state makes every
-        # entry of Ĉv̂, and the rate, non-finite
-        if not math.isfinite(rate_new):
-            raise SolverFailure("implicit step produced a non-finite state")
-        diss += dt * (rate + rate_new)
-        rate = rate_new
+        # â = Kp − c⊙w
+        np.dot(K, p, out=a)
+        np.multiply(c, w, out=tmp)
+        a -= tmp
+        # v̂ = w + (dt/2)â, and w moves on to v̂ + (dt/2)â
+        np.multiply(h, a, out=ha)
+        np.add(w, ha, out=v)
+        np.add(v, ha, out=w)
+        # ŷ = p + (dt²/4)â, formed before it is summed
+        np.multiply(h, ha, out=tmp)
+        np.add(p, tmp, out=y)
+        y_sum += y
+        np.multiply(v, v, out=tmp)
+        v2_sum += tmp
+        # the next predictor: p + dt·w
+        np.multiply(dt, w, out=tmp)
+        p += tmp
         t += dt
+    # Σ_k h(ŷ_{k−1} + ŷ_k) and Σ_k dt(r_{k−1} + r_k) from the sums over k ≥ 1
+    Y = Y0 + h * y0 + dt * y_sum - h * y
+    rate = float(c @ (v * v))
+    dissipated = float(c @ v2_sum)
+    # 0·∞ is NaN, so one non-finite entry of any step's velocity makes the
+    # sum, and so the dissipation, non-finite
+    if not (math.isfinite(dissipated) and math.isfinite(rate)):
+        raise SolverFailure("implicit step produced a non-finite state")
+    diss = state.diss + dt * (state.diss_rate - rate) + 2.0 * dt * dissipated
     hat = (y, v, a, Y)
-    X, info = trtrs(L, np.vstack(hat).T, lower=1, trans=1)
-    if info != 0:
-        raise SolverFailure(f"step back-transform failed (trtrs info {info})")
-    y, v, a, Y = arrays = tuple(X.T)
+    y, v, a, Y = arrays = tuple(np.vstack(hat) @ Xt)
     return EvolveState(t=t, y=y, ydot=v, acc=a, Y=Y, diss=diss, diss_rate=rate,
                        rho0=state.rho0, N0=state.N0, ws=ws, meta=state.meta,
                        congruent=(dt, hat, arrays))
@@ -772,18 +793,3 @@ def envelope_check(rec: TrajectoryRecord,
                           mode="exponential" if Lambda is not None else "boundedness",
                           constants=constants, flagged=tuple(flagged))
 
-
-def viscous_time(forms: ModeForms) -> float:
-    """Slowest decay time of the mode: 1/|spectral abscissa| of
-    M ÿ + C ẏ − K y = 0, from its first linearization as the generalized
-    problem [[0, I], [K, −C]] z = λ diag(I, M) z (Tisseur & Meerbergen,
-    SIAM Review 43, 2001), with no inverse of M formed."""
-    M, C, K = forms.J, forms.V, forms.E
-    n = M.shape[0]
-    Z, I = np.zeros((n, n)), np.eye(n)
-    w = dense_eig(np.block([[Z, I], [K, -C]]), np.block([[I, Z], [Z, M]]),
-                  right=False)
-    absc = float(np.max(w.real))
-    if abs(absc) < 1e-300:
-        raise SolverFailure("spectral abscissa vanishes; no viscous time scale")
-    return 1.0 / abs(absc)

@@ -430,6 +430,26 @@ def newmark_step_longdouble(M, C, K, dt: float, refinements: int = 3):
     return step
 
 
+def viscous_time(forms) -> float:
+    """Slowest decay time of the mode: 1/|spectral abscissa| of
+    M ÿ + C ẏ − K y = 0, from its first linearization as the generalized
+    problem [[0, I], [K, −C]] z = λ diag(I, M) z (Tisseur & Meerbergen,
+    SIAM Review 43, 2001), with no inverse of M formed.  A time scale for
+    the tests' horizons, not a checked value: it takes LAPACK's dense QZ
+    on the 2n × 2n pencil."""
+    from scipy.linalg import eig
+
+    M, C, K = forms.J, forms.V, forms.E
+    n = M.shape[0]
+    Z, I = np.zeros((n, n)), np.eye(n)
+    w = eig(np.block([[Z, I], [K, -C]]), np.block([[I, Z], [Z, M]]),
+            right=False)
+    absc = float(np.max(w.real))
+    if abs(absc) < 1e-300:
+        raise ValueError("spectral abscissa vanishes; no viscous time scale")
+    return 1.0 / abs(absc)
+
+
 def psd_ratio_schur(N: np.ndarray, D: np.ndarray, tol: float = 1e-12) -> float:
     """inf{c : N - cD is negative semidefinite} when N is negative definite
     on the kernel of the PSD form D, on the full width in one pass.

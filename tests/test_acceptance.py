@@ -26,7 +26,7 @@ from mrt.dispersion import (
     quotient_proof_sequence,
     solve_growth_rate,
 )
-from mrt.evolve import envelope_check, init_state, run_trajectory, viscous_time
+from mrt.evolve import envelope_check, init_state, run_trajectory
 from mrt.grid1d import Grid1D
 from mrt.modeforms import ModeSpec, assemble_compressible, assemble_incompressible
 from mrt.profiles import (
@@ -36,6 +36,8 @@ from mrt.profiles import (
     make_tanh_profile,
     min_admissible_pressure_const,
 )
+
+from oracles import viscous_time
 
 TWO_OVER_PI = 2.0 / np.pi
 

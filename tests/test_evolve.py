@@ -10,13 +10,13 @@ from mrt import evolve
 from mrt.cli import main
 from mrt.dispersion import build_growing_mode, solve_growth_rate
 from mrt.errors import IncompatibleData, InputError, SolverFailure
-from mrt.evolve import envelope_check, init_state, run_trajectory, step, viscous_time
+from mrt.evolve import envelope_check, init_state, run_trajectory, step
 from mrt.grid1d import Grid1D
 from mrt.modeforms import ModeSpec, assemble_compressible, assemble_incompressible
 from mrt.profiles import PhysicalParams, build_equilibrium, make_affine_profile
 
 from oracles import (newmark_step_longdouble, newmark_step_reference,
-                     stepwise_carriers)
+                     stepwise_carriers, viscous_time)
 
 
 @pytest.fixture(scope="module")
@@ -221,37 +221,114 @@ def test_record_times_accumulate_dt(forms_std):
 
 
 def test_a_run_solves_once_per_record(forms_std, growing, monkeypatch):
-    # one Cholesky of the step matrix per run, one back-transform per
-    # recorded interval, and no solve in the steps between
+    # one Cholesky and one symmetric eigensolve of the step matrix per run;
+    # once the basis is built, no step and no map back solves anything
     _, gm = growing
     st = init_state(forms_std, gm.y, gm.rho, gm.N)
-    counts = {"cholesky": 0, "trtrs": 0}
-    cholesky = evolve.cholesky
+    counts = {"cholesky": 0, "eigh": 0}
+    built = []
 
-    def counted_cholesky(*args, **kw):
-        counts["cholesky"] += 1
-        return cholesky(*args, **kw)
+    def counted(name):
+        fn = getattr(evolve, name)
+
+        def wrapper(*args, **kw):
+            counts[name] += 1
+            return fn(*args, **kw)
+
+        return wrapper
+
+    solve_triangular = evolve.solve_triangular
+
+    def solve_while_building(*args, **kw):
+        if built:
+            raise AssertionError("a step solved a triangular system")
+        return solve_triangular(*args, **kw)
 
     congruence = evolve.RateLaws.congruence
 
-    def counted_congruence(self, dt):
-        L, Kh, Ch, trtrs = congruence(self, dt)
-
-        def counted_trtrs(*args, **kw):
-            counts["trtrs"] += 1
-            return trtrs(*args, **kw)
-
-        return L, Kh, Ch, counted_trtrs
+    def marked_congruence(self, dt):
+        out = congruence(self, dt)
+        built.append(dt)
+        return out
 
     def no_solve(*args, **kw):
         raise AssertionError("a step solved with the mass factor")
 
-    monkeypatch.setattr(evolve, "cholesky", counted_cholesky)
-    monkeypatch.setattr(evolve.RateLaws, "congruence", counted_congruence)
+    monkeypatch.setattr(evolve, "cholesky", counted("cholesky"))
+    monkeypatch.setattr(evolve, "eigh", counted("eigh"))
+    monkeypatch.setattr(evolve, "solve_triangular", solve_while_building)
+    monkeypatch.setattr(evolve.RateLaws, "congruence", marked_congruence)
     monkeypatch.setattr(evolve, "cho_solve", no_solve)
     rec = run_trajectory(st, T=0.5, dt=0.001, diagnostics_every=25)
     assert len(rec.times) == 21
-    assert counts == {"cholesky": 1, "trtrs": 20}
+    assert len(built) == 20
+    assert counts == {"cholesky": 1, "eigh": 1}
+
+
+@pytest.mark.parametrize("case", _CASES)
+def test_congruence_diagonalizes_the_step_matrix_and_the_dissipation(case):
+    # X^T S X = I, X^T V X = diag(c), X^T E X = K, and W^T X = I, so that
+    # mapping in by W and back by X is the identity
+    forms = _case_state(case).ws.forms
+    dt = 0.002
+    K, c, W, Xt = evolve.RateLaws(forms).congruence(dt)
+    X = Xt.T
+    S = forms.J + (dt / 2.0) * forms.V - (dt * dt / 4.0) * forms.E
+    eye = np.eye(forms.size)
+    assert _rel_err(X.T @ S @ X, eye) <= 1e-12
+    assert _rel_err(X.T @ forms.V @ X, np.diag(c)) <= 1e-12
+    assert _rel_err(X.T @ forms.E @ X, K) <= 1e-12
+    assert _rel_err(W.T @ X, eye) <= 1e-12
+    assert np.array_equal(K, K.T)
+
+
+class _CountedProducts(np.ndarray):
+    """A matrix that counts its products with a single vector, by @, matmul
+    or dot."""
+
+    vector_products = 0
+
+    @classmethod
+    def _count(cls, args):
+        if any(np.ndim(x) == 1 for x in args):
+            cls.vector_products += 1
+
+    @staticmethod
+    def _plain(args):
+        return tuple(x.view(np.ndarray) if isinstance(x, _CountedProducts)
+                     else x for x in args)
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kw):
+        if ufunc is np.matmul:
+            self._count(inputs)
+        return getattr(ufunc, method)(*self._plain(inputs), **kw)
+
+    def __array_function__(self, func, types, args, kwargs):
+        if func is np.dot:
+            self._count(args)
+        return func(*self._plain(args), **kwargs)
+
+
+def test_a_step_applies_one_matrix_vector_product(forms_std, growing,
+                                                  monkeypatch):
+    # every matrix of the congruence counts its products with one vector:
+    # a step makes one, K on the predictor; the maps in and back are
+    # products with the block of four rows
+    _, gm = growing
+    st = init_state(forms_std, gm.y, gm.rho, gm.N)
+    congruence = evolve.RateLaws.congruence
+
+    def counted_congruence(self, dt):
+        return tuple(x.view(_CountedProducts) if np.ndim(x) == 2 else x
+                     for x in congruence(self, dt))
+
+    monkeypatch.setattr(evolve.RateLaws, "congruence", counted_congruence)
+    monkeypatch.setattr(_CountedProducts, "vector_products", 0)
+    st = step(st, 0.001, 7)
+    assert _CountedProducts.vector_products == 7
+    st = step(st, 0.001, 5)
+    assert _CountedProducts.vector_products == 12
+    assert type(st.y) is np.ndarray
 
 
 def test_record_blocks_match_one_record_at_a_time(forms_std, growing,
