@@ -16,7 +16,10 @@ paths to div w are then the same matrix, so div w = 0 holds to rounding.
 
 The critical-strength quotient and the growth problem share one term
 builder, _box_terms: buoyancy, stretching, viscous and mass forms as
-factored terms over sparse operators.  Both are solved by the slab's
+factored terms over sparse operators, each built from 1D factors (the
+Kronecker product of the 1D stencils times the 1D bases).  The unknowns
+are ordered ix·(nz − 2) + iz, so every form is banded, with half-bandwidth
+2(nz − 2).  Both are solved by the slab's
 pencil (dispersion._Pencil), which assembles them into sparse matrices
 and reads their quotients through the terms; no box solve builds a dense
 nred×nred matrix or calls a dense eigensolver.
@@ -25,6 +28,7 @@ nred×nred matrix or calls a dense eigensolver.
 from __future__ import annotations
 
 import math
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -44,22 +48,18 @@ def _diff_pieces(n: int, h: float):
                   offsets=[-1, 0, 1], format="csr") / (h * h)
     # columns: free nodes (all but the second from each wall); the wall
     # slope 4psi_1 - psi_2 = 0 fixes the eliminated ones
-    free = [i for i in range(n) if i not in (1, n - 2)]
-    Z = sp.lil_matrix((n, n - 2))
-    for col, i in enumerate(free):
-        Z[i, col] = 1.0
-        if i == 0:
-            Z[1, col] = 4.0
-        if i == n - 1:
-            Z[n - 2, col] = 4.0
+    Z = sp.identity(n, format="lil")[:, np.r_[0, 2:n - 2, n - 1]]
+    Z[1, 0] = Z[n - 2, n - 3] = 4.0
     return G, D2, Z.tocsr()
 
 
 class Rect2D:
     """Uniform tensor grid on (a1, b1) x (a3, b3) with nx x nz interior nodes.
 
-    basis maps reduced coefficients to interior nodal values of ψ and spans
-    exactly the fields with ψ = ∂ψ/∂n = 0 on all four walls.
+    It keeps the 1D pieces of _diff_pieces per direction (Gx, D2x, Zx and
+    Gz, D2z, Zz).  basis maps reduced coefficients to interior nodal values
+    of ψ (ix·nz + iz) and spans exactly the fields with ψ = ∂ψ/∂n = 0 on
+    all four walls; it and op_dx, op_dz are built on first read.
     """
 
     def __init__(self, x1: tuple, x3: tuple, nx: int, nz: int):
@@ -79,18 +79,21 @@ class Rect2D:
         self.flux_x = a1 + self.hx * (np.arange(nx + 1) + 0.5)
         self.flux_z = a3 + self.hz * (np.arange(nz + 1) + 0.5)
 
-        self.Gx, self.D2x, Zx = _diff_pieces(nx, self.hx)
-        self.Gz, self.D2z, Zz = _diff_pieces(nz, self.hz)
-        self.basis = sp.kron(Zx, Zz, format="csr")
-        self.nred = self.basis.shape[1]
-        Ix = sp.eye(nx, format="csr")
-        Iz = sp.eye(nz, format="csr")
-        # psi flattened C-order: index = ix * nz + iz
-        self.op_dx = sp.kron(self.Gx, Iz, format="csr")       # (flux_x, node_z)
-        self.op_dz = sp.kron(Ix, self.Gz, format="csr")       # (node_x, flux_z)
-        self.op_dxx = sp.kron(self.D2x, Iz, format="csr")
-        self.op_dzz = sp.kron(Ix, self.D2z, format="csr")
-        self.op_dxz = sp.kron(self.Gx, self.Gz, format="csr")  # cell corners
+        self.Gx, self.D2x, self.Zx = _diff_pieces(nx, self.hx)
+        self.Gz, self.D2z, self.Zz = _diff_pieces(nz, self.hz)
+        self.nred = (nx - 2) * (nz - 2)
+
+    @cached_property
+    def basis(self):
+        return sp.kron(self.Zx, self.Zz, format="csr")
+
+    @cached_property
+    def op_dx(self):  # (flux_x, node_z)
+        return sp.kron(self.Gx, sp.eye(self.nz), format="csr")
+
+    @cached_property
+    def op_dz(self):  # (node_x, flux_z)
+        return sp.kron(sp.eye(self.nx), self.Gz, format="csr")
 
     @property
     def aspect(self) -> float:
@@ -112,7 +115,8 @@ def _box_terms(r: Rect2D, p: DensityProfile, params: PhysicalParams, i: int):
 
     buoyancy g∫ρ̄′w₃² (w₃ = −∂₁ψ), stretching λ₀∫|∂ᵢ∇ψ|² for field
     direction i, viscous μ∫|∇w|², mass ∫ρ̄|w|²; each operator is the sparse
-    stencil times the basis, on its own staggered points.
+    stencil times the basis, on its own staggered points, built from 1D
+    factors: (Gx ⊗ Gz)(Zx ⊗ Zz) = GxZx ⊗ GzZz, and so on.
     """
     if i not in (1, 3):
         raise InputError(f"field direction must be 1 or 3, got {i}")
@@ -124,9 +128,12 @@ def _box_terms(r: Rect2D, p: DensityProfile, params: PhysicalParams, i: int):
     w_node = hxz * np.ones(r.nx * r.nz)
     w_corner = hxz * np.ones((r.nx + 1) * (r.nz + 1))
 
-    Z = r.basis
-    dx, dz, dxx, dzz, dxz = (op @ Z for op in
-                             (r.op_dx, r.op_dz, r.op_dxx, r.op_dzz, r.op_dxz))
+    gx, gz = r.Gx @ r.Zx, r.Gz @ r.Zz
+    dx = sp.kron(gx, r.Zz, format="csr")  # (flux_x, node_z)
+    dz = sp.kron(r.Zx, gz, format="csr")  # (node_x, flux_z)
+    dxx = sp.kron(r.D2x @ r.Zx, r.Zz, format="csr")
+    dzz = sp.kron(r.Zx, r.D2z @ r.Zz, format="csr")
+    dxz = sp.kron(gx, gz, format="csr")  # cell corners
     buoy = (FormTerm(params.g, hxz * np.kron(np.ones(r.nx + 1), drho_n), dx),)
     stretch = (
         FormTerm(params.lambda0, w_node, dxx if i == 1 else dzz),
@@ -211,9 +218,7 @@ def divergence_defect(r: Rect2D, coeffs: np.ndarray) -> float:
     The two difference paths commute as matrices, so this is rounding noise
     regardless of the coefficients.
     """
-    psi = r.basis @ np.asarray(coeffs, dtype=float)
-    w1 = r.op_dz @ psi
-    w3 = -(r.op_dx @ psi)
-    d1 = sp.kron(r.Gx, sp.eye(r.nz + 1, format="csr")) @ w1
-    d3 = sp.kron(sp.eye(r.nx + 1, format="csr"), r.Gz) @ w3
+    w1, w3 = velocity_from_psi(r, coeffs)
+    d1 = sp.kron(r.Gx, sp.eye(r.nz + 1, format="csr")) @ w1.ravel()
+    d3 = sp.kron(sp.eye(r.nx + 1, format="csr"), r.Gz) @ w3.ravel()
     return float(np.max(np.abs(d1 + d3)))

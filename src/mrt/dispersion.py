@@ -31,11 +31,11 @@ the maximizer before, on a Cholesky factor at σ just above α at the
 iterate before (a bound, since α is nonincreasing and the iterates rise),
 until the quotient settles; a factor just above the settled quotient
 certifies it as the top and refines the vector, and LAPACK takes over when
-it cannot.  The box's matrices are sparse: ARPACK shift-invert at a σ
-certified above λmax by an LDLᵀ of σB − A with positive pivots gives the
-top vector, and that same factor refines it; σ starts from the same bound
-at an iterate and from a Lanczos estimate elsewhere.  B is checked and
-factored once per pencil.
+it cannot.  The box's matrices are sparse and banded: ARPACK shift-invert
+at a σ certified above λmax by a banded Cholesky factor of σB − A gives
+the top vector, and that same factor refines it; σ starts from the same
+bound at an iterate and from a Lanczos estimate elsewhere.  B is checked
+and factored once per pencil.
 
 The stability ratio of compute_cr is one Schur-complement eigenproblem per
 mode (eigcore.psd_ratio_sup); it is the one reported eigenvalue that does
@@ -220,7 +220,7 @@ class _Pencil:
     (the same assembly), so that the growth solve and an evolution of the
     same mode build it once.  Each matrix is checked for symmetry once, as
     it is built, so the solves of A − sC skip the check.  B is factored
-    once here (Bf: Cholesky, or LDLᵀ when sparse), and every evaluation
+    once here (Bf: Cholesky, banded when sparse), and every evaluation
     solves against that factor.  An evaluation reads the energies of its
     maximizer, from which both α(s) and the next growth iterate follow;
     one long-double product per distinct operator serves all three

@@ -1,17 +1,17 @@
 """Symmetric-definite generalized eigensolvers, dense and sparse, and the
 refined top eigenpair.
 
-spd_factor checks a mass matrix B once and keeps its factor: Cholesky when
-dense, a SuperLU LDLᵀ with positive diagonal pivots when sparse, and a
-conditioning of at most 1e15 either way.  solve_gsym hands a dense
+spd_factor checks a mass matrix B once and keeps its Cholesky factor: a
+dense one when B is dense, LAPACK's banded one (pbtrf) when B is sparse,
+and a conditioning of at most 1e15 either way.  solve_gsym hands a dense
 A v = lam B v to LAPACK's symmetric-definite drivers (sygvx for an index
 subset, sygvd for the whole spectrum) and reports the B-orthonormality of
 what comes back; a factored B is not checked again.  psd_ratio_sup solves
 the cr ratio with it.
 
 top_pair returns the top Rayleigh quotient of (A, B) and its maximizer,
-refined by shifted inverse iteration on a factor of σB − A whose positive
-definiteness certifies σ above λmax.  A warm dense call, one that brings
+refined by shifted inverse iteration on a Cholesky factor of σB − A, whose
+existence certifies σ above λmax.  A warm dense call, one that brings
 an upper bound and a start vector, as each growth iterate does, runs no
 eigensolver: it inverse-iterates from the start vector at certified shifts
 until the quotient q settles to its rounding floor, certifies
@@ -37,8 +37,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import (cholesky, cho_factor, eigh, get_lapack_funcs,
                           LinAlgError)
-from scipy.sparse.linalg import (ArpackNoConvergence, LinearOperator, eigsh,
-                                 splu)
+from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
 from .errors import NotPositiveDefinite, NotSymmetric, SolverFailure
 
@@ -101,23 +100,18 @@ def norm_inf(M) -> float:
     return float(np.linalg.norm(M, ord=np.inf))
 
 
-def _ldl(M):
-    """SuperLU LDLᵀ of a sparse symmetric M when M is positive definite.
-
-    diag_pivot_thresh = 0 keeps every pivot on the diagonal of a symmetric
-    fill-reducing order, so by Sylvester's law the pivots carry the inertia
-    of M.  None when a pivot is not positive, SuperLU had to leave the
-    diagonal (its row and column permutations differ, which a zero pivot
-    forces) or found M singular.
-    """
-    try:
-        lu = splu(sp.csc_matrix(M), permc_spec="MMD_AT_PLUS_A",
-                  diag_pivot_thresh=0.0, options={"SymmetricMode": True})
-    except RuntimeError:
-        return None
-    if not np.array_equal(lu.perm_r, lu.perm_c) or lu.U.diagonal().min() <= 0.0:
-        return None
-    return lu
+def _band_cholesky(M):
+    """LAPACK pbtrf's lower Cholesky factor of a sparse symmetric M, in the
+    band storage ab[i − j, j] = M[i, j] as deep as M's lowest nonzero
+    diagonal; None when a leading minor is not positive (info > 0; the
+    arguments built here leave no other nonzero info).  Golub & Van Loan,
+    Matrix Computations, §4.3."""
+    T = sp.tril(M, format="coo")
+    ab = np.zeros((int(np.max(T.row - T.col, initial=0)) + 1, M.shape[0]))
+    np.add.at(ab, (T.row - T.col, T.col), T.data)
+    pbtrf, = get_lapack_funcs(("pbtrf",), (ab,))
+    c, info = pbtrf(ab, lower=1, overwrite_ab=1)
+    return None if info else c
 
 
 @dataclass(frozen=True)
@@ -132,45 +126,45 @@ class SPD:
 
 
 def spd_factor(B, name: str = "B") -> SPD:
-    """Check a mass matrix and factor it: dense B by Cholesky, sparse B by
-    LDLᵀ.
+    """Check a mass matrix and factor it by Cholesky: dense B in full
+    storage, sparse B in band storage (_band_cholesky).
 
     :raises NotSymmetric: B fails the symmetry tolerance.
-    :raises NotPositiveDefinite: B has no Cholesky factor or a nonpositive
-        LDLᵀ pivot, or is numerically singular: the squared ratio of the
-        Cholesky diagonal, or the ratio of the pivots, exceeds 1e15.
+    :raises NotPositiveDefinite: B has no Cholesky factor, or is
+        numerically singular: the squared ratio of the largest to the
+        smallest diagonal entry of the factor exceeds 1e15.
     """
     B = require_symmetric(B, name)
     if sp.issparse(B):
-        lu = _ldl(B)
-        if lu is None:
-            raise NotPositiveDefinite(f"{name}: LDLᵀ has a nonpositive pivot")
-        d = lu.U.diagonal()
-        solve, ratio, L = lu.solve, d.max() / d.min(), None
+        c = _band_cholesky(B)
+        if c is None:
+            raise NotPositiveDefinite(f"{name}: Cholesky has a nonpositive pivot")
+        d, solve, L = c[0], _trs_solver("pbtrs", c), None
     else:
         try:
             L = cholesky(B, lower=True)
         except LinAlgError as e:
             raise NotPositiveDefinite(f"{name}: {e}") from None
-        d = np.diag(L)
-        solve, ratio = _potrs_solver(L, True), (d.max() / d.min()) ** 2
+        d, solve = np.diag(L), _trs_solver("potrs", L)
+    ratio = (d.max() / d.min()) ** 2
     if ratio > _COND_LIMIT:
         raise NotPositiveDefinite(
             f"{name} numerically singular (condition ~{ratio:.1e})")
     return SPD(B, solve, L)
 
 
-def _potrs_solver(c: np.ndarray, lower: bool):
+def _trs_solver(routine: str, c: np.ndarray, lower: bool = True):
     """Solver x = S⁻¹b on a checked Cholesky factor c of S: LAPACK potrs
-    bound to c.  It is the call cho_solve makes, so the floats are the
-    same, without cho_solve's scans of the factor and the right-hand side,
-    which cost as much again as the solve."""
-    potrs, = get_lapack_funcs(("potrs",), (c,))
+    (full storage) or pbtrs (band storage) bound to c.  potrs is the call
+    cho_solve makes, so the floats are the same, without cho_solve's scans
+    of the factor and the right-hand side, which cost as much again as the
+    solve."""
+    trs, = get_lapack_funcs((routine,), (c,))
 
     def solve(b):
-        x, info = potrs(c, b, lower=lower)
+        x, info = trs(c, b, lower=lower)
         if info != 0:
-            raise SolverFailure(f"potrs rejected its arguments (info {info})")
+            raise SolverFailure(f"{routine} rejected its arguments (info {info})")
         return x
 
     return solve
@@ -178,21 +172,21 @@ def _potrs_solver(c: np.ndarray, lower: bool):
 
 def _shift_factor(A, B, lam: float):
     """Solver of (σB − A)x = b at the first σ = lam + δ·32ᵏ, δ =
-    1e-6·max(1, |lam|), k < 12, where σB − A is positive definite
-    (Cholesky, or LDLᵀ with positive pivots when sparse), which certifies
-    σ above λmax(A, B); also σ, and whether it is the first one tried."""
+    1e-6·max(1, |lam|), k < 12, where σB − A has a Cholesky factor (in
+    band storage when sparse), which certifies σ above λmax(A, B); also σ,
+    and whether it is the first one tried."""
     delta = 1e-6 * max(1.0, abs(lam))
     for k in range(12):
         shift = lam + delta * 32.0 ** k
         S = shift * B - A
         if sp.issparse(S):
-            lu = _ldl(S)
-            if lu is not None:
-                return lu.solve, shift, k == 0
+            c = _band_cholesky(S)
+            if c is not None:
+                return _trs_solver("pbtrs", c), shift, k == 0
         else:
             try:
                 c, lower = cho_factor(S)
-                return _potrs_solver(c, lower), shift, k == 0
+                return _trs_solver("potrs", c, lower), shift, k == 0
             except LinAlgError:
                 pass
     raise SolverFailure("could not shift the pencil to SPD")
@@ -357,9 +351,9 @@ def top_pair(A, B, sigma: float | None = None, v0: np.ndarray | None = None,
     certified as the top (_warm_top); when that fails within its budget,
     the cold path.  Dense otherwise (cold): LAPACK's top vector on the
     held Cholesky factor of B (_lapack_top), refined by refine_top.
-    Sparse: ARPACK shift-invert at a σ that an LDLᵀ of σB − A with
-    positive pivots certifies above λmax, searched upward from sigma or
-    else from a Lanczos estimate; that factor refines the vector.  v0 is
+    Sparse: ARPACK shift-invert at a σ that a banded Cholesky factor of
+    σB − A certifies above λmax, searched upward from sigma or else from
+    a Lanczos estimate; that factor refines the vector.  v0 is
     ARPACK's start vector, a fixed one when None.  checked says that A is
     known to be symmetric bit for bit, as a pencil that checked its
     matrices once knows of A − sC, and skips the check.

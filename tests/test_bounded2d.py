@@ -135,6 +135,39 @@ def test_box_terms_qform_matches_dense(params, i):
                               _dense(terms, r.nred))
 
 
+def _clamped_basis(n):
+    """The 1D clamped basis, column by column: each free node, and the wall
+    slope 4ψ₁ − ψ₂ = 0 that puts 4 on the node beside each wall."""
+    free = [i for i in range(n) if i not in (1, n - 2)]
+    Z = np.zeros((n, n - 2))
+    for col, i in enumerate(free):
+        Z[i, col] = 1.0
+    Z[1, 0] = Z[n - 2, n - 3] = 4.0
+    return sp.csr_matrix(Z)
+
+
+@pytest.mark.parametrize("nx, nz", [(16, 16), (12, 40), (40, 12), (17, 23)])
+def test_box_terms_match_2d_stencils_times_basis(params, nx, nz):
+    # the Kronecker-built term operators equal the 2D stencils times the 2D
+    # basis, bit for bit
+    r = Rect2D((-1.0, 1.0), (-1.0, 1.0), nx, nz)
+    Ix, Iz = sp.identity(nx), sp.identity(nz)
+    Z = sp.kron(_clamped_basis(nx), _clamped_basis(nz), format="csr")
+    dx, dz, dxx, dzz, dxz = (
+        (op @ Z).toarray() for op in
+        (sp.kron(r.Gx, Iz), sp.kron(Ix, r.Gz), sp.kron(r.D2x, Iz),
+         sp.kron(Ix, r.D2z), sp.kron(r.Gx, r.Gz)))
+    assert np.array_equal(r.basis.toarray(), Z.toarray())
+    for i in (1, 3):
+        buoy, stretch, viscous, mass = _box_terms(r, _profile(), params, i)
+        expected = ((dx,), (dxx if i == 1 else dzz, dxz), (dxx, dzz, dxz),
+                    (dz, dx))
+        for terms, ops in zip((buoy, stretch, viscous, mass), expected):
+            assert len(terms) == len(ops)
+            for t, op in zip(terms, ops):
+                assert np.array_equal(t.P.toarray(), op)
+
+
 @pytest.mark.parametrize("i", [1, 3])
 def test_growth_forms_share_quotient_terms(params, i):
     # growth energy = quotient numerator - m^2 * quotient denominator
@@ -159,6 +192,8 @@ def _dense_quotient(A, B, tA, tB):
 @pytest.mark.parametrize("nx, nz, aspect, i", [
     (5, 5, 1.0, 1), (5, 5, 1.0, 3), (16, 16, 1.0, 3), (48, 12, 4.0, 1),
     (16, 16, 1.0, 1), (24, 24, 1.0, 1), (40, 40, 1.0, 1),
+    # the band of the forms is 2(nz - 2) whatever nx: tall boxes are wide
+    (12, 40, 1.0, 1), (40, 12, 1.0, 1),
 ])
 def test_critical_m_2d_matches_dense_route(params, nx, nz, aspect, i):
     r = Rect2D((-aspect, aspect), (-1.0, 1.0), nx, nz)

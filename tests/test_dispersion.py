@@ -198,7 +198,7 @@ def test_growth_factorizations_per_solve(params_std, monkeypatch):
     # its shift
     counts = {"factor": 0, "refine": 0}
     for name, key in (("cholesky", "factor"), ("cho_factor", "factor"),
-                      ("_ldl", "factor"), ("refine_top", "refine")):
+                      ("_band_cholesky", "factor"), ("refine_top", "refine")):
         def counted(*args, _f=getattr(eigcore, name), _k=key, **kwargs):
             counts[_k] += 1
             return _f(*args, **kwargs)

@@ -5,13 +5,17 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.linalg import cho_factor, cho_solve, cholesky
+from scipy.linalg import cho_factor, cho_solve, cholesky, eigh
 from scipy.sparse.linalg import ArpackNoConvergence
 
 from mrt import eigcore
+from mrt.bounded2d import Rect2D, _growth_forms_2d, assemble_2d_quotient
 from mrt.eigcore import (psd_ratio_sup, refine_top, solve_gsym, spd_factor,
                          top_pair)
 from mrt.errors import NotPositiveDefinite, NotSymmetric, SolverFailure
+from mrt.grid1d import Grid1D
+from mrt.modeforms import _sparse
+from mrt.profiles import PhysicalParams, make_affine_profile
 
 from oracles import (
     gsym_eigenvalues_reference,
@@ -330,8 +334,80 @@ def test_cold_top_keeps_the_b_orthonormality_check():
         eigcore._lapack_top(A, eigcore.SPD(B, held.solve, held.factor))
 
 
+def _box_forms(growth: bool):
+    """Growth (m = 0.12) or quotient forms of the 16² box, field 1, CSR."""
+    r = Rect2D((-1.0, 1.0), (-1.0, 1.0), 16, 16)
+    prof = make_affine_profile(Grid1D("fd2", 1.0, 64), 2.0, 1.0)
+    params = PhysicalParams(g=1.0, lambda0=1.0, mu=0.1)
+    if growth:
+        f = _growth_forms_2d(r, prof, params, 0.12, 1)
+        return [_sparse(t, r.nred) for t in (f.terms_E, f.terms_V, f.terms_J)]
+    q = assemble_2d_quotient(r, prof, params, 1)
+    return [_sparse(t, r.nred) for t in (q.terms_E, q.terms_D)]
+
+
+def test_band_factor_certifies_the_box_top():
+    # sigma B - A has a banded Cholesky factor just above lambda_max and none
+    # just below it; lambda_max is read by dense eigh
+    A, B = _box_forms(growth=False)
+    lam = float(eigh(A.toarray(), B.toarray(), eigvals_only=True)[-1])
+    assert eigcore._band_cholesky(lam * (1.0 + 1e-6) * B - A) is not None
+    assert eigcore._band_cholesky(lam * (1.0 - 1e-6) * B - A) is None
+    delta = 1e-6 * max(1.0, abs(lam))
+    solve, shift, first = eigcore._shift_factor(A, B, lam * (1.0 + 1e-6) - delta)
+    assert first and shift > lam
+    solve, shift, first = eigcore._shift_factor(A, B, lam * (1.0 - 1e-6) - delta)
+    assert not first and shift > lam
+    # the certifying factor solves (sigma B - A) x = b to rounding
+    b = np.random.default_rng(0).standard_normal(A.shape[0])
+    S = shift * B - A
+    x = solve(b)
+    assert np.max(np.abs(S @ x - b)) <= 1e-10 * eigcore.norm_inf(S) * np.max(np.abs(x))
+
+
+def _indefinite(M):
+    """M minus its middle eigenvalue times the identity."""
+    mid = np.linalg.eigvalsh(M.toarray())[M.shape[0] // 2]
+    return (M - mid * sp.identity(M.shape[0])).tocsr()
+
+
+def test_spd_factor_passes_the_box_mass_dense_and_sparse():
+    J = _box_forms(growth=True)[2]
+    b = np.random.default_rng(1).standard_normal(J.shape[0])
+    xd, xs = spd_factor(J.toarray()).solve(b), spd_factor(J).solve(b)
+    assert np.max(np.abs(xs - xd)) <= 1e-12 * np.max(np.abs(xd))
+
+
+@pytest.mark.parametrize("case", ["indefinite", "conditioning 2e15"])
+def test_spd_factor_rejects_dense_and_sparse_alike(case):
+    if case == "indefinite":
+        M = _indefinite(_box_forms(growth=True)[2])
+    else:
+        M = sp.diags([1.0] * 5 + [0.5e-15]).tocsr()
+    for copy in (M.toarray(), M):
+        with pytest.raises(NotPositiveDefinite):
+            spd_factor(copy)
+
+
+def test_pbtrs_info_is_solver_failure(monkeypatch):
+    real = eigcore.get_lapack_funcs
+
+    def lapack(names, arrays):
+        if names == ("pbtrs",):
+            return (lambda c, b, lower: (b, -2),)
+        return real(names, arrays)
+
+    monkeypatch.setattr(eigcore, "get_lapack_funcs", lapack)
+    A, B = _sparse_pencil(4)
+    Bf = spd_factor(B)
+    with pytest.raises(SolverFailure, match="pbtrs"):
+        Bf.solve(np.ones(B.shape[0]))
+    with pytest.raises(SolverFailure, match="pbtrs"):
+        top_pair(A, Bf)
+
+
 def test_sparse_zero_pivot_mass_raises():
-    # a zero diagonal forces SuperLU off the diagonal, so no LDL^T exists
+    # a zero leading diagonal entry is a zero first pivot: no Cholesky factor
     B = sp.csr_matrix(np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0],
                                 [0.0, 0.0, 1.0]]))
     with pytest.raises(NotPositiveDefinite):
