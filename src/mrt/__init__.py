@@ -15,7 +15,7 @@ from .dispersion import (DispersionResult, GrowingMode, ProofSequence,
 from .errors import InputError, MrtError, SolverError
 from .evolve import (EnvelopeReport, EvolveState, TrajectoryRecord,
                      envelope_check, init_state, run_trajectory, step)
-from .eigcore import psd_ratio_sup, solve_gsym, top_pair
+from .eigcore import pin_blas_threads, psd_ratio_sup, solve_gsym, top_pair
 from .grid1d import Grid1D
 from .modeforms import (ModeForms, ModeSpec, assemble_compressible,
                         assemble_cr_forms, assemble_incompressible,
@@ -60,6 +60,7 @@ __all__ = [
     "make_table_profile",
     "make_tanh_profile",
     "min_admissible_pressure_const",
+    "pin_blas_threads",
     "psd_ratio_sup",
     "quotient_proof_sequence",
     "run_trajectory",

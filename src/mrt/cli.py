@@ -5,10 +5,11 @@ Commands: critical, growth, evolve, cr, verify.  Each takes --config and
 (--threads or MRT_THREADS) with deterministic output ordering.  Exit
 codes: 0 success, 1 verify failures, 2 config errors, 3 solver breakdown.
 
-main sets every OpenBLAS that numpy and scipy ship to one thread before it
-runs a command, for the rest of the process: the pencils are too small for
-a second BLAS thread to pay, and a single thread makes the artifacts the
-same bytes on any host, whatever its core count.
+main pins every OpenBLAS that numpy and scipy ship to one thread
+(eigcore.pin_blas_threads) before it runs a command, for the rest of the
+process: the pencils are too small for a second BLAS thread to pay, and a
+single thread makes the artifacts the same bytes on any host, whatever its
+core count.
 
 Numbers are serialized with 17 significant digits so every CSV round-trips
 losslessly; infinities appear as "inf"/"-inf" in both CSV and JSON.  Charts
@@ -19,7 +20,6 @@ from __future__ import annotations
 
 import argparse
 import copy
-import ctypes
 import functools
 import json
 import math
@@ -30,12 +30,12 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-import scipy
 
 from .bounded2d import Rect2D, critical_m_2d, divergence_defect, growth_rate_2d
 from .dispersion import (alpha_of_s, build_growing_mode, compute_cr,
                          critical_M, critical_m_sweep, quotient_proof_sequence,
                          solve_growth_rate)
+from .eigcore import pin_blas_threads
 from .errors import InputError, MrtError
 from .evolve import envelope_check, init_state, run_trajectory
 from .grid1d import Grid1D
@@ -183,35 +183,13 @@ def _map_ordered(fn, items, threads: int) -> list:
         return list(ex.map(fn, items))
 
 
-# the thread-count setters exported by the OpenBLAS builds in numpy's
-# (ILP64) and scipy's (LP64) wheels
-_OPENBLAS_SETTERS = ("scipy_openblas_set_num_threads64_",
-                     "scipy_openblas_set_num_threads")
-
-
-@functools.cache
-def _openblas_setters() -> tuple:
-    """The setter of every OpenBLAS in the numpy.libs and scipy.libs
-    directories; empty under any other BLAS."""
-    setters = []
-    for pkg in (np, scipy):
-        libs = Path(pkg.__file__).parent.parent / f"{pkg.__name__}.libs"
-        for path in sorted(libs.glob("*openblas*.so*")):
-            lib = ctypes.CDLL(str(path))
-            fn = next((getattr(lib, sym) for sym in _OPENBLAS_SETTERS
-                       if hasattr(lib, sym)), None)
-            if fn is not None:
-                fn.argtypes, fn.restype = [ctypes.c_int], None
-                setters.append(fn)
-    return tuple(setters)
-
-
 # --------------------------------------------------------------------------
 # serialization
 # --------------------------------------------------------------------------
 
 def _fmt(x) -> str:
-    """One CSV cell; floats at 17 significant digits round-trip exactly."""
+    """One CSV cell; floats at 17 significant digits round-trip exactly,
+    and nan, inf and -inf print as such."""
     if x is None:
         return ""
     if isinstance(x, str):
@@ -220,19 +198,18 @@ def _fmt(x) -> str:
         return "true" if x else "false"
     if isinstance(x, (int, np.integer)):
         return str(int(x))
-    v = float(x)
-    if math.isnan(v):
-        return "nan"
-    if math.isinf(v):
-        return "inf" if v > 0 else "-inf"
-    return f"{v:.17g}"
+    return f"{float(x):.17g}"
 
 
 def _write_csv(path: Path, header, rows):
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_fmt(c) for c in row))
-    path.write_text("\n".join(lines) + "\n")
+    """rows is an iterable of rows of cells, each formatted by _fmt, or a
+    2D float array, whose cells take one format call each and no type
+    test."""
+    if isinstance(rows, np.ndarray):
+        lines = [",".join([f"{v:.17g}" for v in row]) for row in rows.tolist()]
+    else:
+        lines = [",".join([_fmt(c) for c in row]) for row in rows]
+    path.write_text("\n".join([",".join(header)] + lines) + "\n")
 
 
 def _jsonable(x):
@@ -451,8 +428,9 @@ def cmd_evolve(cfg: dict, out: Path, threads: int) -> int:
     _write_csv(out / "trajectory.csv",
                ("t", "norm_rho", "norm_u", "norm_diu", "norm_ut",
                 "norm_gradu", "norm_N", "energy_drift"),
-               zip(rec.times, rec.norm_rho, rec.norm_u, rec.norm_diu,
-                   rec.norm_ut, rec.norm_gradu, rec.norm_N, rec.energy_drift))
+               np.column_stack((rec.times, rec.norm_rho, rec.norm_u,
+                                rec.norm_diu, rec.norm_ut, rec.norm_gradu,
+                                rec.norm_N, rec.energy_drift)))
     _write_json(out / "summary.json", {
         "schema": 1, "problem": cfg["problem"], "seed": cfg["seed"],
         "xi": list(mode.xi), "dispersion_lambda": lam,
@@ -653,8 +631,7 @@ def main(argv=None) -> int:
             raise InputError("threads must be >= 1")
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        for set_blas_threads in _openblas_setters():
-            set_blas_threads(1)
+        pin_blas_threads()
         return _COMMANDS[args.command](cfg, out, threads)
     except InputError as e:
         print(f"mrt: config error: {e}", file=sys.stderr)

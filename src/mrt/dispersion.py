@@ -42,7 +42,8 @@ mode (eigcore.psd_ratio_sup); it is the one reported eigenvalue that does
 not go through the pencil.
 
 The growth pencil solves only on the blocks of the unknown that can
-grow.  Blocks that one term of E, V or J reads together are coupled; a
+grow.  Blocks that one term of E, V or J reads together are coupled
+(modeforms.form_components, which the evolution steps on too); a
 component of that coupling on which every E term is a nonpositive square
 has α(s) ≤ 0 for all s ≥ 0 and is dropped, since it cannot carry Λ or
 frak_s (_kept_columns).  That drops the transverse stream component φ of
@@ -66,7 +67,6 @@ from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import InputError, NoGrowth, SolverFailure, ZeroMode
 from .eigcore import (norm_inf, psd_ratio_sup, require_symmetric, spd_factor,
@@ -74,7 +74,8 @@ from .eigcore import (norm_inf, psd_ratio_sup, require_symmetric, spd_factor,
 from .evolve import RateLaws
 from .grid1d import Grid1D
 from .modeforms import (FormTerm, ModeForms, ModeSpec, _dense, _sparse,
-                        assemble_cr_forms, assemble_quotient, qform_reader)
+                        assemble_cr_forms, assemble_quotient, form_components,
+                        qform_reader)
 from .profiles import (CompressibleEquilibrium, DensityProfile, PhysicalParams)
 
 _MAX_STEPS = 200
@@ -141,66 +142,22 @@ class CriticalReport:
     diagnostics: dict = field(default_factory=dict)
 
 
-def _nonzero_columns(op) -> np.ndarray:
-    """Mask of the columns of an operator that hold a nonzero (a stored
-    entry, when sparse)."""
-    if sp.issparse(op):
-        return op.getnnz(axis=0) > 0
-    return np.any(op != 0.0, axis=0)
-
-
 def _kept_columns(forms: ModeForms) -> np.ndarray:
     """Mask of the columns on which the growth pencil of forms is solved.
 
-    Blocks of the layout that one E, V or J term reads, by the nonzero
-    columns of its operators, are joined; a component of that relation is
-    closed under every form, so E, V and J are block diagonal over the
-    components and α(s) is the largest of the components' own α(s).  A
-    component whose E terms are all nonpositive squares (coef ≤ 0, w ≥ 0,
-    Q None), or that has no E term, has α(s) ≤ 0 for every s ≥ 0 and is
-    dropped; the rest keep α(s) wherever it is positive, and with it Λ
-    and frak_s.  That drops φ of the incompressible forms, and v₁ of the
-    compressible ones at ξ₁ = 0 and v₂ at ξ₂ = 0; a layout of one block
-    (the box, the quotients) keeps it.  When every component would drop,
-    every column is kept.
+    E, V and J are block diagonal over the components of
+    modeforms.form_components, so α(s) is the largest of the components'
+    own α(s).  A component that cannot grow has α(s) ≤ 0 for every s ≥ 0
+    and is dropped; the rest keep α(s) wherever it is positive, and with
+    it Λ and frak_s.  That drops φ of the incompressible forms, and v₁ of
+    the compressible ones at ξ₁ = 0 and v₂ at ξ₂ = 0; a layout of one
+    block (the box, the quotients) keeps it.  When every component would
+    drop, every column is kept.
     """
-    size = forms.size
-    blocks = list(forms.layout.values())
-    keep = np.ones(size, dtype=bool)
-    if len(blocks) < 2:
-        return keep
-    label = np.empty(size, dtype=int)
-    for k, b in enumerate(blocks):
-        label[b] = k
-
-    def read(t: FormTerm) -> set:
-        labels = label[t.cols]
-        if labels.min() == labels.max():
-            return {int(labels[0])}
-        nz = _nonzero_columns(t.P)
-        if t.Q is not None:
-            nz = nz | _nonzero_columns(t.Q)
-        return set(labels[nz].tolist())
-
-    comp = list(range(len(blocks)))
-    e_terms = []
-    for name in ("E", "V", "J"):
-        for t in getattr(forms, "terms_" + name) or ():
-            ks = read(t)
-            if name == "E":
-                e_terms.append((t, ks))
-            joined = {comp[k] for k in ks}
-            if len(joined) > 1:
-                comp = [min(joined) if c in joined else c for c in comp]
-    live = set()
-    for t, ks in e_terms:
-        if ks and not (t.Q is None and t.coef <= 0.0 and np.all(t.w >= 0.0)):
-            live.add(comp[min(ks)])
-    if live:
-        keep[:] = False
-        for k, b in enumerate(blocks):
-            keep[b] = comp[k] in live
-    return keep
+    keep = np.zeros(forms.size, dtype=bool)
+    for cols, grows in form_components(forms):
+        keep[cols] = grows
+    return keep if keep.any() else ~keep
 
 
 class _Pencil:
@@ -252,7 +209,7 @@ class _Pencil:
         self.A, self.tA = self._form("E")
         self.B, self.tB = self._form(den)
         self.C, self.tC = self._form(shift) if shift else (None, ())
-        self.Bf = spd_factor(self.B, den)
+        self.Bf = spd_factor(self.B, den, checked=True)
         self.read = qform_reader((self.tA, self.tC, self.tB), self.ld)
         self.x = None if base is None else base.x
 
@@ -334,14 +291,12 @@ def alpha_of_s(forms: ModeForms, s: float) -> tuple[float, np.ndarray]:
 
 
 def _embed_maximizer(forms: ModeForms, pen: "_Pencil", x: np.ndarray) -> np.ndarray:
+    """The pencil's vector x on every column of forms, zero on the columns
+    the pencil dropped, normalized in the pencil's J: J is block diagonal
+    over the kept and dropped columns, so its kept block gives the norm."""
     y = np.zeros(forms.size)
     y[pen.keep] = x
-    # a pencil over every column holds J itself; a restricted one
-    # normalizes on the full J, since the block product rounds differently
-    # and moves a growing mode's J0 by ~1e-11
-    J = pen.B if pen.width == forms.size else forms.J
-    nrm = math.sqrt(max(float(y @ (J @ y)), np.finfo(float).tiny))
-    return y / nrm
+    return y / math.sqrt(max(float(x @ (pen.B @ x)), np.finfo(float).tiny))
 
 
 def solve_growth_rate(forms: ModeForms) -> DispersionResult:

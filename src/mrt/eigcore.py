@@ -26,14 +26,21 @@ the same bits.  The LAPACK vector carries an absolute noise floor of order
 eps·‖L⁻¹AL⁻ᵀ‖ (B = LLᵀ), many orders above eps on stiff pencils;
 refinement brings the quotient down to quadrature rounding, which the
 growth-rate fixed point relies on.
+
+pin_blas_threads sets the OpenBLAS builds of numpy and scipy to one thread
+for the rest of the process, as the CLI does before every command.
 """
 
 from __future__ import annotations
 
+import ctypes
+import functools
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Callable, Optional
 
 import numpy as np
+import scipy
 import scipy.sparse as sp
 from scipy.linalg import (cholesky, cho_factor, eigh, get_lapack_funcs,
                           LinAlgError)
@@ -60,6 +67,41 @@ _REFINE_ITERS = 3
 _WARM_STEPS = 30
 _WARM_FLOOR = 32.0
 _WARM_AHEAD = 3
+
+
+# the thread-count setters exported by the OpenBLAS builds in numpy's
+# (ILP64) and scipy's (LP64) wheels
+_OPENBLAS_SETTERS = ("scipy_openblas_set_num_threads64_",
+                     "scipy_openblas_set_num_threads")
+
+
+@functools.cache
+def _openblas_setters() -> tuple:
+    """The setter of every OpenBLAS in the numpy.libs and scipy.libs
+    directories; empty under any other BLAS."""
+    setters = []
+    for pkg in (np, scipy):
+        libs = Path(pkg.__file__).parent.parent / f"{pkg.__name__}.libs"
+        for path in sorted(libs.glob("*openblas*.so*")):
+            lib = ctypes.CDLL(str(path))
+            fn = next((getattr(lib, sym) for sym in _OPENBLAS_SETTERS
+                       if hasattr(lib, sym)), None)
+            if fn is not None:
+                fn.argtypes, fn.restype = [ctypes.c_int], None
+                setters.append(fn)
+    return tuple(setters)
+
+
+def pin_blas_threads() -> int:
+    """Set every OpenBLAS that numpy and scipy ship to one thread, for the
+    rest of the process, and return how many were set (0 under any other
+    BLAS).  The pencils are too small for a second BLAS thread to pay, a
+    fresh process pays for starting the threads in its first large solves,
+    and one thread gives the same bits on any host."""
+    setters = _openblas_setters()
+    for set_threads in setters:
+        set_threads(1)
+    return len(setters)
 
 
 @dataclass(frozen=True)
@@ -125,16 +167,19 @@ class SPD:
     factor: Optional[np.ndarray] = None
 
 
-def spd_factor(B, name: str = "B") -> SPD:
+def spd_factor(B, name: str = "B", checked: bool = False) -> SPD:
     """Check a mass matrix and factor it by Cholesky: dense B in full
-    storage, sparse B in band storage (_band_cholesky).
+    storage, sparse B in band storage (_band_cholesky).  checked says that
+    B came from require_symmetric already, as a pencil's matrices do, and
+    skips the check.
 
     :raises NotSymmetric: B fails the symmetry tolerance.
     :raises NotPositiveDefinite: B has no Cholesky factor, or is
         numerically singular: the squared ratio of the largest to the
         smallest diagonal entry of the factor exceeds 1e15.
     """
-    B = require_symmetric(B, name)
+    if not checked:
+        B = require_symmetric(B, name)
     if sp.issparse(B):
         c = _band_cholesky(B)
         if c is None:

@@ -28,14 +28,19 @@ The step is taken in the basis X that diagonalizes the step matrix and the
 dissipation at once.  S = M + (dt/2)C − (dt²/4)K is positive definite and
 C ⪰ 0, so the pencil (C, S) has a real eigenbasis with XᵀSX = I and
 XᵀCX = diag(c) (Golub & Van Loan, Matrix Computations, §8.7): with
-S = LLᵀ and L⁻¹CL⁻ᵀ = Q diag(c) Qᵀ, X = L⁻ᵀQ.  In x̂ = X⁻¹x the implicit
-solve S ÿ = K y_pred − C ẏ_pred of the average-acceleration step becomes
-â = K̂ ŷ_pred − c⊙v̂_pred with K̂ = XᵀKX, and the dissipation rate is
-ẏᵀCẏ = cᵀ(v̂⊙v̂).  The predictor, the corrector and the Y update are linear
-and keep their form.  A call of step maps the state in by one product, or
-goes on from the congruent state the call before left on it, takes its
-steps with one matrix-vector product each, elementwise work and no solve,
-and maps back by one product.  run_trajectory makes one call per recorded
+S = LLᵀ and L⁻¹CL⁻ᵀ = Q diag(c) Qᵀ, X = L⁻ᵀQ.  M, C and K are block
+diagonal over the components of modeforms.form_components, the decoupled
+blocks the growth pencil reads too, so X is block diagonal and each
+component is factored and diagonalized on its own.  In x̂ = X⁻¹x the
+implicit solve S ÿ = K y_pred − C ẏ_pred of the average-acceleration step
+becomes â = K̂ ŷ_pred − c⊙v̂_pred with K̂ = XᵀKX, and the dissipation rate
+is ẏᵀCẏ = cᵀ(v̂⊙v̂).  The predictor, the corrector and the Y update are
+linear and keep their form.  A call of step maps the state in by one
+product per component, or goes on from the congruent state the call before
+left on it, and takes each step with one matrix-vector product per
+decoupled block, one product of the rows (p, w, â) with a fixed 4 × 3
+coefficient matrix, a few elementwise sums and no solve; it maps back by
+one product per component.  run_trajectory makes one call per recorded
 interval and reads the recorded states in blocks, each form applied to a
 block by one matrix–matrix product; the norms and the energy are read
 through the factored terms of their forms.
@@ -54,14 +59,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 from scipy.linalg import (cho_factor, cho_solve, cholesky, eigh,
                           solve_triangular)
 
 from .errors import IncompatibleData, InputError, SolverFailure
-from .modeforms import ModeForms, _compressible_pieces
+from .modeforms import ModeForms, _compressible_pieces, form_components
 
 # envelope constants above this are implausibly large and get flagged
 _FLAG_THRESHOLD = 1e6
@@ -251,41 +256,74 @@ class RateLaws:
         return cho_factor(self.forms.J, lower=True)
 
     def congruence(self, dt: float):
-        """(K, c, W, Xᵀ) of the step matrix S = J + (dt/2)V − (dt²/4)E,
-        kept for the last dt.
+        """(c, blocks) of the step matrix S = J + (dt/2)V − (dt²/4)E, kept
+        for the last dt.
 
-        X is the basis with XᵀSX = I, XᵀVX = diag(c) and XᵀEX = K: with
-        S = LLᵀ and L⁻¹VL⁻ᵀ = Q diag(c) Qᵀ, X = L⁻ᵀQ.  A state x maps in
-        as x̂ᵀ = xᵀW with W = LQ, and rows of states map back by one product
-        with Xᵀ.  K is symmetrized; L, Q and S are not kept.
+        S, V and E are block diagonal over the components of
+        modeforms.form_components, and each component has a congruence of
+        its own (_congruence).  The congruent coordinates run component by
+        component.  Each block is a _Block(cols, span, K, W, Xt): the
+        columns of the unknown it reads (a slice when they are contiguous),
+        the slice of congruent coordinates it fills, and the component's K,
+        W and Xᵀ.  A state x maps in as x̂[span]ᵀ = x[cols]ᵀW, and rows of
+        congruent states map back by one product with Xᵀ per block.  c is
+        the components' c, concatenated.
         """
         if self._congruence[0] != dt:
             forms = self.forms
-            S = forms.J + (dt / 2.0) * forms.V - (dt * dt / 4.0) * forms.E
-            try:
-                L = cholesky(S, lower=True)
-            except np.linalg.LinAlgError as e:
-                dg = np.diag(S)
-                raise SolverFailure(
-                    f"implicit step matrix not positive definite at dt={dt:g} "
-                    f"(diag range [{dg.min():.3e}, {dg.max():.3e}]): {e}") from e
-            del S
-            Ch = solve_triangular(L, forms.V, lower=True, check_finite=False)
-            Ch = solve_triangular(L, Ch.T, lower=True, check_finite=False,
-                                  overwrite_b=True)
-            Ch += Ch.T
-            Ch *= 0.5
-            c, Q = eigh(Ch, overwrite_a=True, check_finite=False)
-            del Ch
-            X = solve_triangular(L, Q, lower=True, trans="T", check_finite=False)
-            W = L @ Q
-            # L and Q are not kept: at most four n × n arrays live at once
-            del L, Q
-            K = X.T @ (forms.E @ X)
-            K += K.T
-            K *= 0.5
-            self._congruence = (dt, (K, c, W, X.T))
+            blocks, cs, start = [], [], 0
+            for cols, _ in form_components(forms):
+                ix = np.ix_(cols, cols)
+                c, K, W, Xt = _congruence(forms.J[ix], forms.V[ix], forms.E[ix], dt)
+                span = slice(start, start + cols.size)
+                start = span.stop
+                if cols[-1] - cols[0] + 1 == cols.size:
+                    cols = slice(int(cols[0]), int(cols[-1]) + 1)
+                blocks.append(_Block(cols, span, K, W, Xt))
+                cs.append(c)
+            self._congruence = (dt, (np.concatenate(cs), tuple(blocks)))
         return self._congruence[1]
+
+
+def _congruence(J, V, E, dt: float) -> tuple:
+    """(c, K, W, Xᵀ) of one block of the step matrix S = J + (dt/2)V −
+    (dt²/4)E: X with XᵀSX = I, XᵀVX = diag(c) and XᵀEX = K, from S = LLᵀ
+    and L⁻¹VL⁻ᵀ = Q diag(c) Qᵀ as X = L⁻ᵀQ, and W = LQ.  K is symmetrized;
+    L, Q and S are not kept."""
+    S = J + (dt / 2.0) * V - (dt * dt / 4.0) * E
+    try:
+        L = cholesky(S, lower=True)
+    except np.linalg.LinAlgError as e:
+        dg = np.diag(S)
+        raise SolverFailure(
+            f"implicit step matrix not positive definite at dt={dt:g} "
+            f"(diag range [{dg.min():.3e}, {dg.max():.3e}]): {e}") from e
+    del S
+    Ch = solve_triangular(L, V, lower=True, check_finite=False)
+    Ch = solve_triangular(L, Ch.T, lower=True, check_finite=False,
+                          overwrite_b=True)
+    Ch += Ch.T
+    Ch *= 0.5
+    c, Q = eigh(Ch, overwrite_a=True, check_finite=False)
+    del Ch
+    X = solve_triangular(L, Q, lower=True, trans="T", check_finite=False)
+    W = L @ Q
+    # L and Q are not kept: at most four n × n arrays live at once
+    del L, Q
+    K = X.T @ (E @ X)
+    K += K.T
+    K *= 0.5
+    return c, K, W, X.T
+
+
+class _Block(NamedTuple):
+    """One component's part of RateLaws.congruence."""
+
+    cols: object
+    span: slice
+    K: np.ndarray
+    W: np.ndarray
+    Xt: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -469,16 +507,17 @@ def step(state: EvolveState, dt: float, n: int = 1) -> EvolveState:
     """n implicit time steps; returns the new state.
 
     Average-acceleration update of (y, ẏ, ÿ), then the trapezoidal rule
-    for Y = ∫y and for the dissipation over each step, taken in the basis
-    x̂ᵀ = xᵀW of RateLaws.congruence(dt) (see the module docstring).  The
-    state is mapped in by one product with W, unless it carries its
-    congruent coordinates from the step that made it, and back by one
-    product with Xᵀ on its four rows.  The steps run in the predictor
-    variables p = ŷ + dt·v̂ + (dt²/4)â and w = v̂ + (dt/2)â: each forms
-    â = Kp − c⊙w by one matrix–vector product, then ŷ and v̂ of the new
-    step from it, adds ŷ to the sum that makes Y and v̂⊙v̂ to the sum whose
-    product with c makes the dissipation, and moves p and w on.
-    t accumulates as t += dt, step by step.
+    for Y = ∫y and for the dissipation over each step, taken in the
+    congruent coordinates of RateLaws.congruence(dt) (see the module
+    docstring).  The state is mapped in by one product per block, unless
+    it carries its congruent coordinates from the step that made it, and
+    back by one product per block on its four rows.  The steps run in the
+    predictor variables p = ŷ + dt·v̂ + (dt²/4)â and w = v̂ + (dt/2)â: each
+    forms â = Kp − c⊙w by one matrix–vector product per block, then one
+    product of the rows (p, w, â) with the fixed 4 × 3 matrix _advance(dt)
+    gives ŷ and v̂ of the new step and the next p and w.  ŷ is added to the
+    sum that makes Y, and v̂⊙v̂ to the sum whose product with c makes the
+    dissipation.  t accumulates as t += dt, step by step.
 
     :raises InputError: dt ≤ 0 or n < 1.
     :raises SolverFailure: the step matrix is not positive definite, or the
@@ -489,7 +528,7 @@ def step(state: EvolveState, dt: float, n: int = 1) -> EvolveState:
     if n < 1:
         raise InputError(f"step count must be at least 1, got {n}")
     ws = state.ws
-    K, c, W, Xt = ws.congruence(dt)
+    c, blocks = ws.congruence(dt)
     h, q = dt / 2.0, dt * dt / 4.0
     arrays = (state.y, state.ydot, state.acc, state.Y)
     cg = state.congruent
@@ -497,30 +536,33 @@ def step(state: EvolveState, dt: float, n: int = 1) -> EvolveState:
             a is b for a, b in zip(cg[2], arrays)):
         y0, v0, a0, Y0 = cg[1]
     else:
-        y0, v0, a0, Y0 = np.vstack(arrays) @ W
-    p = y0 + dt * v0 + q * a0
-    w = v0 + h * a0
-    y, v, a, ha, tmp = (np.empty_like(p) for _ in range(5))
-    y_sum, v2_sum = np.zeros_like(p), np.zeros_like(p)
+        x, hat = np.vstack(arrays), np.empty((4, c.size))
+        for b in blocks:
+            hat[:, b.span] = x[:, b.cols] @ b.W
+        y0, v0, a0, Y0 = hat
+    G = _advance(dt)
+    # two buffers of rows (ŷ, v̂, p, w, â), taken in turn: G maps rows 2–4
+    # of one, the step's (p, w, â), onto rows 0–3 of the other, the step's
+    # (ŷ, v̂) and the next (p, w), whose â then fills row 4
+    first, second = np.empty((2, 5, c.size))
+    first[2] = y0 + dt * v0 + q * a0
+    first[3] = v0 + h * a0
+    plans = [(tuple((b.K, src[2, b.span], src[4, b.span]) for b in blocks),
+              src[3], src[4], src[2:], dst[:4], dst[0], dst[1])
+             for src, dst in ((first, second), (second, first))]
+    tmp, y_sum, v2_sum = np.empty(c.size), np.zeros(c.size), np.zeros(c.size)
     t = state.t
-    for _ in range(n):
-        # â = Kp − c⊙w
-        np.dot(K, p, out=a)
+    for k in range(n):
+        products, w, a, pwa, out, y, v = plans[k & 1]
+        # â = Kp − c⊙w, one product per block
+        for K, pb, ab in products:
+            np.dot(K, pb, out=ab)
         np.multiply(c, w, out=tmp)
         a -= tmp
-        # v̂ = w + (dt/2)â, and w moves on to v̂ + (dt/2)â
-        np.multiply(h, a, out=ha)
-        np.add(w, ha, out=v)
-        np.add(v, ha, out=w)
-        # ŷ = p + (dt²/4)â, formed before it is summed
-        np.multiply(h, ha, out=tmp)
-        np.add(p, tmp, out=y)
+        np.dot(G, pwa, out=out)
         y_sum += y
         np.multiply(v, v, out=tmp)
         v2_sum += tmp
-        # the next predictor: p + dt·w
-        np.multiply(dt, w, out=tmp)
-        p += tmp
         t += dt
     # Σ_k h(ŷ_{k−1} + ŷ_k) and Σ_k dt(r_{k−1} + r_k) from the sums over k ≥ 1
     Y = Y0 + h * y0 + dt * y_sum - h * y
@@ -531,11 +573,24 @@ def step(state: EvolveState, dt: float, n: int = 1) -> EvolveState:
     if not (math.isfinite(dissipated) and math.isfinite(rate)):
         raise SolverFailure("implicit step produced a non-finite state")
     diss = state.diss + dt * (state.diss_rate - rate) + 2.0 * dt * dissipated
-    hat = (y, v, a, Y)
-    y, v, a, Y = arrays = tuple(np.vstack(hat) @ Xt)
+    hat = np.vstack((y, v, a, Y))
+    x = np.empty_like(hat)
+    for b in blocks:
+        x[:, b.cols] = hat[:, b.span] @ b.Xt
+    y, v, a, Y = arrays = tuple(x)
     return EvolveState(t=t, y=y, ydot=v, acc=a, Y=Y, diss=diss, diss_rate=rate,
                        rho0=state.rho0, N0=state.N0, ws=ws, meta=state.meta,
-                       congruent=(dt, hat, arrays))
+                       congruent=(dt, tuple(hat), arrays))
+
+
+def _advance(dt: float) -> np.ndarray:
+    """The average-acceleration step as a 4 × 3 matrix: on the rows
+    (p, w, â) of a step it gives ŷ = p + (dt²/4)â, v̂ = w + (dt/2)â and the
+    next step's predictors p + dt·w + dt²·â and w + dt·â."""
+    return np.array([[1.0, 0.0, dt * dt / 4.0],
+                     [0.0, 1.0, dt / 2.0],
+                     [1.0, dt, dt * dt],
+                     [0.0, 1.0, dt]])
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,9 @@ read: ModeForms builds its full-width dense ones, the evolution norms too,
 on first read, and the solvers' pencil builds its own from the terms it
 keeps, unless it spans every column and reads the forms' ones.  The
 compressible coefficients are sampled at the flux points once, in
-_compressible_pieces, which evolve's rate laws read too.
+_compressible_pieces, which evolve's rate laws read too.  form_components
+splits the unknown into the unions of blocks that no form couples to each
+other; the growth pencil and the evolution both read it.
 
 First-derivative products are assembled on the staggered flux grid, never by
 squaring the nodal central difference (see grid1d).
@@ -192,6 +194,69 @@ def _sparse(terms, n: int) -> sp.csr_matrix:
     for t in terms:
         M = M + t.matrix(sparse=True)
     return _symmetrize(M).tocsr()
+
+
+def _nonzero_columns(op) -> np.ndarray:
+    """Mask of the columns of an operator that hold a nonzero (a stored
+    entry, when sparse)."""
+    if sp.issparse(op):
+        return op.getnnz(axis=0) > 0
+    return np.any(op != 0.0, axis=0)
+
+
+def form_components(forms: "ModeForms") -> tuple:
+    """The components of the block coupling of forms, as (columns, grows)
+    pairs: the ascending column indices of a union of layout blocks, and
+    whether it can carry growth.
+
+    Blocks that one E, V or J term reads, by the nonzero columns of its
+    operators, are joined, so each component is closed under every form:
+    E, V and J are block diagonal over the components, with exact zeros
+    between them.  A component whose E terms are all nonpositive squares
+    (coef ≤ 0, w ≥ 0, Q None), or that has no E term, has E ⪯ 0 on it and
+    cannot grow.  The components come in the order of their first block,
+    which is the order of their first column.  The incompressible forms
+    split into v₃ and φ; the compressible ones into {v₁} and {v₂, v₃} at
+    ξ₁ = 0 and into {v₁, v₃} and {v₂} at ξ₂ = 0, and stay whole otherwise.
+    A layout of fewer than two blocks is one component, taken as one that
+    can grow.
+    """
+    blocks = list(forms.layout.values())
+    index = np.arange(forms.size)
+    if len(blocks) < 2:
+        return ((index, True),)
+    label = np.empty(forms.size, dtype=int)
+    for k, b in enumerate(blocks):
+        label[b] = k
+
+    def read(t: FormTerm) -> set:
+        labels = label[t.cols]
+        if labels.min() == labels.max():
+            return {int(labels[0])}
+        nz = _nonzero_columns(t.P)
+        if t.Q is not None:
+            nz = nz | _nonzero_columns(t.Q)
+        return set(labels[nz].tolist())
+
+    comp = list(range(len(blocks)))
+    e_terms = []
+    for name in ("E", "V", "J"):
+        for t in getattr(forms, "terms_" + name) or ():
+            ks = read(t)
+            if name == "E":
+                e_terms.append((t, ks))
+            joined = {comp[k] for k in ks}
+            if len(joined) > 1:
+                comp = [min(joined) if c in joined else c for c in comp]
+    grows = set()
+    for t, ks in e_terms:
+        if ks and not (t.Q is None and t.coef <= 0.0 and np.all(t.w >= 0.0)):
+            grows.add(comp[min(ks)])
+    members = {}
+    for k, root in enumerate(comp):
+        members.setdefault(root, []).append(k)
+    return tuple((index[np.isin(label, ks)], root in grows)
+                 for root, ks in sorted(members.items()))
 
 
 @dataclass(frozen=True)

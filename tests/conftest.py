@@ -3,9 +3,18 @@
 import numpy as np
 import pytest
 
+from mrt.eigcore import pin_blas_threads
 from mrt.grid1d import Grid1D
 from mrt.modeforms import ModeSpec, assemble_incompressible
 from mrt.profiles import PhysicalParams, make_affine_profile
+
+
+@pytest.fixture(scope="session", autouse=True)
+def one_blas_thread():
+    # the library pin the CLI applies: timed tests then do not pay for
+    # OpenBLAS starting its threads in their first large solves, and every
+    # test sees the CLI's bits
+    pin_blas_threads()
 
 
 @pytest.fixture(scope="session")

@@ -396,6 +396,38 @@ def newmark_step_reference(M, C, K, dt: float):
     return step
 
 
+def congruent_steps_reference(M, C, K, dt: float):
+    """The average-acceleration steps in one congruent basis over every
+    column, components unsplit: X with XᵀSX = I and XᵀCX = diag(c) from
+    the Cholesky factor L of S = M + (dt/2)C − (dt²/4)K and an eigh of
+    L⁻¹CL⁻ᵀ, and K̂ = XᵀKX.
+
+    Returns steps(y, v, a, n) -> (y, v, a): the state mapped in by LQ once,
+    n steps of â = K̂ŷ_pred − c⊙v̂_pred with plain elementwise predictors
+    and correctors, and one map back by X.
+    """
+    from scipy.linalg import cholesky, eigh, solve_triangular
+
+    h, q = dt / 2.0, dt * dt / 4.0
+    L = cholesky(M + h * C - q * K, lower=True)
+    Ch = solve_triangular(L, solve_triangular(L, C, lower=True).T, lower=True)
+    c, Q = eigh(0.5 * (Ch + Ch.T))
+    X = solve_triangular(L, Q, lower=True, trans="T")
+    W = L @ Q
+    Kh = X.T @ K @ X
+    Kh = 0.5 * (Kh + Kh.T)
+
+    def steps(y, v, a, n: int):
+        y, v, a = (x @ W for x in (y, v, a))
+        for _ in range(n):
+            y_pred, v_pred = y + dt * v + q * a, v + h * a
+            a = Kh @ y_pred - c * v_pred
+            y, v = y_pred + q * a, v_pred + h * a
+        return tuple(X @ x for x in (y, v, a))
+
+    return steps
+
+
 def newmark_step_longdouble(M, C, K, dt: float, refinements: int = 3):
     """The average-acceleration step of newmark_step_reference carried in
     long double: the predictor, the corrector and the right-hand side

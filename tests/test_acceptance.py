@@ -61,10 +61,8 @@ def _finish(num, budget, t0, checks, detail=""):
 
 
 def test_criterion_01_critical_number(params_std):
-    # one untimed small solve first: the first run after the host sat idle
-    # read 0.70-1.06 s against the budget, an immediate rerun 0.03 s
-    gw = Grid1D("chebyshev", 1.0, 16)
-    critical_M(make_affine_profile(gw, 2.0, 1.0), params_std, gw)
+    # the session runs BLAS on one thread (conftest), so the timed solves
+    # pay for no thread start-up
     t0 = time.perf_counter()
     gf = Grid1D("fd2", 1.0, 256)
     vf = critical_M(make_affine_profile(gf, 2.0, 1.0), params_std, gf).aggregate

@@ -581,22 +581,22 @@ def test_compressible_growth_resolution_floor(steep_eq):
 
 def test_growth_solve_builds_no_full_width_form(params_std):
     # the growth pencil of incompressible forms assembles E, V and J on the
-    # v3 block from the terms it keeps; only the maximizer's normalization
-    # reads the full-width J
+    # v3 block from the terms it keeps, and normalizes the maximizer on
+    # that J
     g1 = Grid1D("chebyshev", 1.0, 64)
     mode = ModeSpec.from_integers(1.0, 2, 0, field_dir=3, m=0.2)
     forms = assemble_incompressible(mode, make_affine_profile(g1, 2.0, 1.0),
                                     params_std, g1)
     res = solve_growth_rate(forms)
     assert abs(res.Lambda - LAMBDA_STD64) <= 1e-8
-    assert "E" not in vars(forms) and "V" not in vars(forms)
+    assert not {"E", "V", "J"} & set(vars(forms))
 
 
 def test_compressible_evolve_assembles_each_form_once(monkeypatch):
     # a growing-mode evolve on the CI xi = (0, 2) config: the growth pencil
     # drops the uncoupled v1 block and builds its own E, V and J on
-    # (v2, v3); the maximizer's normalization reads the forms' full-width J,
-    # and the trajectory builds their E and V once and finds J built; it
+    # (v2, v3), and the maximizer's normalization reads that J; the
+    # trajectory builds the forms' full-width E, V and J once each and
     # reads the evolution norms through their terms
     cfg = validate_config({**_CI_COMPRESSIBLE, "xi": [0, 2]})
     slab = _build_slab(cfg)
@@ -610,7 +610,7 @@ def test_compressible_evolve_assembles_each_form_once(monkeypatch):
     monkeypatch.setattr(modeforms, "_dense", counted)
     monkeypatch.setattr(dispersion, "_dense", counted)
     gm = build_growing_mode(forms)
-    assert built == [2 * forms.size // 3] * 3 + [forms.size]
+    assert built == [2 * forms.size // 3] * 3
     run_trajectory(init_state(forms, gm.y, gm.rho, gm.N), T=0.01, dt=0.002)
     assert built == [2 * forms.size // 3] * 3 + [forms.size] * 3
 
@@ -748,8 +748,9 @@ def test_cr_ratio_unbounded_at_xi1_zero():
 
 
 def test_pencil_checks_each_matrix_once(params_std, monkeypatch):
-    # E, V and J are checked for symmetry as the pencil builds them, and
-    # J and V again as spd_factor factors them; no evaluation checks A - sC
+    # E, V and J are checked for symmetry once, as the pencil builds them;
+    # spd_factor factors the checked J and V without a second check, and no
+    # evaluation checks A - sC
     calls = []
 
     def counted(M, name, _f=eigcore.require_symmetric):
@@ -764,7 +765,7 @@ def test_pencil_checks_each_matrix_once(params_std, monkeypatch):
                                     params_std, g1)
     res = solve_growth_rate(forms)
     assert res.evaluations == 7
-    assert sorted(calls) == ["E", "J", "J", "V", "V"]
+    assert sorted(calls) == ["E", "J", "V"]
 
 
 def test_frak_pencil_converts_no_operator_again():

@@ -6,17 +6,18 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from mrt import evolve
+from mrt import dispersion, evolve
 from mrt.cli import main
 from mrt.dispersion import build_growing_mode, solve_growth_rate
 from mrt.errors import IncompatibleData, InputError, SolverFailure
 from mrt.evolve import envelope_check, init_state, run_trajectory, step
 from mrt.grid1d import Grid1D
-from mrt.modeforms import ModeSpec, assemble_compressible, assemble_incompressible
+from mrt.modeforms import (ModeSpec, assemble_compressible,
+                           assemble_incompressible, form_components)
 from mrt.profiles import PhysicalParams, build_equilibrium, make_affine_profile
 
-from oracles import (newmark_step_longdouble, newmark_step_reference,
-                     stepwise_carriers, viscous_time)
+from oracles import (congruent_steps_reference, newmark_step_longdouble,
+                     newmark_step_reference, stepwise_carriers, viscous_time)
 
 
 @pytest.fixture(scope="module")
@@ -122,17 +123,29 @@ def test_div_guard(forms_std, growing):
 _CASES = ["growing-96", "random-96", "compressible-64"]
 
 
-def _case_state(case):
-    """Initial state of one of three reference trajectories: the n = 96
-    incompressible growing mode at xi = (3, 0), random data on the same grid
-    at xi = (2, 1) above the threshold, and the n = 64 compressible growing
-    mode at xi = (0, 2)."""
+def _compressible_forms(k1: int, k2: int):
+    """n = 64 compressible forms of the CI config at xi = (k1, k2)."""
     params = PhysicalParams(g=1.0, lambda0=1.0, mu=0.1, mu0=0.5)
+    g1 = Grid1D("chebyshev", 1.0, 64)
+    eq = build_equilibrium(make_affine_profile(g1, 2.0, 0.5), params, 10.0)
+    return assemble_compressible(ModeSpec.from_integers(1.0, k1, k2), eq,
+                                 params, g1)
+
+
+def _case_state(case):
+    """Initial state of one of four reference trajectories: the n = 96
+    incompressible growing mode at xi = (3, 0), random data on the same grid
+    at xi = (2, 1) above the threshold, the n = 64 compressible growing
+    mode at xi = (0, 2), and random data on the stable compressible mode
+    at xi = (2, 0), whose (v1, v3) block is not contiguous."""
+    params = PhysicalParams(g=1.0, lambda0=1.0, mu=0.1, mu0=0.5)
+    if case == "compressible-20":
+        forms = _compressible_forms(2, 0)
+        rng = np.random.default_rng(3)
+        return init_state(forms, rng.standard_normal(forms.size),
+                          rho0=rng.standard_normal(forms.grid.flux_points.size))
     if case == "compressible-64":
-        g1 = Grid1D("chebyshev", 1.0, 64)
-        eq = build_equilibrium(make_affine_profile(g1, 2.0, 0.5), params, 10.0)
-        forms = assemble_compressible(ModeSpec.from_integers(1.0, 0, 2), eq,
-                                      params, g1)
+        forms = _compressible_forms(0, 2)
     else:
         g1 = Grid1D("chebyshev", 1.0, 96)
         prof = make_affine_profile(g1, 2.0, 1.0)
@@ -190,6 +203,34 @@ def test_step_matches_the_long_double_newmark_oracle(case):
             assert err <= max(4.0 * err_ref, 1e-11), (k, name, err, err_ref)
 
 
+@pytest.mark.parametrize("case", ["compressible-20", "compressible-64"])
+def test_block_step_matches_the_long_double_newmark_oracle(case):
+    # xi = (2, 0) and (0, 2) split into two components, the first with the
+    # non-contiguous (v1, v3) block.  Against the long-double Newmark step,
+    # the block step loses at most 4x what the same congruent step over
+    # every column, components unsplit, loses.  The plain step with its
+    # solve is no yardstick on random compressible data: there the unsplit
+    # congruent step loses 3-20x what it does
+    st = _case_state(case)
+    forms = st.ws.forms
+    dt = 0.002
+    ld_step = newmark_step_longdouble(forms.J, forms.V, forms.E, dt)
+    unsplit = congruent_steps_reference(forms.J, forms.V, forms.E, dt)
+    start = (st.y, st.ydot, st.acc)
+    exact = tuple(x.astype(np.longdouble) for x in start)
+    done = 0
+    for k in (20, 200):
+        st = step(st, dt, k - done)
+        for _ in range(k - done):
+            exact = ld_step(*exact)
+        done = k
+        for name, got, whole, want in zip(("y", "ydot", "acc"),
+                                          (st.y, st.ydot, st.acc),
+                                          unsplit(*start, k), exact):
+            err, err_ref = _rel_err(got, want), _rel_err(whole, want)
+            assert err <= max(4.0 * err_ref, 1e-11), (k, name, err, err_ref)
+
+
 @pytest.mark.parametrize("case", ["growing-96", "compressible-64"])
 def test_steps_in_one_call_match_single_steps(case):
     # each state carries its congruent coordinates into the next call, so
@@ -221,8 +262,9 @@ def test_record_times_accumulate_dt(forms_std):
 
 
 def test_a_run_solves_once_per_record(forms_std, growing, monkeypatch):
-    # one Cholesky and one symmetric eigensolve of the step matrix per run;
-    # once the basis is built, no step and no map back solves anything
+    # one Cholesky and one symmetric eigensolve of the step matrix per
+    # component (v3 and phi) per run; once the basis is built, no step and
+    # no map back solves anything
     _, gm = growing
     st = init_state(forms_std, gm.y, gm.rho, gm.N)
     counts = {"cholesky": 0, "eigh": 0}
@@ -262,24 +304,72 @@ def test_a_run_solves_once_per_record(forms_std, growing, monkeypatch):
     rec = run_trajectory(st, T=0.5, dt=0.001, diagnostics_every=25)
     assert len(rec.times) == 21
     assert len(built) == 20
-    assert counts == {"cholesky": 1, "eigh": 1}
+    assert counts == {"cholesky": 2, "eigh": 2}
 
 
-@pytest.mark.parametrize("case", _CASES)
+@pytest.mark.parametrize("layout", ["incompressible", "compressible-02",
+                                    "compressible-20", "compressible-12"])
+def test_evolution_steps_on_the_growth_pencils_components(layout, forms_std):
+    # the evolution's blocks are the components of form_components, the
+    # relation the growth pencil keeps its columns from: v3 | phi; {v1} |
+    # {v2, v3} at xi1 = 0; {v1, v3} | {v2} at xi2 = 0; one block otherwise.
+    # The pencil keeps the components that can grow
+    if layout == "incompressible":
+        forms = forms_std
+        names, grow = [["v3"], ["phi"]], [True, False]
+    else:
+        k1, k2 = (int(k) for k in layout[-2:])
+        forms = _compressible_forms(k1, k2)
+        names, grow = {"02": ([["v1"], ["v2", "v3"]], [False, True]),
+                       "20": ([["v1", "v3"], ["v2"]], [True, False]),
+                       "12": ([["v1", "v2", "v3"]], [True])}[layout[-2:]]
+    index = np.arange(forms.size)
+    want = [np.concatenate([index[forms.layout[k]] for k in ks]) for ks in names]
+    _, blocks = evolve.RateLaws(forms).congruence(0.002)
+    got = [index[b.cols] for b in blocks]
+    assert len(got) == len(want)
+    assert all(np.array_equal(g, w) for g, w in zip(got, want))
+    kept = np.zeros(forms.size, dtype=bool)
+    for cols, g in zip(want, grow):
+        kept[cols] = g
+    assert np.array_equal(dispersion._kept_columns(forms), kept)
+    assert [g for _, g in form_components(forms)] == grow
+
+
+def _within(got, want, tol: float) -> bool:
+    """got agrees with want to tol relative to want's largest entry (and
+    exactly where want is zero)."""
+    return bool(np.max(np.abs(got - want)) <= tol * np.max(np.abs(want)))
+
+
+@pytest.mark.parametrize("case", _CASES + ["compressible-20"])
 def test_congruence_diagonalizes_the_step_matrix_and_the_dissipation(case):
-    # X^T S X = I, X^T V X = diag(c), X^T E X = K, and W^T X = I, so that
-    # mapping in by W and back by X is the identity
+    # on each block, X^T S X = I, X^T V X = diag(c), X^T E X = K, and
+    # W^T X = I, so that mapping in by W and back by X is the identity; S,
+    # V and E vanish between blocks, and the blocks fill the congruent
+    # coordinates in order
     forms = _case_state(case).ws.forms
     dt = 0.002
-    K, c, W, Xt = evolve.RateLaws(forms).congruence(dt)
-    X = Xt.T
+    c, blocks = evolve.RateLaws(forms).congruence(dt)
     S = forms.J + (dt / 2.0) * forms.V - (dt * dt / 4.0) * forms.E
-    eye = np.eye(forms.size)
-    assert _rel_err(X.T @ S @ X, eye) <= 1e-12
-    assert _rel_err(X.T @ forms.V @ X, np.diag(c)) <= 1e-12
-    assert _rel_err(X.T @ forms.E @ X, K) <= 1e-12
-    assert _rel_err(W.T @ X, eye) <= 1e-12
-    assert np.array_equal(K, K.T)
+    index = np.arange(forms.size)
+    cols = [index[b.cols] for b in blocks]
+    assert np.array_equal(np.sort(np.concatenate(cols)), index)
+    assert [b.span.start for b in blocks] == [0] + [b.span.stop for b in blocks][:-1]
+    assert blocks[-1].span.stop == c.size == forms.size
+    for b, ix in zip(blocks, cols):
+        X = b.Xt.T
+        eye = np.eye(ix.size)
+        sub = np.ix_(ix, ix)
+        assert _within(X.T @ S[sub] @ X, eye, 1e-12)
+        assert _within(X.T @ forms.V[sub] @ X, np.diag(c[b.span]), 1e-12)
+        # E vanishes on v1 at xi1 = 0, and so does K there
+        assert _within(X.T @ forms.E[sub] @ X, b.K, 1e-12)
+        assert _within(b.W.T @ X, eye, 1e-12)
+        assert np.array_equal(b.K, b.K.T)
+        rest = np.setdiff1d(index, ix)
+        for M in (S, forms.V, forms.E):
+            assert not np.any(M[np.ix_(ix, rest)])
 
 
 class _CountedProducts(np.ndarray):
@@ -309,25 +399,26 @@ class _CountedProducts(np.ndarray):
         return func(*self._plain(args), **kwargs)
 
 
-def test_a_step_applies_one_matrix_vector_product(forms_std, growing,
-                                                  monkeypatch):
+@pytest.mark.parametrize("case", ["growing-96", "compressible-20"])
+def test_a_step_applies_one_product_per_block(case, monkeypatch):
     # every matrix of the congruence counts its products with one vector:
-    # a step makes one, K on the predictor; the maps in and back are
-    # products with the block of four rows
-    _, gm = growing
-    st = init_state(forms_std, gm.y, gm.rho, gm.N)
+    # a step makes one per block, K_b on the predictor's slice; the maps in
+    # and back are products with the block of four rows
+    st = _case_state(case)
     congruence = evolve.RateLaws.congruence
 
     def counted_congruence(self, dt):
-        return tuple(x.view(_CountedProducts) if np.ndim(x) == 2 else x
-                     for x in congruence(self, dt))
+        c, blocks = congruence(self, dt)
+        return c, tuple(b._replace(**{k: getattr(b, k).view(_CountedProducts)
+                                      for k in ("K", "W", "Xt")})
+                        for b in blocks)
 
     monkeypatch.setattr(evolve.RateLaws, "congruence", counted_congruence)
     monkeypatch.setattr(_CountedProducts, "vector_products", 0)
     st = step(st, 0.001, 7)
-    assert _CountedProducts.vector_products == 7
+    assert _CountedProducts.vector_products == 7 * 2
     st = step(st, 0.001, 5)
-    assert _CountedProducts.vector_products == 12
+    assert _CountedProducts.vector_products == 12 * 2
     assert type(st.y) is np.ndarray
 
 
