@@ -74,7 +74,6 @@ class Rect2D:
         self.nx, self.nz = int(nx), int(nz)
         self.hx = (b1 - a1) / (nx + 1)
         self.hz = (b3 - a3) / (nz + 1)
-        self.nodes_x = a1 + self.hx * np.arange(1, nx + 1)
         self.nodes_z = a3 + self.hz * np.arange(1, nz + 1)
         self.flux_x = a1 + self.hx * (np.arange(nx + 1) + 0.5)
         self.flux_z = a3 + self.hz * (np.arange(nz + 1) + 0.5)
@@ -98,16 +97,6 @@ class Rect2D:
     @property
     def aspect(self) -> float:
         return (self.x1[1] - self.x1[0]) / (self.x3[1] - self.x3[0])
-
-    def laplacian_floor(self) -> float:
-        """Smallest Dirichlet eigenvalue of -Δ; the 2D spectrum is the sum
-        of the two 1D ones on a tensor grid."""
-        out = 0.0
-        for G, h, n in ((self.Gx, self.hx, self.nx), (self.Gz, self.hz, self.nz)):
-            gram = (G.T @ (h * G)).toarray()
-            vals = np.linalg.eigvalsh(0.5 * (gram + gram.T))
-            out += float(vals[0]) / h
-        return out
 
 
 def _box_terms(r: Rect2D, p: DensityProfile, params: PhysicalParams, i: int):

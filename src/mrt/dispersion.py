@@ -42,8 +42,8 @@ mode (eigcore.psd_ratio_sup); it is the one reported eigenvalue that does
 not go through the pencil.
 
 The growth pencil solves only on the blocks of the unknown that can
-grow.  Blocks that one term of E, V or J reads together are coupled
-(modeforms.form_components, which the evolution steps on too); a
+grow.  Blocks that the cols of one term of E, V or J name together are
+coupled (modeforms.form_components, which the evolution steps on too); a
 component of that coupling on which every E term is a nonpositive square
 has α(s) ≤ 0 for all s ≥ 0 and is dropped, since it cannot carry Λ or
 frak_s (_kept_columns).  That drops the transverse stream component φ of
@@ -73,9 +73,9 @@ from .eigcore import (norm_inf, psd_ratio_sup, require_symmetric, spd_factor,
                       top_pair)
 from .evolve import RateLaws
 from .grid1d import Grid1D
-from .modeforms import (FormTerm, ModeForms, ModeSpec, _dense, _sparse,
-                        assemble_cr_forms, assemble_quotient, form_components,
-                        qform_reader)
+from .modeforms import (FormTerm, ModeForms, ModeSpec, _as_cols, _dense,
+                        _sparse, assemble_cr_forms, assemble_quotient,
+                        form_components, qform_reader)
 from .profiles import (CompressibleEquilibrium, DensityProfile, PhysicalParams)
 
 _MAX_STEPS = 200
@@ -150,9 +150,10 @@ def _kept_columns(forms: ModeForms) -> np.ndarray:
     own α(s).  A component that cannot grow has α(s) ≤ 0 for every s ≥ 0
     and is dropped; the rest keep α(s) wherever it is positive, and with
     it Λ and frak_s.  That drops φ of the incompressible forms, and v₁ of
-    the compressible ones at ξ₁ = 0 and v₂ at ξ₂ = 0; a layout of one
-    block (the box, the quotients) keeps it.  When every component would
-    drop, every column is kept.
+    the compressible ones at ξ₁ = 0, where d(v) and r(v) are stored
+    without it, and v₂ at ξ₂ = 0; a layout of one block (the box, the
+    quotients) keeps it.  When every component would drop, every column
+    is kept.
     """
     keep = np.zeros(forms.size, dtype=bool)
     for cols, grows in form_components(forms):
@@ -168,15 +169,14 @@ class _Pencil:
     defaults give the growth pencil (E − sV, J).  The pencil solves on the
     columns _kept_columns keeps, or on every column when whole is set, as
     the cr certificate is, since it reads the sign of λmax over the whole
-    space.  It keeps the terms that read those columns, each operator
-    sliced to them where it also reads dropped ones (once per operator,
-    so that the terms sharing one still share it).  The pencil assembles
-    each matrix itself from the terms it keeps, at its own width: CSR when
-    every operator is sparse, as on the box, dense otherwise.  A dense
-    matrix over every column of the forms is the forms' own cached one
-    (the same assembly), so that the growth solve and an evolution of the
-    same mode build it once.  Each matrix is checked for symmetry once, as
-    it is built, so the solves of A − sC skip the check.  B is factored
+    space.  It keeps whole each term whose blocks it keeps and drops the
+    rest (_restrict).  The pencil assembles each matrix itself from the
+    terms it keeps, at its own width: CSR when every operator is sparse,
+    as on the box, dense otherwise.  A dense matrix over every column of
+    the forms is the forms' own cached one (the same assembly), so that
+    the growth solve and an evolution of the same mode build it once.
+    Each matrix is checked for symmetry once, as it is built, so the
+    solves of A − sC skip the check.  B is factored
     once here (Bf: Cholesky, banded when sparse), and every evaluation
     solves against that factor.  An evaluation reads the energies of its
     maximizer, from which both α(s) and the next growth iterate follow;
@@ -189,9 +189,8 @@ class _Pencil:
     as the top (eigcore.top_pair).  A dense evaluation without a bound
     refines LAPACK's vector with a Cholesky factor of that matrix at σ
     just above its eigenvalue.  A pencil made from another one, base, on
-    the same forms solves on base's columns, reuses the matrices, sliced
-    operators and long-double operators base built, and starts from
-    base's maximizer.
+    the same forms solves on base's columns, reuses the matrices and
+    long-double operators base built, and starts from base's maximizer.
     """
 
     def __init__(self, forms: ModeForms, den: str = "J",
@@ -201,10 +200,9 @@ class _Pencil:
         if base is None:
             self.keep = (np.ones(forms.size, dtype=bool) if whole
                          else _kept_columns(forms))
-            self.built, self.sliced, self.ld = {}, {}, {}
+            self.built, self.ld = {}, {}
         else:
-            self.keep, self.built = base.keep, base.built
-            self.sliced, self.ld = base.sliced, base.ld
+            self.keep, self.built, self.ld = base.keep, base.built, base.ld
         self.width = int(np.count_nonzero(self.keep))
         self.A, self.tA = self._form("E")
         self.B, self.tB = self._form(den)
@@ -214,31 +212,15 @@ class _Pencil:
         self.x = None if base is None else base.x
 
     def _restrict(self, terms) -> tuple:
-        """terms on the kept columns: a term that reads none of them goes,
-        and one that also reads dropped columns has its operators sliced."""
+        """terms on the kept columns.  The kept columns are a union of
+        components of form_components, so a term reads only kept or only
+        dropped blocks: one on kept blocks stays whole, its cols renumbered
+        to the pencil's, and one on dropped blocks goes."""
         if self.width == self.forms.size:
             return terms
         pos = np.cumsum(self.keep) - 1
-        out = []
-        for t in terms:
-            k = self.keep[t.cols]
-            if not k.any():
-                continue
-            idx = pos[t.cols][k]
-            cols = slice(int(idx[0]), int(idx[-1]) + 1)
-            if not k.all():
-                P, Q = (None if op is None else self._slice(op, t.cols, k)
-                        for op in (t.P, t.Q))
-                t = replace(t, P=P, Q=Q)
-            out.append(t if t.cols == cols else replace(t, cols=cols))
-        return tuple(out)
-
-    def _slice(self, op, cols: slice, k: np.ndarray):
-        """op, which reads cols, on the kept ones among them (k)."""
-        key = (id(op), cols.start, cols.stop)
-        if key not in self.sliced:
-            self.sliced[key] = op[:, np.flatnonzero(k)]
-        return self.sliced[key]
+        return tuple(replace(t, cols=_as_cols(pos[t.cols])) for t in terms
+                     if self.keep[t.cols].all())
 
     def _form(self, name: str) -> tuple:
         """The matrix of form name on the pencil's columns, checked for

@@ -3,11 +3,10 @@ refined top eigenpair.
 
 spd_factor checks a mass matrix B once and keeps its Cholesky factor: a
 dense one when B is dense, LAPACK's banded one (pbtrf) when B is sparse,
-and a conditioning of at most 1e15 either way.  solve_gsym hands a dense
-A v = lam B v to LAPACK's symmetric-definite drivers (sygvx for an index
-subset, sygvd for the whole spectrum) and reports the B-orthonormality of
-what comes back; a factored B is not checked again.  psd_ratio_sup solves
-the cr ratio with it.
+and a conditioning of at most 1e15 either way.  solve_gsym returns the
+top eigenvalue of a dense A v = lam B v from LAPACK's top vector on B's
+Cholesky factor (_lapack_top, below); a factored B is not checked again.
+psd_ratio_sup solves the cr ratio with it.
 
 top_pair returns the top Rayleigh quotient of (A, B) and its maximizer,
 refined by shifted inverse iteration on a Cholesky factor of σB − A, whose
@@ -102,15 +101,6 @@ def pin_blas_threads() -> int:
     for set_threads in setters:
         set_threads(1)
     return len(setters)
-
-
-@dataclass(frozen=True)
-class GEigResult:
-    """Eigenvalues ascending; eigenvectors B-orthonormal in matching columns."""
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-    orthonormality: float
 
 
 def _absmax(M) -> float:
@@ -288,28 +278,19 @@ def _warm_top(A, B, sigma: float, v0: np.ndarray):
     return None
 
 
-def solve_gsym(A: np.ndarray, B, subset: tuple | None = None) -> GEigResult:
-    """Solve A v = lam B v for symmetric A and SPD B.
+def solve_gsym(A: np.ndarray, B) -> float:
+    """The largest eigenvalue of A v = lam B v for symmetric A and SPD B,
+    from LAPACK's top vector on B's Cholesky factor (_lapack_top).
 
-    :param B: a dense matrix, checked here, or an SPD from spd_factor,
-        checked already.
-    :param subset: optional (lo, hi) index range of eigenvalues to compute
-        (inclusive, ascending order); None computes all of them.
+    :param B: a dense matrix, checked and factored here, or an SPD from
+        spd_factor, checked already.
     :raises NotSymmetric: either matrix fails the symmetry tolerance.
-    :raises NotPositiveDefinite: B fails spd_factor's checks, or the LAPACK
-        driver cannot factor it.
+    :raises NotPositiveDefinite: B fails spd_factor's checks.
+    :raises SolverFailure: LAPACK fails, or the top vector is not
+        B-normalized to 1e-8.
     """
     A = require_symmetric(A, "A")
-    B = (B if isinstance(B, SPD) else spd_factor(B)).matrix
-    try:
-        lam, V = eigh(A, B, subset_by_index=subset)
-    except LinAlgError as e:
-        raise NotPositiveDefinite(f"B: {e}") from None
-    G = V.T @ B @ V - np.eye(lam.size)
-    ortho = float(np.max(np.abs(G)))
-    if ortho > 1e-8:
-        raise SolverFailure(f"B-orthonormality defect {ortho:.3e} exceeds 1e-8")
-    return GEigResult(eigenvalues=lam, eigenvectors=V, orthonormality=ortho)
+    return _lapack_top(A, B if isinstance(B, SPD) else spd_factor(B))[0]
 
 
 def _lapack_top(A: np.ndarray, Bf: SPD) -> tuple[float, np.ndarray]:
@@ -317,7 +298,8 @@ def _lapack_top(A: np.ndarray, Bf: SPD) -> tuple[float, np.ndarray]:
 
     sygst reduces the pencil to C = L⁻¹AL⁻ᵀ, eigh takes the top of the
     standard problem C y = λy, and trtrs maps y back to x = L⁻ᵀy; the
-    reduction sygvx makes, without factoring B again.
+    reduction LAPACK's generalized drivers make, without factoring B
+    again.
 
     :raises SolverFailure: LAPACK fails, or x is not B-normalized to 1e-8.
     """
@@ -506,8 +488,6 @@ def psd_ratio_sup(N: np.ndarray, D: np.ndarray) -> float:
         if W is None:
             return float("inf")
         S = S + W.T @ W
-    k = S.shape[0]
-    if k == 0:
+    if S.shape[0] == 0:
         return float("-inf")
-    top = solve_gsym(0.5 * (S + S.T), np.diag(dvals[in_range]), subset=(k - 1, k - 1))
-    return float(top.eigenvalues[-1])
+    return solve_gsym(0.5 * (S + S.T), np.diag(dvals[in_range]))

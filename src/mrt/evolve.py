@@ -66,7 +66,8 @@ from scipy.linalg import (cho_factor, cho_solve, cholesky, eigh,
                           solve_triangular)
 
 from .errors import IncompatibleData, InputError, SolverFailure
-from .modeforms import ModeForms, _compressible_pieces, form_components
+from .modeforms import (ModeForms, _as_cols, _compressible_pieces,
+                        form_components)
 
 # envelope constants above this are implausibly large and get flagged
 _FLAG_THRESHOLD = 1e6
@@ -88,7 +89,8 @@ class RateLaws:
     velocity(y) the complex nodal velocity (u₁, u₂, u₃).  rates and forcing
     also take a block of records, one per trailing column.  Each operator is
     a pair (cols, R) and reads only the columns of the stacked unknown that
-    cols names, so a single-block operator is stored at its own width.
+    cols names, so a single-block operator is stored at its own width, and
+    the compressible R_ρ and R_N1 sit on the columns of d(v).
     The compressible laws take their operators and flux-point coefficients
     from modeforms._compressible_pieces, as the energy terms do, so
     b(R_ρ y, R_N y) = E y holds to rounding.  The mass factor and the step
@@ -164,14 +166,12 @@ class RateLaws:
     def _build_compressible(self, forms: ModeForms):
         g1 = forms.grid
         params = forms.params
-        # d(v) couples all three blocks and A3 is its v₃ partner, at full width
         layout, ops, c = _compressible_pieces(forms.mode, forms.equilibrium,
                                               params, g1)
-        s1, s2, s3 = (layout[k] for k in ("v1", "v2", "v3"))
         xi1 = self.xi1
-        A, d, A3 = ops["A"], ops["d"], ops["A3"]
+        A, (dc, d), A3 = ops["A"], ops["d"], ops["A3"]
         rho_f, drho_f, mc_f, pp_f = (c[k] for k in ("rho_f", "drho_f", "mc_f", "pp_f"))
-        self.d = d
+        self.d = (dc, d)
         self.rho_len = self.nf
         # slope of the field strength from the hydrostatic balance at the
         # same points; this exact pointwise relation is what cancels the
@@ -179,14 +179,16 @@ class RateLaws:
         dmc_f = -(params.g * rho_f + pp_f * drho_f) / (params.lambda0 * mc_f)
         self.pp_f, self.mc_f, self.dmc_f = pp_f, mc_f, dmc_f
 
-        full = slice(None)
+        # R_ρ and R_N1 read d's columns, as A3 does
         RN1 = -(mc_f[:, None] * d + dmc_f[:, None] * A3)
-        RN1[:, s1] -= xi1 * (mc_f[:, None] * A)
+        if xi1 != 0.0:
+            # d's columns then open with v₁
+            RN1[:, :g1.n] -= xi1 * (mc_f[:, None] * A)
         self.phase = np.array((1.0, 1.0, 1j))
-        self.RN = ((full, RN1),
-                   (s2, -xi1 * (mc_f[:, None] * A)),
-                   (s3, xi1 * (mc_f[:, None] * A)))
-        self.Rrho = (full, -(rho_f[:, None] * d + drho_f[:, None] * A3))
+        self.RN = ((dc, RN1),
+                   (layout["v2"], -xi1 * (mc_f[:, None] * A)),
+                   (layout["v3"], xi1 * (mc_f[:, None] * A)))
+        self.Rrho = (dc, -(rho_f[:, None] * d + drho_f[:, None] * A3))
         self.rho_weights = g1.flux_weights
         P = g1.flux_to_node
         self.div_ops = (xi1 * P, self.xi2 * P, g1.flux_div)
@@ -217,7 +219,8 @@ class RateLaws:
         A = forms.grid.value_flux
         xi1, mc_f = self.xi1, self.mc_f[pt]
         q = self.pp_f[pt] * rho + lam0 * mc_f * N[0]
-        b += self.d.T @ (wf * q)
+        dc, d = self.d
+        b[dc] += d.T @ (wf * q)
         b[s1] += lam0 * (A.T @ (wf * (self.dmc_f[pt] * N[2] + xi1 * mc_f * N[0])))
         b[s2] += lam0 * xi1 * (A.T @ (wf * mc_f * N[1]))
         b[s3] -= A.T @ (wf * (lam0 * xi1 * mc_f * N[2] + params.g * rho))
@@ -277,9 +280,7 @@ class RateLaws:
                 c, K, W, Xt = _congruence(forms.J[ix], forms.V[ix], forms.E[ix], dt)
                 span = slice(start, start + cols.size)
                 start = span.stop
-                if cols[-1] - cols[0] + 1 == cols.size:
-                    cols = slice(int(cols[0]), int(cols[-1]) + 1)
-                blocks.append(_Block(cols, span, K, W, Xt))
+                blocks.append(_Block(_as_cols(cols), span, K, W, Xt))
                 cs.append(c)
             self._congruence = (dt, (np.concatenate(cs), tuple(blocks)))
         return self._congruence[1]

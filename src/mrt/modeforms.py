@@ -14,18 +14,20 @@ with compensated accumulation, which is what lets the growth-rate fixed
 point land at the last-bit level; the assembled matrices feed the
 eigensolver.
 
-A term's operators read only the columns of the stacked unknown it names
-(one block, or all of them for the few operators that couple blocks), and
-they may be dense arrays or scipy sparse matrices.  _dense turns terms into
-a dense matrix, block by block, and _sparse turns sparse ones into a CSR
-matrix.  Each matrix is assembled where it is read, at the width it is
-read: ModeForms builds its full-width dense ones, the evolution norms too,
-on first read, and the solvers' pencil builds its own from the terms it
-keeps, unless it spans every column and reads the forms' ones.  The
-compressible coefficients are sampled at the flux points once, in
-_compressible_pieces, which evolve's rate laws read too.  form_components
-splits the unknown into the unions of blocks that no form couples to each
-other; the growth pencil and the evolution both read it.
+A term's operators read only the columns of the stacked unknown it names,
+and its columns name exactly the blocks they read: one block, or, for the
+few operators that couple blocks, the blocks whose coefficient is nonzero
+at the mode (_coupled_ops).  Operators may be dense arrays or scipy sparse
+matrices.  _dense turns terms into a dense matrix, each term added on its
+columns, and _sparse turns sparse ones into a CSR matrix.  Each matrix is
+assembled where it is read, at the width it is read: ModeForms builds its
+full-width dense ones, the evolution norms too, on first read, and the
+solvers' pencil builds its own from the terms it keeps, unless it spans
+every column and reads the forms' ones.  The compressible coefficients are
+sampled at the flux points once, in _compressible_pieces, which evolve's
+rate laws read too.  form_components splits the unknown into the
+smallest unions of blocks that no term's columns cross; the growth pencil
+and the evolution both read it.
 
 First-derivative products are assembled on the staggered flux grid, never by
 squaring the nodal central difference (see grid1d).
@@ -86,16 +88,19 @@ class ModeSpec:
 class FormTerm:
     """One factored contribution coef · Σ_k w[k] (P y)_k (Q y)_k, y = x[cols].
 
-    P and Q hold only the columns that cols names, so a single-block operator
-    is stored at its own width; cols defaults to every column.  They may be
-    dense arrays or scipy sparse matrices.  Q = None means Q = P.
+    cols is a slice or an ascending column index, and names exactly the
+    layout blocks that P and Q read: P and Q hold only those columns, and
+    at least one of them is nonzero on each named block.  A single-block
+    operator is stored at its own width; cols defaults to every column.
+    P and Q may be dense arrays or scipy sparse matrices.  Q = None means
+    Q = P.
     """
 
     coef: float
     w: np.ndarray
     P: object
     Q: Optional[object] = None
-    cols: slice = field(default_factory=lambda: slice(None))
+    cols: object = field(default_factory=lambda: slice(None))
 
     def scaled(self, c: float) -> "FormTerm":
         return replace(self, coef=c * self.coef)
@@ -140,7 +145,8 @@ def qform_reader(groups, cache: Optional[dict] = None):
     cache = {} if cache is None else cache
 
     def product(op, cols) -> int:
-        key = (id(op), cols.start, cols.stop, cols.step)
+        key = (id(op),) + ((cols.start, cols.stop, cols.step)
+                           if isinstance(cols, slice) else (cols.tobytes(),))
         if key not in index:
             if id(op) not in cache:
                 cache[id(op)] = op, op.astype(np.longdouble)
@@ -179,11 +185,21 @@ def _symmetrize(M: np.ndarray) -> np.ndarray:
     return 0.5 * (M + M.T)
 
 
+def _as_cols(index: np.ndarray):
+    """An ascending column index as a slice when it is contiguous, else the
+    index itself."""
+    if index[-1] - index[0] + 1 == index.size:
+        return slice(int(index[0]), int(index[-1]) + 1)
+    return index
+
+
 def _dense(terms, n: int) -> np.ndarray:
-    """The n×n symmetric matrix of a term tuple, each term added on its block."""
+    """The n×n symmetric matrix of a term tuple, each term added on its
+    columns."""
     M = np.zeros((n, n))
     for t in terms:
-        M[t.cols, t.cols] += t.matrix()
+        c = t.cols
+        M[(c, c) if isinstance(c, slice) else np.ix_(c, c)] += t.matrix()
     return _symmetrize(M)
 
 
@@ -196,23 +212,14 @@ def _sparse(terms, n: int) -> sp.csr_matrix:
     return _symmetrize(M).tocsr()
 
 
-def _nonzero_columns(op) -> np.ndarray:
-    """Mask of the columns of an operator that hold a nonzero (a stored
-    entry, when sparse)."""
-    if sp.issparse(op):
-        return op.getnnz(axis=0) > 0
-    return np.any(op != 0.0, axis=0)
-
-
 def form_components(forms: "ModeForms") -> tuple:
     """The components of the block coupling of forms, as (columns, grows)
     pairs: the ascending column indices of a union of layout blocks, and
     whether it can carry growth.
 
-    Blocks that one E, V or J term reads, by the nonzero columns of its
-    operators, are joined, so each component is closed under every form:
-    E, V and J are block diagonal over the components, with exact zeros
-    between them.  A component whose E terms are all nonpositive squares
+    The blocks that the cols of one E, V or J term name are joined, so
+    each component is closed under every form: E, V and J are block
+    diagonal over the components, with exact zeros between them.  A component whose E terms are all nonpositive squares
     (coef ≤ 0, w ≥ 0, Q None), or that has no E term, has E ⪯ 0 on it and
     cannot grow.  The components come in the order of their first block,
     which is the order of their first column.  The incompressible forms
@@ -229,20 +236,11 @@ def form_components(forms: "ModeForms") -> tuple:
     for k, b in enumerate(blocks):
         label[b] = k
 
-    def read(t: FormTerm) -> set:
-        labels = label[t.cols]
-        if labels.min() == labels.max():
-            return {int(labels[0])}
-        nz = _nonzero_columns(t.P)
-        if t.Q is not None:
-            nz = nz | _nonzero_columns(t.Q)
-        return set(labels[nz].tolist())
-
     comp = list(range(len(blocks)))
     e_terms = []
     for name in ("E", "V", "J"):
         for t in getattr(forms, "terms_" + name) or ():
-            ks = read(t)
+            ks = set(label[t.cols].tolist())
             if name == "E":
                 e_terms.append((t, ks))
             joined = {comp[k] for k in ks}
@@ -446,16 +444,26 @@ def assemble_quotient(mode: ModeSpec, p: DensityProfile, params: PhysicalParams,
 # compressible assembly
 # --------------------------------------------------------------------------
 
-def _coupled_ops(mode: ModeSpec, g1: Grid1D):
-    """The compressible operators that read more than one block, at full
-    width: d(v) = −ξ₁v₁ − ξ₂v₂ + v₃′, r(v) = −ξ₂v₂ + v₃′, and v₃ (the
-    partner of d(v) in the 2gρ̄ d(v) v₃ term), all on the flux grid."""
-    A, G = g1.value_flux, g1.deriv_flux
-    O = np.zeros_like(A)
-    xi1, xi2c = mode.xi
-    d = np.hstack([-xi1 * A, -xi2c * A, G])
-    r = np.hstack([O, -xi2c * A, G])
-    return d, r, np.hstack([O, O, A])
+def _coupled_ops(mode: ModeSpec, g1: Grid1D) -> dict:
+    """The compressible operators that read more than one block, on the
+    flux grid, each on the blocks whose coefficient is nonzero at this
+    mode: d(v) = −ξ₁v₁ − ξ₂v₂ + v₃′ and r(v) = −ξ₂v₂ + v₃′ as (cols, op)
+    pairs, and A3, the v₃ partner of d(v) in the 2gρ̄ d(v) v₃ term, on d's
+    columns.  Columns are those of the stacked unknown (v₁, v₂, v₃), n
+    each.  d reads (v₂, v₃) at ξ₁ = 0 and (v₁, v₃) at ξ₂ = 0; r never
+    reads v₁, nor v₂ at ξ₂ = 0."""
+    A, G, n = g1.value_flux, g1.deriv_flux, g1.n
+    xi1, xi2 = mode.xi
+    by_v1 = [(0, -xi1 * A)] if xi1 != 0.0 else []
+    by_v2 = [(1, -xi2 * A)] if xi2 != 0.0 else []
+
+    def on_blocks(parts) -> tuple:
+        cols = np.concatenate([np.arange(k * n, (k + 1) * n) for k, _ in parts])
+        return _as_cols(cols), np.hstack([op for _, op in parts])
+
+    d = on_blocks(by_v1 + by_v2 + [(2, G)])
+    A3 = np.hstack([np.zeros_like(A)] * len(by_v1 + by_v2) + [A])
+    return dict(d=d, r=on_blocks(by_v2 + [(2, G)]), A3=A3)
 
 
 def _compressible_pieces(mode: ModeSpec, eq: CompressibleEquilibrium,
@@ -464,8 +472,8 @@ def _compressible_pieces(mode: ModeSpec, eq: CompressibleEquilibrium,
     the energy terms and evolve.RateLaws both read them."""
     n = g1.n
     layout = {"v1": slice(0, n), "v2": slice(n, 2 * n), "v3": slice(2 * n, 3 * n)}
-    d, r, A3 = _coupled_ops(mode, g1)
-    ops = dict(A=g1.value_flux, G=g1.deriv_flux, I=np.eye(n), d=d, r=r, A3=A3)
+    ops = dict(A=g1.value_flux, G=g1.deriv_flux, I=np.eye(n),
+               **_coupled_ops(mode, g1))
 
     p = eq.profile
     fx = g1.flux_points
@@ -491,13 +499,14 @@ def _compressible_energy_terms(mode, params, layout, ops, coeffs):
     wf, rho_f, mc_f = coeffs["wf"], coeffs["rho_f"], coeffs["mc_f"]
     wmc2 = wf * (mc_f * mc_f)
     A, s2, s3 = ops["A"], layout["v2"], layout["v3"]
+    (dc, d), (rc, r) = ops["d"], ops["r"]
     return (
         FormTerm(params.g, wf * coeffs["drho_f"], A, cols=s3),
-        FormTerm(2.0 * params.g, wf * rho_f, ops["d"], ops["A3"]),
-        FormTerm(-1.0, wf * (coeffs["pp_f"] * rho_f), ops["d"]),
+        FormTerm(2.0 * params.g, wf * rho_f, d, ops["A3"], cols=dc),
+        FormTerm(-1.0, wf * (coeffs["pp_f"] * rho_f), d, cols=dc),
         FormTerm(-params.lambda0 * xi1 ** 2, wmc2, A, cols=s2),
         FormTerm(-params.lambda0 * xi1 ** 2, wmc2, A, cols=s3),
-        FormTerm(-params.lambda0, wmc2, ops["r"]),
+        FormTerm(-params.lambda0, wmc2, r, cols=rc),
     )
 
 
@@ -516,6 +525,7 @@ def assemble_compressible(mode: ModeSpec, eq: CompressibleEquilibrium,
     xi2 = mode.xi_norm2
     wf = coeffs["wf"]
     blocks = tuple(layout.values())
+    dc, d = ops["d"]
 
     terms_J = tuple(FormTerm(1.0, g1.quad * p.rho, ops["I"], cols=b) for b in blocks)
     terms_E = _compressible_energy_terms(mode, params, layout, ops, coeffs)
@@ -523,9 +533,10 @@ def assemble_compressible(mode: ModeSpec, eq: CompressibleEquilibrium,
     grad = tuple(t.scaled(xi2) for t in unit) + \
         tuple(FormTerm(1.0, wf, ops["G"], cols=b) for b in blocks)
     terms_V = tuple(t.scaled(params.mu) for t in grad) + \
-        (FormTerm(params.mu0, wf, ops["d"]),)
+        (FormTerm(params.mu0, wf, d, cols=dc),)
 
-    norms = {"unit_mass": unit, "grad": grad, "divsq": (FormTerm(1.0, wf, ops["d"]),)}
+    norms = {"unit_mass": unit, "grad": grad,
+             "divsq": (FormTerm(1.0, wf, d, cols=dc),)}
     return ModeForms(kind="compressible", mode=mode, grid=g1, layout=layout,
                      size=3 * g1.n, terms_E=terms_E, terms_V=terms_V,
                      terms_J=terms_J, terms_aux=norms, equilibrium=eq, profile=p,
@@ -544,10 +555,10 @@ def assemble_cr_forms(mode: ModeSpec, eq: CompressibleEquilibrium,
     base = assemble_compressible(mode, eq, params, g1)
     xi1 = mode.xi[0]
     A, wf = g1.value_flux, g1.flux_weights
-    _, r, _ = _coupled_ops(mode, g1)
+    rc, r = _coupled_ops(mode, g1)["r"]
     terms_D = (
         FormTerm(params.lambda0 * xi1 ** 2, wf, A, cols=base.layout["v2"]),
         FormTerm(params.lambda0 * xi1 ** 2, wf, A, cols=base.layout["v3"]),
-        FormTerm(params.lambda0, wf, r),
+        FormTerm(params.lambda0, wf, r, cols=rc),
     )
     return replace(base, kind="crForms", terms_D=terms_D)

@@ -108,22 +108,6 @@ class DensityProfile:
         """True when the density increases with height somewhere."""
         return bool(np.max(self.drho) > 0.0)
 
-    def regrid(self, grid: Grid1D) -> "DensityProfile":
-        """Resample onto another grid; exact for analytic families."""
-        if self.rho_fn is not None:
-            return DensityProfile(
-                grid=grid,
-                rho=np.array([self.rho_fn(x) for x in grid.nodes]),
-                drho=np.array([self.drho_fn(x) for x in grid.nodes]),
-                provenance=self.provenance,
-                label=self.label,
-                rho_fn=self.rho_fn,
-                drho_fn=self.drho_fn,
-                mass_fn=self.mass_fn,
-            )
-        x, r = self.table
-        return make_table_profile(grid, x, r, label=self.label)
-
 
 def make_affine_profile(grid: Grid1D, rho_mid: float, beta: float) -> DensityProfile:
     """Density rho_mid + beta*x; must stay positive on the closed slab."""

@@ -499,3 +499,76 @@ def psd_ratio_schur(N: np.ndarray, D: np.ndarray, tol: float = 1e-12) -> float:
     h = 1.0 / np.sqrt(d[in_range])
     T = h[:, None] * S * h[None, :]
     return float(np.linalg.eigvalsh(0.5 * (T + T.T))[-1])
+
+
+def dirichlet_floor(G, w: np.ndarray, m: np.ndarray) -> float:
+    """Smallest eigenvalue of the pencil (GᵀWG, diag(m)), W = diag(w): the
+    discrete Dirichlet floor of −d²/dx² on a grid whose derivative onto the
+    flux points is G (dense or sparse), with flux weights w and nodal
+    weights m.  LAPACK through numpy on the scaled matrix
+    diag(m)^(-1/2) GᵀWG diag(m)^(-1/2)."""
+    G = G.toarray() if hasattr(G, "toarray") else np.asarray(G)
+    h = 1.0 / np.sqrt(m)
+    T = h[:, None] * (G.T @ (w[:, None] * G)) * h[None, :]
+    return float(np.linalg.eigvalsh(0.5 * (T + T.T))[0])
+
+
+def laplacian_floor(rect) -> float:
+    """Smallest Dirichlet eigenvalue of −Δ on a bounded2d.Rect2D: on its
+    tensor grid the 2D spectrum is the sum of the two 1D ones, each with
+    the uniform weight h at the nodes and the flux points."""
+    return sum(dirichlet_floor(G, np.full(n + 1, h), np.full(n, h))
+               for G, h, n in ((rect.Gx, rect.hx, rect.nx),
+                               (rect.Gz, rect.hz, rect.nz)))
+
+
+def blocks_read(forms, t) -> set:
+    """The names of the layout blocks of forms on which the operator P or
+    Q of the term t holds a nonzero column (a stored entry, when sparse):
+    the blocks t reads, found by scanning its operators' entries."""
+    def nonzero(op):
+        if hasattr(op, "getnnz"):
+            return op.getnnz(axis=0) > 0
+        return np.any(np.asarray(op) != 0.0, axis=0)
+
+    nz = nonzero(t.P) if t.Q is None else nonzero(t.P) | nonzero(t.Q)
+    cols = np.arange(forms.size)[t.cols][nz]
+    return {name for name, b in forms.layout.items()
+            if np.any((cols >= b.start) & (cols < b.stop))}
+
+
+def components_by_entries(forms) -> tuple:
+    """The (columns, grows) components of the block coupling of forms, as
+    modeforms.form_components defines them, with each term's blocks found
+    by the entry scan of blocks_read: blocks that one E, V or J term reads
+    are joined, and a component grows when it holds the blocks of an E
+    term that is not a nonpositive square (coef ≤ 0, w ≥ 0, Q None).
+    Components come in the order of their first column."""
+    names = list(forms.layout)
+    root = {k: k for k in names}
+
+    def find(k):
+        while root[k] != k:
+            k = root[k]
+        return k
+
+    e_terms = []
+    for form in ("E", "V", "J"):
+        for t in getattr(forms, "terms_" + form) or ():
+            ks = blocks_read(forms, t)
+            if form == "E":
+                e_terms.append((t, ks))
+            roots = sorted({find(k) for k in ks}, key=names.index)
+            for r in roots[1:]:
+                root[r] = roots[0]
+    grows = {find(next(iter(ks))) for t, ks in e_terms
+             if ks and not (t.Q is None and t.coef <= 0.0 and np.all(t.w >= 0.0))}
+    members = {}
+    for k in names:
+        members.setdefault(find(k), []).append(k)
+    out = []
+    for r, ks in members.items():
+        cols = np.sort(np.concatenate(
+            [np.arange(forms.layout[k].start, forms.layout[k].stop) for k in ks]))
+        out.append((cols, r in grows))
+    return tuple(sorted(out, key=lambda c: c[0][0]))

@@ -615,28 +615,38 @@ def test_compressible_evolve_assembles_each_form_once(monkeypatch):
     assert built == [2 * forms.size // 3] * 3 + [forms.size] * 3
 
 
-@pytest.mark.parametrize("kind", ["incompressible", "crForms", "interchange"])
+@pytest.mark.parametrize("kind", ["incompressible", "crForms", "interchange",
+                                  "xi2_zero"])
 def test_pencil_matrices_are_the_forms_blocks(kind, params_std):
-    # the pencil's own assembly, from the terms it keeps with the
-    # full-width operators sliced, is bit-identical to the kept block of the
-    # forms' full-width matrices (v3; (v2, v3) at xi1 = 0); over every
-    # column it holds the forms' matrices themselves
+    # the pencil's own assembly, from the terms it keeps whole, is
+    # bit-identical to the kept block of the forms' full-width matrices
+    # (v3; (v2, v3) at xi1 = 0; (v1, v3) at xi2 = 0, where d(v) reads
+    # columns that are not contiguous); over every column it holds the
+    # forms' matrices themselves
     if kind == "incompressible":
         g1 = Grid1D("chebyshev", 1.0, 64)
         mode = ModeSpec.from_integers(1.0, 2, 1, field_dir=3, m=0.2)
         forms = assemble_incompressible(
             mode, make_affine_profile(g1, 2.0, 1.0), params_std, g1)
-        sv = forms.layout["v3"]
+        kept = np.arange(forms.layout["v3"].stop)
     elif kind == "crForms":
         eq, params, g1, modes = _parker_cr()
         forms = assemble_cr_forms(modes[2], eq, params, g1)
-        sv = slice(None)
-    else:
+        kept = np.arange(forms.size)
+    elif kind == "interchange":
         forms = _ci_forms(0, 2)
-        sv = slice(forms.layout["v2"].start, forms.size)
+        kept = np.arange(forms.layout["v2"].start, forms.size)
+    else:
+        forms = _ci_forms(2, 0)
+        v2 = forms.layout["v2"]
+        kept = np.r_[0:v2.start, v2.stop:forms.size]
+        d = forms.terms_E[1]
+        assert np.array_equal(d.cols, kept)
     pen = _Pencil(forms)
+    assert np.array_equal(np.flatnonzero(pen.keep), kept)
+    ix = np.ix_(kept, kept)
     for name, M in (("E", pen.A), ("V", pen.C), ("J", pen.B)):
-        assert np.array_equal(M, getattr(forms, name)[sv, sv]), name
+        assert np.array_equal(M, getattr(forms, name)[ix]), name
 
 
 def _ci_forms(k1: int, k2: int, **overrides) -> ModeForms:
@@ -683,9 +693,8 @@ def test_growth_pencil_keeps_a_block_that_can_grow(term):
     n, g1 = forms.grid.n, forms.grid
     A, wf = g1.value_flux, g1.flux_weights
     if term == "coupling_V":
-        op = np.hstack([A, A, np.zeros_like(A)])
-        forms = replace(forms,
-                        terms_V=forms.terms_V + (FormTerm(1e-3, wf, op),))
+        t = FormTerm(1e-3, wf, np.hstack([A, A]), cols=slice(0, 2 * n))
+        forms = replace(forms, terms_V=forms.terms_V + (t,))
     else:
         t = FormTerm(1e-3, wf, A, cols=forms.layout["v1"])
         forms = replace(forms, terms_E=forms.terms_E + (t,))

@@ -38,42 +38,18 @@ def _random_pencil(seed, n, cond=10.0):
 
 
 def test_solve_gsym_matches_jacobi_reference():
-    # dual route: LAPACK-backed solver against hand-rolled Cholesky + Jacobi
+    # dual route: the top of the LAPACK reduction on B's factor against
+    # hand-rolled Cholesky + Jacobi
     for seed in (0, 1, 2):
         A, B = _random_pencil(seed, 12)
-        res = solve_gsym(A, B)
         ref = gsym_eigenvalues_reference(A, B)
         scale = max(1.0, np.max(np.abs(ref)))
-        assert np.max(np.abs(res.eigenvalues - ref)) <= 1e-10 * scale
-        lam, V = res.eigenvalues, res.eigenvectors
-        R = A @ V - B @ V * lam[None, :]
-        denom = ((np.linalg.norm(A, ord=np.inf)
-                  + np.abs(lam) * np.linalg.norm(B, ord=np.inf))
-                 * np.linalg.norm(V, axis=0))
-        assert np.max(np.linalg.norm(R, axis=0) / denom) <= 1e-10
-        assert res.orthonormality <= 1e-10
-
-
-def test_solve_gsym_b_orthonormal_vectors():
-    A, B = _random_pencil(3, 10)
-    res = solve_gsym(A, B)
-    G = res.eigenvectors.T @ B @ res.eigenvectors
-    assert np.max(np.abs(G - np.eye(10))) <= 1e-10
-
-
-def test_solve_gsym_subset():
-    A, B = _random_pencil(4, 14)
-    full = solve_gsym(A, B).eigenvalues
-    part = solve_gsym(A, B, subset=(11, 13))
-    assert np.allclose(part.eigenvalues, full[11:14], rtol=0, atol=1e-12)
+        assert abs(solve_gsym(A, B) - ref[-1]) <= 1e-10 * scale
 
 
 def test_solve_gsym_deterministic():
     A, B = _random_pencil(5, 9)
-    r1 = solve_gsym(A, B)
-    r2 = solve_gsym(A, B)
-    assert np.array_equal(r1.eigenvalues, r2.eigenvalues)
-    assert np.array_equal(r1.eigenvectors, r2.eigenvectors)
+    assert solve_gsym(A, B) == solve_gsym(A, B)
 
 
 def test_not_symmetric_raises():
@@ -273,7 +249,7 @@ def test_dense_factor_solves_are_cho_solve_bit_for_bit():
     b = np.random.default_rng(4).standard_normal(12)
     want = cho_solve((cholesky(B, lower=True), True), b)
     assert np.array_equal(spd_factor(B).solve(b), want)
-    lam = float(solve_gsym(A, B).eigenvalues[-1])
+    lam = solve_gsym(A, B)
     solve, shift, _ = eigcore._shift_factor(A, B, lam)
     assert np.array_equal(solve(b), cho_solve(cho_factor(shift * B - A), b))
 
@@ -288,8 +264,7 @@ def test_solve_gsym_takes_a_checked_mass_as_is(monkeypatch):
     monkeypatch.setattr(eigcore, "cholesky", lambda *a, **k: calls.append(a))
     res = solve_gsym(A, Bf)
     assert calls == []
-    assert np.array_equal(res.eigenvalues, ref.eigenvalues)
-    assert np.array_equal(res.eigenvectors, ref.eigenvectors)
+    assert res == ref
 
 
 def test_spd_factor_keeps_the_dense_cholesky_factor():
@@ -304,9 +279,9 @@ def test_spd_factor_keeps_the_dense_cholesky_factor():
 def test_cold_top_pair_reduces_on_the_held_factor(seed, monkeypatch):
     # a cold dense top is one standard eigensolve of L^-1 A L^-T on the
     # held factor of B, with no factorization of B; its eigenvalue and
-    # vector are those of the generalized sygvx solve to rounding
+    # vector are those of scipy's generalized solve to rounding
     A, B = _random_pencil(seed, 40)
-    ref = solve_gsym(A, B, subset=(39, 39))
+    lams, V = eigh(A, B, subset_by_index=(39, 39))
     Bf = spd_factor(B)
     calls = []
 
@@ -318,7 +293,7 @@ def test_cold_top_pair_reduces_on_the_held_factor(seed, monkeypatch):
     monkeypatch.setattr(eigcore, "cholesky", lambda *a, **k: calls.append(a))
     lam, x = eigcore._lapack_top(A, Bf)
     assert calls == [(1, False)]
-    lam_ref, v = float(ref.eigenvalues[-1]), ref.eigenvectors[:, -1]
+    lam_ref, v = float(lams[0]), V[:, 0]
     assert abs(lam - lam_ref) <= 1e-13 * max(1.0, abs(lam_ref))
     assert np.max(np.abs(x * np.sign(x @ v) - v)) <= 1e-10
     q, y = top_pair(A, Bf)

@@ -15,12 +15,13 @@ from mrt.modeforms import (
     assemble_cr_forms,
     assemble_incompressible,
     assemble_quotient,
+    form_components,
     qform_reader,
     qform_value_ld,
 )
 from mrt.profiles import PhysicalParams, build_equilibrium, make_affine_profile
 
-from oracles import gauss_legendre_integral
+from oracles import blocks_read, components_by_entries, gauss_legendre_integral
 
 
 def test_mode_spec_validation():
@@ -233,6 +234,49 @@ def test_compressible_field_term_oracle(symbolic_eq):
     assert abs(float(y @ (Ea @ y)) - float(y @ (Eb @ y))) <= 1e-10
 
 
+def _block_forms(scheme: str, xi: tuple) -> tuple:
+    """Compressible and cr forms at xi on a 64-node grid of scheme."""
+    g1 = Grid1D(scheme, 1.0, 64)
+    params = PhysicalParams(g=1.0, lambda0=1.0, mu=0.1, mu0=0.5, A=1.0, gamma=2.0)
+    eq = build_equilibrium(make_affine_profile(g1, 1.0, 0.0), params, 4.0)
+    mode = ModeSpec.from_integers(1.0, *xi)
+    return (assemble_compressible(mode, eq, params, g1),
+            assemble_cr_forms(mode, eq, params, g1))
+
+
+_BLOCK_CASES = pytest.mark.parametrize(
+    "scheme, xi", [(scheme, xi) for scheme in ("chebyshev", "fd2")
+                   for xi in ((0, 2), (2, 0), (1, 2))],
+    ids=lambda v: v if isinstance(v, str) else "xi%d%d" % v)
+
+
+@_BLOCK_CASES
+def test_form_components_match_the_entry_scan(scheme, xi):
+    # the components joined by the blocks each term's cols name are those
+    # joined by the blocks where its operators hold a nonzero column
+    for forms in _block_forms(scheme, xi):
+        got, want = form_components(forms), components_by_entries(forms)
+        assert len(got) == len(want), forms.kind
+        for (cols, grows), (ref_cols, ref_grows) in zip(got, want):
+            assert np.array_equal(cols, ref_cols) and grows == ref_grows
+
+
+@_BLOCK_CASES
+def test_terms_name_only_the_blocks_they_read(scheme, xi):
+    # no compressible or cr term names a block on which P and Q are both
+    # zero: d(v) leaves v1 out at xi1 = 0 and v2 at xi2 = 0, and r(v)
+    # never reads v1
+    for forms in _block_forms(scheme, xi):
+        label = np.empty(forms.size, dtype=object)
+        for name, b in forms.layout.items():
+            label[b] = name
+        groups = [forms.terms_E, forms.terms_V, forms.terms_J,
+                  forms.terms_D or (), *forms.terms_aux.values()]
+        for t in (t for terms in groups for t in terms):
+            named = set(label[t.cols])
+            assert named == blocks_read(forms, t), (forms.kind, named)
+
+
 def _assert_qform_matches_dense(terms, M, seed):
     # the factored long-double value and the assembled matrix M are two
     # routes to the same form
@@ -258,11 +302,12 @@ def test_qform_value_ld_incompressible(affine64, params_std, field_dir):
 
 
 def test_qform_value_ld_compressible(symbolic_eq):
-    # E carries the full-width coupled operators next to single-block ones
+    # E carries d(v) on every block and r(v) on (v2, v3) next to
+    # single-block operators
     eq, params, g1 = symbolic_eq
     forms = assemble_compressible(ModeSpec.from_integers(1.0, 1, 2), eq, params, g1)
     widths = {t.P.shape[1] for t in forms.terms_E}
-    assert widths == {g1.n, forms.size}
+    assert widths == {g1.n, 2 * g1.n, forms.size}
     for terms in (forms.terms_E, forms.terms_V, forms.terms_J):
         _assert_qform_matches_dense(terms, _dense(terms, forms.size), 5)
     cr = assemble_cr_forms(ModeSpec.from_integers(1.0, 1, 2), eq, params, g1)

@@ -100,14 +100,6 @@ def test_profile_closures_come_all_or_none(cheb64, dropped):
         dataclasses.replace(prof, **{dropped: None})
 
 
-def test_regrid_analytic_exact(cheb64):
-    prof = make_affine_profile(cheb64, 2.0, 1.0)
-    fine = Grid1D("chebyshev", 1.0, 96)
-    re = prof.regrid(fine)
-    assert np.allclose(re.rho, 2.0 + fine.nodes, rtol=0, atol=1e-14)
-    assert re.mass_fn is prof.mass_fn
-
-
 def test_validate_rt_conditions(cheb64):
     # positivity is checked when the profile is built
     # (test_non_positive_density_rejected)
