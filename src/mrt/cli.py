@@ -203,10 +203,11 @@ def _fmt(x) -> str:
 
 def _write_csv(path: Path, header, rows):
     """rows is an iterable of rows of cells, each formatted by _fmt, or a
-    2D float array, whose cells take one format call each and no type
+    2D float array, whose rows take one format string each and no type
     test."""
     if isinstance(rows, np.ndarray):
-        lines = [",".join([f"{v:.17g}" for v in row]) for row in rows.tolist()]
+        fmt = ",".join(["%.17g"] * rows.shape[1])
+        lines = [fmt % tuple(row) for row in rows.tolist()]
     else:
         lines = [",".join([_fmt(c) for c in row]) for row in rows]
     path.write_text("\n".join([",".join(header)] + lines) + "\n")
@@ -241,22 +242,27 @@ _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd")
 
 
 def _svg_chart(path: Path, series, x_label: str, y_label: str, title: str):
-    """Hand-written polyline chart; series is a list of (xs, ys, label)."""
+    """Hand-written polyline chart; series is a list of (xs, ys, label).
+
+    Each series' finite points are scaled as arrays, and each point is
+    formatted once for the polyline and its circle."""
     W, H, ML, MR, MT, MB = 640, 400, 64, 16, 32, 44
-    pts = []
+    finite = []
     for xs, ys, _ in series:
-        pts.extend((float(a), float(b)) for a, b in zip(xs, ys)
-                   if math.isfinite(float(a)) and math.isfinite(float(b)))
+        xs, ys = np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)
+        keep = np.isfinite(xs) & np.isfinite(ys)
+        finite.append((xs[keep], ys[keep]))
     out = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{W}" height="{H}" '
            f'viewBox="0 0 {W} {H}">',
            f'<rect width="{W}" height="{H}" fill="#ffffff"/>',
            f'<text x="{W / 2:.0f}" y="20" text-anchor="middle" '
            f'font-family="sans-serif" font-size="14">{title}</text>']
-    if pts:
-        xmin = min(p[0] for p in pts)
-        xmax = max(p[0] for p in pts)
-        ymin = min(p[1] for p in pts)
-        ymax = max(p[1] for p in pts)
+    if any(xs.size for xs, _ in finite):
+        # the builtins keep the first of equal values, so a tie of -0.0 and
+        # 0.0 resolves in point order
+        xall = [x for xs, _ in finite for x in xs.tolist()]
+        yall = [y for _, ys in finite for y in ys.tolist()]
+        xmin, xmax, ymin, ymax = min(xall), max(xall), min(yall), max(yall)
         if xmax - xmin <= 0.0:
             xmin, xmax = xmin - 0.5, xmax + 0.5
         if ymax - ymin <= 0.0:
@@ -281,17 +287,16 @@ def _svg_chart(path: Path, series, x_label: str, y_label: str, title: str):
             out.append(f'<text x="{ML - 6}" y="{sy(yv) + 4:.1f}" '
                        f'text-anchor="end" font-family="sans-serif" '
                        f'font-size="11">{yv:.4g}</text>')
-        for k, (xs, ys, label) in enumerate(series):
+        for k, ((xs, ys), (_, _, label)) in enumerate(zip(finite, series)):
             color = _PALETTE[k % len(_PALETTE)]
-            coords = [(sx(float(a)), sy(float(b))) for a, b in zip(xs, ys)
-                      if math.isfinite(float(a)) and math.isfinite(float(b))]
+            coords = list(zip([f"{a:.2f}" for a in sx(xs).tolist()],
+                              [f"{b:.2f}" for b in sy(ys).tolist()]))
             if len(coords) > 1:
-                joined = " ".join(f"{a:.2f},{b:.2f}" for a, b in coords)
+                joined = " ".join([f"{a},{b}" for a, b in coords])
                 out.append(f'<polyline points="{joined}" fill="none" '
                            f'stroke="{color}" stroke-width="1.5"/>')
-            for a, b in coords:
-                out.append(f'<circle cx="{a:.2f}" cy="{b:.2f}" r="2.5" '
-                           f'fill="{color}"/>')
+            out.extend([f'<circle cx="{a}" cy="{b}" r="2.5" fill="{color}"/>'
+                        for a, b in coords])
             if label:
                 out.append(f'<text x="{W - MR - 6}" y="{MT + 16 + 16 * k}" '
                            f'text-anchor="end" font-family="sans-serif" '

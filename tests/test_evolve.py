@@ -263,8 +263,9 @@ def test_record_times_accumulate_dt(forms_std):
 
 def test_a_run_solves_once_per_record(forms_std, growing, monkeypatch):
     # one Cholesky and one symmetric eigensolve of the step matrix per
-    # component (v3 and phi) per run; once the basis is built, no step and
-    # no map back solves anything
+    # component (v3 and phi) per run, and one congruence for the run's step
+    # kernel; once the basis is built, no step and no map back solves
+    # anything
     _, gm = growing
     st = init_state(forms_std, gm.y, gm.rho, gm.N)
     counts = {"cholesky": 0, "eigh": 0}
@@ -303,7 +304,7 @@ def test_a_run_solves_once_per_record(forms_std, growing, monkeypatch):
     monkeypatch.setattr(evolve, "cho_solve", no_solve)
     rec = run_trajectory(st, T=0.5, dt=0.001, diagnostics_every=25)
     assert len(rec.times) == 21
-    assert len(built) == 20
+    assert len(built) == 1
     assert counts == {"cholesky": 2, "eigh": 2}
 
 
@@ -373,15 +374,18 @@ def test_congruence_diagonalizes_the_step_matrix_and_the_dissipation(case):
 
 
 class _CountedProducts(np.ndarray):
-    """A matrix that counts its products with a single vector, by @, matmul
-    or dot."""
+    """A matrix that counts its products by @, matmul or dot: with a single
+    vector in vector_products, with a block of rows in matrix_products."""
 
     vector_products = 0
+    matrix_products = 0
 
     @classmethod
     def _count(cls, args):
         if any(np.ndim(x) == 1 for x in args):
             cls.vector_products += 1
+        else:
+            cls.matrix_products += 1
 
     @staticmethod
     def _plain(args):
@@ -420,6 +424,89 @@ def test_a_step_applies_one_product_per_block(case, monkeypatch):
     st = step(st, 0.001, 5)
     assert _CountedProducts.vector_products == 12 * 2
     assert type(st.y) is np.ndarray
+
+
+def _counting_congruence(monkeypatch):
+    """Make every matrix of RateLaws.congruence count its products."""
+    congruence = evolve.RateLaws.congruence
+
+    def counted_congruence(self, dt):
+        c, blocks = congruence(self, dt)
+        return c, tuple(b._replace(**{k: getattr(b, k).view(_CountedProducts)
+                                      for k in ("K", "W", "Xt")})
+                        for b in blocks)
+
+    monkeypatch.setattr(evolve.RateLaws, "congruence", counted_congruence)
+    monkeypatch.setattr(_CountedProducts, "vector_products", 0)
+    monkeypatch.setattr(_CountedProducts, "matrix_products", 0)
+
+
+@pytest.mark.parametrize("case", ["growing-96", "compressible-20"])
+def test_a_run_applies_one_product_per_block_per_step(case, monkeypatch):
+    # 100 steps recorded every 3 give 35 records, read in two blocks of up
+    # to 32: one product with K_b per block per step, one map in per block,
+    # and one map back per block per record block
+    st = _case_state(case)
+    _counting_congruence(monkeypatch)
+    monkeypatch.setattr(evolve, "_RECORD_BLOCK", 32)
+    rec = run_trajectory(st, T=0.1, dt=0.001, diagnostics_every=3)
+    assert len(rec.times) == 35
+    assert _CountedProducts.vector_products == 100 * 2
+    assert _CountedProducts.matrix_products == 2 * (1 + 2)
+
+
+def _state_records(states):
+    """The recorded norms and energy drift of a list of states, each read
+    on its own."""
+    ws, j0 = states[0].ws, states[0].meta["J0"]
+    norms, drift = [], []
+    for st in states:
+        rho, N = st.carriers()
+        norms.append(evolve._norms(ws, st.y[:, None], st.ydot[:, None],
+                                   rho[:, None], N[..., None])[:, 0])
+        en = float(ws.energy(st.y, st.ydot))
+        scale = max(max(1.0, abs(j0)), abs(en) + abs(st.diss))
+        drift.append(abs(en + st.diss - j0) / scale)
+    return np.array(norms).T, np.array(drift)
+
+
+@pytest.mark.parametrize("record_block", [1, 32])
+@pytest.mark.parametrize("every", [1, 3, 25])
+def test_run_records_match_one_step_call_per_interval(every, record_block,
+                                                      monkeypatch):
+    # the run's one loop against a step call per recorded interval: 101
+    # steps, so the last interval is short at every 3 and every 25
+    st = _case_state("growing-96")
+    dt, n_steps = 0.001, 101
+    monkeypatch.setattr(evolve, "_RECORD_BLOCK", record_block)
+    rec = run_trajectory(st, T=n_steps * dt, dt=dt, diagnostics_every=every)
+    states, done = [st], 0
+    while done < n_steps:
+        k = min(every, n_steps - done)
+        states.append(step(states[-1], dt, k))
+        done += k
+    assert np.array_equal(rec.times, [s.t for s in states])
+    norms, drift = _state_records(states)
+    for name, want in zip(("norm_rho", "norm_u", "norm_diu", "norm_ut",
+                           "norm_gradu", "norm_N"), norms):
+        assert _within(getattr(rec, name), want, 1e-13), name
+    assert np.max(np.abs(rec.energy_drift - drift)) <= 1e-13
+
+
+@pytest.mark.parametrize("case", ["growing-96", "compressible-20"])
+def test_long_intervals_run_in_chunks_bit_for_bit(case, monkeypatch):
+    # an interval longer than the kernel's buffer runs in chunks that carry
+    # the sums of y and v*v on, so 150 steps in chunks of 64 and in one
+    # chunk agree to the bit
+    st = _case_state(case)
+    monkeypatch.setattr(evolve, "_STEP_BLOCK", 64)
+    chunked = step(st, 0.001, 150)
+    monkeypatch.setattr(evolve, "_STEP_BLOCK", 150)
+    whole = step(st, 0.001, 150)
+    assert chunked.t == whole.t
+    assert chunked.diss == whole.diss and chunked.diss_rate == whole.diss_rate
+    for name in ("y", "ydot", "acc", "Y"):
+        assert np.array_equal(getattr(chunked, name), getattr(whole, name)), name
 
 
 def test_record_blocks_match_one_record_at_a_time(forms_std, growing,
