@@ -19,10 +19,13 @@ builder, _box_terms: buoyancy, stretching, viscous and mass forms as
 factored terms over sparse operators, each built from 1D factors (the
 Kronecker product of the 1D stencils times the 1D bases).  The unknowns
 are ordered ix·(nz − 2) + iz, so every form is banded, with half-bandwidth
-2(nz − 2).  Both are solved by the slab's
-pencil (dispersion._Pencil), which assembles them into sparse matrices
-and reads their quotients through the terms; no box solve builds a dense
-nred×nred matrix or calls a dense eigensolver.
+2(nz − 2).  The 1D pieces, the clamped basis included, are built as CSR
+directly.  Both are solved by the slab's pencil (dispersion._Pencil),
+which assembles each form into a sparse matrix by one product over its
+terms (modeforms._sparse), converts it once to LAPACK's lower band
+storage for the banded Cholesky factors of its shifts, and reads the
+quotients through the terms; no box solve builds a dense nred×nred
+matrix or calls a dense eigensolver.
 """
 
 from __future__ import annotations
@@ -46,11 +49,14 @@ def _diff_pieces(n: int, h: float):
                  offsets=[-1, 0], shape=(n + 1, n), format="csr")
     D2 = sp.diags([np.full(n - 1, 1.0), np.full(n, -2.0), np.full(n - 1, 1.0)],
                   offsets=[-1, 0, 1], format="csr") / (h * h)
-    # columns: free nodes (all but the second from each wall); the wall
-    # slope 4psi_1 - psi_2 = 0 fixes the eliminated ones
-    Z = sp.identity(n, format="lil")[:, np.r_[0, 2:n - 2, n - 1]]
-    Z[1, 0] = Z[n - 2, n - 3] = 4.0
-    return G, D2, Z.tocsr()
+    # columns: free nodes (all but the second from each wall), one entry
+    # per row; the wall slope 4psi_1 - psi_2 = 0 fixes the eliminated ones
+    # to 4 times the wall node's column
+    cols = np.r_[0, 0:n - 2, n - 3]
+    data = np.ones(n)
+    data[1] = data[n - 2] = 4.0
+    Z = sp.csr_matrix((data, cols, np.arange(n + 1)), shape=(n, n - 2))
+    return G, D2, Z
 
 
 class Rect2D:

@@ -263,10 +263,14 @@ def _svg_chart(path: Path, series, x_label: str, y_label: str, title: str):
         xall = [x for xs, _ in finite for x in xs.tolist()]
         yall = [y for _, ys in finite for y in ys.tolist()]
         xmin, xmax, ymin, ymax = min(xall), max(xall), min(yall), max(yall)
+        # an axis whose values are all equal is widened by a margin that
+        # still shows at the size of the value
         if xmax - xmin <= 0.0:
-            xmin, xmax = xmin - 0.5, xmax + 0.5
+            pad = max(0.5, 1e-9 * abs(xmin))
+            xmin, xmax = xmin - pad, xmax + pad
         if ymax - ymin <= 0.0:
-            ymin, ymax = ymin - 0.5, ymax + 0.5
+            pad = max(0.5, 1e-9 * abs(ymin))
+            ymin, ymax = ymin - pad, ymax + pad
 
         def sx(x):
             return ML + (x - xmin) / (xmax - xmin) * (W - ML - MR)

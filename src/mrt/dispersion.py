@@ -11,7 +11,10 @@ next point is the positive root t of the scalar quadratic jt² + vt − e = 0.
 Every such root is a lower bound on Λ, since α(t) ≥ (e − tv)/j = t², and
 from any s below Λ it lies strictly above s, since α(s) > s².  The iterates
 therefore rise to Λ, quadratically, and the iteration stops when a root no
-longer rises.
+longer rises.  Whether a mode grows at all is read from the α(0)
+evaluation whenever it can be: α(0) ≤ 0 is stable, and (e − s₀v)/j > 0 at
+the maximizer of α(0) bounds α above 0 at the probe point s₀; only when
+neither holds is α(s₀) itself evaluated.
 
 Every top eigenvalue this module reports is read by one pencil, _Pencil:
 α(s), frak_s = λmax(E, V), the per-mode and limit critical quotients
@@ -34,8 +37,11 @@ certifies it as the top and refines the vector, and LAPACK takes over when
 it cannot.  The box's matrices are sparse and banded: ARPACK shift-invert
 at a σ certified above λmax by a banded Cholesky factor of σB − A gives
 the top vector, and that same factor refines it; σ starts from the same
-bound at an iterate and from a Lanczos estimate elsewhere.  B is checked
-and factored once per pencil.
+bound at an iterate and from a Lanczos estimate elsewhere.  The pencil
+converts each sparse matrix to LAPACK's lower band storage once, and
+forms A − sC and σB − (A − sC) on those arrays; the CSR matrices serve
+ARPACK's products and the Rayleigh quotients.  B is checked and factored
+once per pencil.
 
 The stability ratio of compute_cr is one Schur-complement eigenproblem per
 mode (eigcore.psd_ratio_sup); it is the one reported eigenvalue that does
@@ -69,8 +75,8 @@ from typing import Optional
 import numpy as np
 
 from .errors import InputError, NoGrowth, SolverFailure, ZeroMode
-from .eigcore import (norm_inf, psd_ratio_sup, require_symmetric, spd_factor,
-                      top_pair)
+from .eigcore import (band_sum, lower_band, norm_inf, psd_ratio_sup,
+                      require_symmetric, spd_factor, top_pair)
 from .evolve import RateLaws
 from .grid1d import Grid1D
 from .modeforms import (FormTerm, ModeForms, ModeSpec, _as_cols, _dense,
@@ -91,12 +97,15 @@ class DispersionResult:
     {s : α(s) > 0}, an upper bound for every growth quantity of the mode,
     reported for an unstable mode and None otherwise.  fixed_point_residual
     is |α(Λ) - Λ²| at the returned Λ; alpha_samples records every (s, α(s))
-    pair the solve evaluated, in order: α(0), the probe, then the rising
-    iterates, the last of which is Λ; evaluations counts the eigensolves of
-    the solve, one per sample plus the frak_s one; maximizer is the
-    J-normalized eigenvector at s = Λ in the reduced layout; eig_residual
-    its relative pencil defect ‖(E - ΛV)x - α(Λ)Jx‖ against the term
-    sizes.
+    pair the solve evaluated, in order: α(0), the probe α(s₀) only when
+    α(0) alone cannot give the verdict, then the rising iterates, the last
+    of which is Λ, so that a stable mode as a rule records α(0) alone;
+    scale is sqrt(max(1, b)), with b the probe's α(s₀) or else the lower
+    bound on α(s₀) that solve_growth_rate reads at α(0), and tol =
+    1e-8·scale; evaluations counts the eigensolves of the solve, one per
+    sample plus the frak_s one; maximizer is the J-normalized eigenvector
+    at s = Λ in the reduced layout; eig_residual its relative pencil
+    defect ‖(E - ΛV)x - α(Λ)Jx‖ against the term sizes.
     """
 
     mode: ModeSpec
@@ -176,12 +185,14 @@ class _Pencil:
     the forms is the forms' own cached one (the same assembly), so that
     the growth solve and an evolution of the same mode build it once.
     Each matrix is checked for symmetry once, as it is built, so the
-    solves of A − sC skip the check.  B is factored
-    once here (Bf: Cholesky, banded when sparse), and every evaluation
-    solves against that factor.  An evaluation reads the energies of its
-    maximizer, from which both α(s) and the next growth iterate follow;
-    one long-double product per distinct operator serves all three
-    energies (modeforms.qform_reader).  An evaluation given an upper bound
+    solves of A − sC skip the check, and a sparse one is converted to
+    lower band storage once, as it is built (band_A, Bf.band, band_C):
+    A − sC and every shifted σB − (A − sC) are formed on those arrays.  B
+    is factored once here (Bf: Cholesky, banded when sparse), and every
+    evaluation solves against that factor.  An evaluation reads the
+    energies of its maximizer, from which both α(s) and the next growth
+    iterate follow; one long-double product per distinct operator serves
+    all three energies (modeforms.qform_reader).  An evaluation given an upper bound
     starts from the previous maximizer x: a sparse one runs ARPACK from x
     and refines ARPACK's vector with the factor of σB − (A − sC) that
     certified its shift; a dense one inverse-iterates from x at certified
@@ -189,8 +200,9 @@ class _Pencil:
     as the top (eigcore.top_pair).  A dense evaluation without a bound
     refines LAPACK's vector with a Cholesky factor of that matrix at σ
     just above its eigenvalue.  A pencil made from another one, base, on
-    the same forms solves on base's columns, reuses the matrices and
-    long-double operators base built, and starts from base's maximizer.
+    the same forms solves on base's columns, reuses the matrices, band
+    arrays and long-double operators base built, and starts from base's
+    maximizer.
     """
 
     def __init__(self, forms: ModeForms, den: str = "J",
@@ -204,10 +216,11 @@ class _Pencil:
         else:
             self.keep, self.built, self.ld = base.keep, base.built, base.ld
         self.width = int(np.count_nonzero(self.keep))
-        self.A, self.tA = self._form("E")
-        self.B, self.tB = self._form(den)
-        self.C, self.tC = self._form(shift) if shift else (None, ())
-        self.Bf = spd_factor(self.B, den, checked=True)
+        self.A, self.tA, self.band_A = self._form("E")
+        self.B, self.tB, band_B = self._form(den)
+        self.C, self.tC, self.band_C = (self._form(shift) if shift
+                                        else (None, (), None))
+        self.Bf = spd_factor(self.B, den, checked=True, band=band_B)
         self.read = qform_reader((self.tA, self.tC, self.tB), self.ld)
         self.x = None if base is None else base.x
 
@@ -224,16 +237,19 @@ class _Pencil:
 
     def _form(self, name: str) -> tuple:
         """The matrix of form name on the pencil's columns, checked for
-        symmetry, and its terms."""
+        symmetry, its terms, and its lower band storage when it is sparse
+        (None when dense)."""
         if name not in self.built:
             terms = self._restrict(getattr(self.forms, "terms_" + name))
-            if all(t.sparse for t in terms):
+            sparse = all(t.sparse for t in terms)
+            if sparse:
                 M = _sparse(terms, self.width)
             elif self.width == self.forms.size:
                 M = getattr(self.forms, name)
             else:
                 M = _dense(terms, self.width)
-            self.built[name] = require_symmetric(M, name), terms
+            M = require_symmetric(M, name)
+            self.built[name] = M, terms, lower_band(M) if sparse else None
         return self.built[name]
 
     def energies(self, s: float, upper: Optional[float] = None) -> tuple:
@@ -246,8 +262,13 @@ class _Pencil:
         assembled-matrix rounding.  upper, a value λmax cannot exceed, lets
         the sparse path shift-invert just above it.
         """
-        M = self.A if s == 0.0 else self.A - s * self.C
-        _, x = top_pair(M, self.Bf, sigma=upper, v0=self.x, checked=True)
+        M, band = self.A, self.band_A
+        if s != 0.0:
+            M = self.A - s * self.C
+            if band is not None:
+                band = band_sum(1.0, band, -s, self.band_C)
+        _, x = top_pair(M, self.Bf, sigma=upper, v0=self.x, checked=True,
+                        band=band)
         self.x = x
         return (*self.read(x), x)
 
@@ -284,11 +305,16 @@ def _embed_maximizer(forms: ModeForms, pen: "_Pencil", x: np.ndarray) -> np.ndar
 def solve_growth_rate(forms: ModeForms) -> DispersionResult:
     """Fixed point Λ of Λ = sqrt(α(Λ)), or a stability verdict.
 
-    The probe point is s₀ = 1e-6·scale with scale = sqrt(max(α(0), 1)); a
-    mode is unstable when α exceeds 0 there.  For an unstable mode frak_s =
-    λmax(E, V) comes from one eigensolve (V is SPD) and is reported.  The
-    iteration starts below Λ: at the probe when α(s₀) > s₀², else at 0.
-    From the maximizer x of α(s) it steps to the positive root
+    The probe point is s₀ = 1e-6·sqrt(max(α(0), 1)); a mode is unstable
+    when α exceeds 0 there.  The α(0) evaluation decides that alone
+    whenever it can.  α is nonincreasing (V ⪰ 0), so α(0) ≤ 0 is stable;
+    and at the maximizer of α(0), with energies e, v and j, α(s₀) ≥
+    (e − s₀v)/j, so a positive bound is unstable.  α is evaluated at s₀
+    only when α(0) > 0 and that bound is not positive.  For an unstable
+    mode frak_s = λmax(E, V) comes from one eigensolve (V is SPD) and is
+    reported.  The iteration starts below Λ: at the probe, when one ran
+    and α(s₀) > s₀², else at 0.  From the maximizer x of α(s) it steps to
+    the positive root
     t = 2e / (v + sqrt(v² + 4je)) of jt² + vt − e = 0, with e, v and j the
     long-double energies of x; t is a lower bound on Λ and exceeds s while
     s < Λ, so the iterates rise and α(t) is bounded above by α(s).  The
@@ -307,16 +333,24 @@ def solve_growth_rate(forms: ModeForms) -> DispersionResult:
         return s, a, e, v, j, x
 
     origin = point(0.0)
-    a0 = float(origin[1])
+    _, a, e, v, j, _ = origin
+    a0 = float(a)
     s0 = 1e-6 * math.sqrt(max(a0, 1.0))
-    probe = point(s0, a0)
-    alpha_probe = float(probe[1])
-    scale = math.sqrt(max(alpha_probe, 1.0))
-    tol = 1e-8 * scale
     escale = norm_inf(pen.A) / max(norm_inf(pen.B), np.finfo(float).tiny)
     marg_tol = 1e-9 * max(escale, np.finfo(float).tiny)
+    # α is nonincreasing (V ⪰ 0), and the origin's maximizer bounds it
+    # below at s₀: α(s₀) ≥ (e − s₀v)/j.  The probe runs only when α(0) > 0
+    # and that bound does not settle the sign of α(s₀)
+    start, bound = origin, float((e - np.longdouble(s0) * v) / j)
+    if a0 > 0.0 and bound <= 0.0:
+        probe = point(s0, a0)
+        bound = float(probe[1])
+        if probe[1] > np.longdouble(s0) * np.longdouble(s0):
+            start = probe
+    scale = math.sqrt(max(bound, 1.0))
+    tol = 1e-8 * scale
 
-    if alpha_probe <= 0.0:
+    if a0 <= 0.0 or bound <= 0.0:
         status = "stable-marginal" if abs(a0) <= marg_tol else "stable"
         return DispersionResult(mode=forms.mode, status=status, Lambda=None,
                                 frak_s=None, alpha0=a0, scale=scale, tol=tol,
@@ -324,8 +358,7 @@ def solve_growth_rate(forms: ModeForms) -> DispersionResult:
                                 evaluations=len(samples))
 
     frak = float(_Pencil(forms, den="V", shift=None, base=pen).alpha_ld()[0])
-    s, a, e, v, j, x = (probe if probe[1] > np.longdouble(s0) * np.longdouble(s0)
-                        else origin)
+    s, a, e, v, j, x = start
     for _ in range(_MAX_STEPS):
         t = float(2.0 * e / (v + np.sqrt(v * v + 4.0 * j * e)))
         if t <= s:

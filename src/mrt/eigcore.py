@@ -3,7 +3,10 @@ refined top eigenpair.
 
 spd_factor checks a mass matrix B once and keeps its Cholesky factor: a
 dense one when B is dense, LAPACK's banded one (pbtrf) when B is sparse,
-and a conditioning of at most 1e15 either way.  solve_gsym returns the
+and a conditioning of at most 1e15 either way.  A sparse matrix is
+factored in LAPACK's lower band storage (lower_band), which a caller that
+solves many shifts of one pencil converts once and passes in; shifted
+matrices are formed on those arrays (band_sum).  solve_gsym returns the
 top eigenvalue of a dense A v = lam B v from LAPACK's top vector on B's
 Cholesky factor (_lapack_top, below); a factored B is not checked again.
 psd_ratio_sup solves the cr ratio with it.
@@ -132,15 +135,39 @@ def norm_inf(M) -> float:
     return float(np.linalg.norm(M, ord=np.inf))
 
 
-def _band_cholesky(M):
-    """LAPACK pbtrf's lower Cholesky factor of a sparse symmetric M, in the
-    band storage ab[i − j, j] = M[i, j] as deep as M's lowest nonzero
-    diagonal; None when a leading minor is not positive (info > 0; the
-    arguments built here leave no other nonzero info).  Golub & Van Loan,
-    Matrix Computations, §4.3."""
-    T = sp.tril(M, format="coo")
-    ab = np.zeros((int(np.max(T.row - T.col, initial=0)) + 1, M.shape[0]))
-    np.add.at(ab, (T.row - T.col, T.col), T.data)
+def lower_band(M) -> np.ndarray:
+    """LAPACK's lower band storage ab[i − j, j] = M[i, j] of a sparse
+    symmetric M, as deep as its lowest stored diagonal (Golub & Van Loan,
+    Matrix Computations, §4.3)."""
+    M = sp.csr_matrix(M)
+    if not M.has_canonical_format:
+        M = M.copy()
+        M.sum_duplicates()
+    n = M.shape[0]
+    d = np.repeat(np.arange(n), np.diff(M.indptr)) - M.indices
+    low = d >= 0
+    ab = np.zeros((int(np.max(d, initial=0)) + 1, n), order="F")
+    ab[d[low], M.indices[low]] = M.data[low]
+    return ab
+
+
+def band_sum(a: float, X: np.ndarray, b: float, Y: np.ndarray) -> np.ndarray:
+    """a·X + b·Y of two lower band arrays of one order, as deep as the
+    deeper: entry by entry the floats of the same sum of the CSR matrices
+    they store.  The deeper term is scaled into the result and the other
+    added onto its top rows."""
+    if X.shape[0] < Y.shape[0]:
+        a, X, b, Y = b, Y, a, X
+    out = a * X
+    out[:Y.shape[0]] += b * Y
+    return out
+
+
+def _band_cholesky(ab: np.ndarray):
+    """LAPACK pbtrf's lower Cholesky factor of a symmetric matrix in lower
+    band storage ab (lower_band), computed over ab itself; None when a
+    leading minor is not positive (info > 0; the arguments built here
+    leave no other nonzero info)."""
     pbtrf, = get_lapack_funcs(("pbtrf",), (ab,))
     c, info = pbtrf(ab, lower=1, overwrite_ab=1)
     return None if info else c
@@ -149,19 +176,23 @@ def _band_cholesky(M):
 @dataclass(frozen=True)
 class SPD:
     """A symmetric positive definite matrix, checked and factored once for
-    every solve against it; solve(b) returns matrix⁻¹b, and factor is the
-    lower Cholesky factor of a dense matrix (None when sparse)."""
+    every solve against it; solve(b) returns matrix⁻¹b, factor is the
+    lower Cholesky factor of a dense matrix (None when sparse), and band
+    the lower band storage of a sparse one (None when dense)."""
 
     matrix: object
     solve: Callable[[np.ndarray], np.ndarray]
     factor: Optional[np.ndarray] = None
+    band: Optional[np.ndarray] = None
 
 
-def spd_factor(B, name: str = "B", checked: bool = False) -> SPD:
+def spd_factor(B, name: str = "B", checked: bool = False,
+               band: Optional[np.ndarray] = None) -> SPD:
     """Check a mass matrix and factor it by Cholesky: dense B in full
     storage, sparse B in band storage (_band_cholesky).  checked says that
     B came from require_symmetric already, as a pencil's matrices do, and
-    skips the check.
+    skips the check; band is sparse B's lower_band when the caller holds
+    it, and is converted here otherwise.
 
     :raises NotSymmetric: B fails the symmetry tolerance.
     :raises NotPositiveDefinite: B has no Cholesky factor, or is
@@ -171,7 +202,8 @@ def spd_factor(B, name: str = "B", checked: bool = False) -> SPD:
     if not checked:
         B = require_symmetric(B, name)
     if sp.issparse(B):
-        c = _band_cholesky(B)
+        band = lower_band(B) if band is None else band
+        c = _band_cholesky(band.copy(order="F"))
         if c is None:
             raise NotPositiveDefinite(f"{name}: Cholesky has a nonpositive pivot")
         d, solve, L = c[0], _trs_solver("pbtrs", c), None
@@ -185,7 +217,7 @@ def spd_factor(B, name: str = "B", checked: bool = False) -> SPD:
     if ratio > _COND_LIMIT:
         raise NotPositiveDefinite(
             f"{name} numerically singular (condition ~{ratio:.1e})")
-    return SPD(B, solve, L)
+    return SPD(B, solve, L, band)
 
 
 def _trs_solver(routine: str, c: np.ndarray, lower: bool = True):
@@ -205,22 +237,25 @@ def _trs_solver(routine: str, c: np.ndarray, lower: bool = True):
     return solve
 
 
-def _shift_factor(A, B, lam: float):
+def _shift_factor(A, B, lam: float, bands: Optional[tuple] = None):
     """Solver of (σB − A)x = b at the first σ = lam + δ·32ᵏ, δ =
-    1e-6·max(1, |lam|), k < 12, where σB − A has a Cholesky factor (in
-    band storage when sparse), which certifies σ above λmax(A, B); also σ,
-    and whether it is the first one tried."""
+    1e-6·max(1, |lam|), k < 12, where σB − A has a Cholesky factor, which
+    certifies σ above λmax(A, B); also σ, and whether it is the first one
+    tried.  Sparse σB − A is formed and factored in band storage, on the
+    lower_band arrays bands = (A's, B's) when the caller holds them."""
     delta = 1e-6 * max(1.0, abs(lam))
+    sparse = sp.issparse(B)
+    if sparse:
+        band_A, band_B = bands or (lower_band(A), lower_band(B))
     for k in range(12):
         shift = lam + delta * 32.0 ** k
-        S = shift * B - A
-        if sp.issparse(S):
-            c = _band_cholesky(S)
+        if sparse:
+            c = _band_cholesky(band_sum(shift, band_B, -1.0, band_A))
             if c is not None:
                 return _trs_solver("pbtrs", c), shift, k == 0
         else:
             try:
-                c, lower = cho_factor(S)
+                c, lower = cho_factor(shift * B - A)
                 return _trs_solver("potrs", c, lower), shift, k == 0
             except LinAlgError:
                 pass
@@ -322,9 +357,10 @@ def _lapack_top(A: np.ndarray, Bf: SPD) -> tuple[float, np.ndarray]:
     return float(lam[0]), x
 
 
-def _arpack_top(A, Bf: SPD, sigma, v0):
+def _arpack_top(A, Bf: SPD, sigma, v0, band: np.ndarray):
     """ARPACK's top vector of a sparse pencil and the factor of σB − A at
-    the shift that certified it.
+    the shift that certified it; band is A's lower_band, and every σB − A
+    is formed on it and Bf.band.
 
     Every vector comes from shift-invert at a certified σ.  Without a
     bound, a loose Lanczos run supplies an estimate from below and the
@@ -349,10 +385,11 @@ def _arpack_top(A, Bf: SPD, sigma, v0):
             theta, V = eigsh(A, k=1, M=Bf.matrix, Minv=Minv, which="LA", v0=v0,
                              tol=_LANCZOS_TOL)
             sigma, v0 = float(theta[0]), V[:, 0]
-        solve, shift, close = _shift_factor(A, Bf.matrix, sigma)
+        bands = (band, Bf.band)
+        solve, shift, close = _shift_factor(A, Bf.matrix, sigma, bands)
         if not close:
             lam, V = shift_invert(solve, shift, v0, _REESTIMATE_TOL, 20)
-            solve, shift, _ = _shift_factor(A, Bf.matrix, float(lam[0]))
+            solve, shift, _ = _shift_factor(A, Bf.matrix, float(lam[0]), bands)
             v0 = V[:, 0]
         _, V = shift_invert(solve, shift, v0, 0.0, _NCV_SHIFT)
     except ArpackNoConvergence as e:
@@ -365,7 +402,8 @@ def _arpack_top(A, Bf: SPD, sigma, v0):
 
 
 def top_pair(A, B, sigma: float | None = None, v0: np.ndarray | None = None,
-             checked: bool = False) -> tuple[float, np.ndarray]:
+             checked: bool = False, band: np.ndarray | None = None
+             ) -> tuple[float, np.ndarray]:
     """Maximum of x·Ax / x·Bx over x ≠ 0, and its B-normalized maximizer.
 
     The value is the Rayleigh quotient of the refined vector: a lower bound
@@ -383,7 +421,9 @@ def top_pair(A, B, sigma: float | None = None, v0: np.ndarray | None = None,
     a Lanczos estimate; that factor refines the vector.  v0 is
     ARPACK's start vector, a fixed one when None.  checked says that A is
     known to be symmetric bit for bit, as a pencil that checked its
-    matrices once knows of A − sC, and skips the check.
+    matrices once knows of A − sC, and skips the check.  band is sparse
+    A's lower_band when the caller holds it, as the pencil does; B's is
+    the SPD's.
 
     :raises NotSymmetric: A fails the symmetry tolerance.
     :raises SolverFailure: ARPACK did not converge, or its vector is not
@@ -393,7 +433,8 @@ def top_pair(A, B, sigma: float | None = None, v0: np.ndarray | None = None,
     if not checked:
         A = require_symmetric(A, "A")
     if sp.issparse(B.matrix):
-        solve, v = _arpack_top(A, B, sigma, v0)
+        band = lower_band(A) if band is None else band
+        solve, v = _arpack_top(A, B, sigma, v0, band)
         x = _inverse_iteration(solve, B.matrix, v)
     else:
         x = None

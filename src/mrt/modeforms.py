@@ -19,7 +19,9 @@ and its columns name exactly the blocks they read: one block, or, for the
 few operators that couple blocks, the blocks whose coefficient is nonzero
 at the mode (_coupled_ops).  Operators may be dense arrays or scipy sparse
 matrices.  _dense turns terms into a dense matrix, each term added on its
-columns, and _sparse turns sparse ones into a CSR matrix.  Each matrix is
+columns, and _sparse turns sparse ones that read every column (the box's)
+into a CSR matrix, by one sparse product over all the terms; _dense of
+such terms is _sparse's matrix made dense.  Each matrix is
 assembled where it is read, at the width it is read: ModeForms builds its
 full-width dense ones, the evolution norms too, on first read, and the
 solvers' pencil builds its own from the terms it keeps, unless it spans
@@ -109,13 +111,11 @@ class FormTerm:
     def sparse(self) -> bool:
         return sp.issparse(self.P) and (self.Q is None or sp.issparse(self.Q))
 
-    def matrix(self, sparse: bool = False):
-        """coef·PᵀWQ (symmetrized when Q is given) on the columns cols; CSR
-        when sparse is set, which needs sparse operators."""
+    def matrix(self) -> np.ndarray:
+        """coef·PᵀWQ (symmetrized when Q is given) on the columns cols, dense."""
         Q = self.P if self.Q is None else self.Q
         if sp.issparse(self.P):
-            M = self.P.T @ sp.diags(self.w) @ Q
-            M = M.tocsr() if sparse else M.toarray()
+            M = (self.P.T @ sp.diags(self.w) @ Q).toarray()
         else:
             M = self.P.T @ (self.w[:, None] * Q)
         if self.Q is not None:
@@ -195,7 +195,11 @@ def _as_cols(index: np.ndarray):
 
 def _dense(terms, n: int) -> np.ndarray:
     """The n×n symmetric matrix of a term tuple, each term added on its
-    columns."""
+    columns; the dense form of _sparse's matrix, bit for bit, when every
+    operator is sparse and reads every column."""
+    if all(t.sparse and isinstance(t.cols, slice) and t.cols == slice(None)
+           for t in terms):
+        return _sparse(terms, n).toarray()
     M = np.zeros((n, n))
     for t in terms:
         c = t.cols
@@ -204,12 +208,18 @@ def _dense(terms, n: int) -> np.ndarray:
 
 
 def _sparse(terms, n: int) -> sp.csr_matrix:
-    """The CSR counterpart of _dense, for sparse terms that read every
-    column (the box's)."""
-    M = sp.csr_matrix((n, n))
-    for t in terms:
-        M = M + t.matrix(sparse=True)
-    return _symmetrize(M).tocsr()
+    """The CSR matrix of sparse terms that read every column (the box's),
+    as one product: with the operators P stacked, the Q stacked (P where Q
+    is None) and the weights coef·w concatenated, Pᵀ(WQ), symmetrized
+    once."""
+    if not terms:
+        return sp.csr_matrix((n, n))
+    w = np.concatenate([t.coef * t.w for t in terms])
+    P = sp.vstack([t.P for t in terms], format="csr")
+    Q = sp.vstack([t.P if t.Q is None else t.Q for t in terms], format="csr")
+    WQ = sp.csr_matrix((Q.data * np.repeat(w, np.diff(Q.indptr)), Q.indices,
+                        Q.indptr), shape=Q.shape)
+    return _symmetrize(P.T.tocsr() @ WQ).tocsr()
 
 
 def form_components(forms: "ModeForms") -> tuple:

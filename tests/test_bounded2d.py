@@ -6,7 +6,7 @@ import scipy.sparse as sp
 from scipy.linalg import eigh
 from scipy.optimize import brentq
 
-from mrt import eigcore, modeforms
+from mrt import dispersion, eigcore, modeforms
 from mrt.bounded2d import (
     Rect2D,
     _box_terms,
@@ -17,6 +17,7 @@ from mrt.bounded2d import (
     growth_rate_2d,
     velocity_from_psi,
 )
+from mrt.dispersion import _Pencil
 from mrt.errors import InputError, TooFewNodes
 from mrt.grid1d import Grid1D
 from mrt.modeforms import _dense, _sparse, qform_value_ld
@@ -131,9 +132,12 @@ def test_box_terms_qform_matches_dense(params, i):
         x = rng.standard_normal(r.nred)
         ref = float(x @ _dense(terms, r.nred) @ x)
         assert abs(float(qform_value_ld(terms, x)) - ref) <= 1e-12 * abs(ref)
-        # the sparse assembler adds the same entries in the same order
-        assert np.array_equal(_sparse(terms, r.nred).toarray(),
-                              _dense(terms, r.nred))
+        # the dense form of sparse terms is the sparse assembly itself, and
+        # its one product matches the term-by-term sum to rounding
+        M = _sparse(terms, r.nred).toarray()
+        assert np.array_equal(M, _dense(terms, r.nred))
+        ref = sum(t.matrix() for t in terms)
+        assert np.max(np.abs(M - ref)) <= 1e-14 * np.max(np.abs(ref))
 
 
 def _clamped_basis(n):
@@ -252,3 +256,51 @@ def test_box_solves_never_go_dense(params, monkeypatch):
     assert 0.29 < mc < 0.31
     assert growth_rate_2d(r, prof, params, 0.5 * mc, 1).unstable
     assert not growth_rate_2d(r, prof, params, 1.1 * mc, 1).unstable
+
+
+@pytest.mark.parametrize("i", [1, 3])
+def test_shift_factor_from_held_bands_is_the_csr_factor(params, i, monkeypatch):
+    # every factor of sigma B - (A - sC) that a box evaluation forms on the
+    # pencil's band arrays is, bit for bit, the factor of the same matrix
+    # formed as CSR and then converted
+    pen = _Pencil(_growth_forms_2d(_square(16), _profile(), params, 0.12, i))
+    factor = eigcore._band_cholesky
+    factors, taken = [], []
+
+    def band_cholesky(ab):
+        factors.append(factor(ab))
+        return factors[-1]
+
+    def shift_factor(*args, _f=eigcore._shift_factor):
+        out = _f(*args)
+        taken.append((out[1], factors[-1]))
+        return out
+
+    monkeypatch.setattr(eigcore, "_band_cholesky", band_cholesky)
+    monkeypatch.setattr(eigcore, "_shift_factor", shift_factor)
+    a0, _ = pen.alpha_ld(0.0)
+    for s, upper in ((0.1, float(a0)), (0.2, None)):
+        taken.clear()
+        pen.alpha_ld(s, upper)
+        assert taken
+        M = pen.A - s * pen.C
+        for shift, c in taken:
+            assert np.array_equal(
+                c, factor(eigcore.lower_band(shift * pen.B - M)))
+
+
+@pytest.mark.parametrize("i", [1, 3])
+def test_box_growth_converts_each_matrix_to_band_once(params, i, monkeypatch):
+    # E, V and J are converted to band storage once each, as the pencil
+    # builds them; no evaluation, shift or frak_s pencil converts again
+    converted = []
+
+    def counted(M, _f=eigcore.lower_band):
+        converted.append(id(M))
+        return _f(M)
+
+    monkeypatch.setattr(dispersion, "lower_band", counted)
+    monkeypatch.setattr(eigcore, "lower_band", counted)
+    res = growth_rate_2d(_square(16), _profile(), params, 0.12, i)
+    assert res.unstable
+    assert len(converted) == len(set(converted)) == 3

@@ -4,6 +4,7 @@ import ctypes
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -15,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mrt
-from mrt.cli import _SCHEMA, _fmt, main, validate_config
+from mrt.cli import _SCHEMA, _fmt, _svg_chart, main, validate_config
 from mrt.errors import InputError
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -427,3 +428,19 @@ def test_sweep_artifacts_repeat_across_threads(tmp_path, command, config):
         runs.append(_artifacts(out))
     assert runs[0]
     assert runs[0] == runs[1]
+
+
+@pytest.mark.parametrize("xs, ys", [
+    ([5.0, 5.0], [1e300, 1e300]),
+    ([1e16, 1e16], [1.0, 2.0]),
+    ([1e300, 1e300], [-1e16, -1e16]),
+], ids=["y_large", "x_large", "both_large"])
+def test_svg_chart_widens_a_flat_axis_of_large_values(tmp_path, xs, ys):
+    # all values of an axis equal and so large that a widening of 0.5 would
+    # round away: the chart still draws each point inside the plot area
+    path = tmp_path / "flat.svg"
+    _svg_chart(path, [(xs, ys, "a")], "x", "y", "flat")
+    text = path.read_text()
+    assert text.count("<circle") == 2
+    for cx, cy in re.findall(r'<circle cx="([^"]+)" cy="([^"]+)"', text):
+        assert 64.0 <= float(cx) <= 624.0 and 32.0 <= float(cy) <= 356.0

@@ -191,11 +191,11 @@ def test_growth_newton_cost_and_root(case):
 def test_growth_factorizations_per_solve(params_std, monkeypatch):
     # J and V are each checked and factored once per solve.  The cold dense
     # evaluations, alpha(0) and frak_s, factor once more each, to refine
-    # LAPACK's vector.  A warm one (the probe and the 4 iterates) factors at
-    # the caller's bound and again where its quotient settles, and refines
-    # with that second factor.  A sparse evaluation factors once per shift
-    # it tries and refines ARPACK's vector with the factor that certified
-    # its shift
+    # LAPACK's vector.  A warm one (the 5 iterates; alpha(0) settles the
+    # verdict, so no probe runs) factors at the caller's bound and again
+    # where its quotient settles, and refines with that second factor.  A
+    # sparse evaluation factors once per shift it tries and refines
+    # ARPACK's vector with the factor that certified its shift
     counts = {"factor": 0, "refine": 0}
     for name, key in (("cholesky", "factor"), ("cho_factor", "factor"),
                       ("_band_cholesky", "factor"), ("refine_top", "refine")):
@@ -214,7 +214,7 @@ def test_growth_factorizations_per_solve(params_std, monkeypatch):
 
     rect = Rect2D((-1.0, 1.0), (-1.0, 1.0), 32, 32)
     box_prof = make_affine_profile(Grid1D("fd2", 1.0, 64), 2.0, 1.0)
-    for i, evaluations, factorizations in ((1, 8, 12), (3, 9, 18)):
+    for i, evaluations, factorizations in ((1, 7, 11), (3, 8, 13)):
         counts["factor"] = counts["refine"] = 0
         res = growth_rate_2d(rect, box_prof, params_std, 0.12, i)
         assert res.unstable and res.evaluations == evaluations
@@ -309,14 +309,50 @@ def test_growth_iterates_rise_to_root(e, v, fallbacks, monkeypatch):
 
 
 def test_growth_probe_past_root_starts_at_zero():
-    # alpha(s) = 5e-13 - 1e-7 s is positive at the probe s0 = 1e-6 but
-    # below s0^2, so Lambda < s0: the iteration rises from the maximizer
-    # at 0 instead, and its first root is Lambda
+    # alpha(s) = 5e-13 - 1e-7 s: the probe point s0 = 1e-6 lies past the
+    # root, but the origin's maximizer bounds alpha(s0) below by 4e-13 > 0,
+    # so the mode is unstable with no probe evaluation; the iteration rises
+    # from the maximizer at 0, and its first root is Lambda
     res = solve_growth_rate(_two_block_forms([5e-13, 1e-14], [1e-7, 1.0]))
     assert res.unstable
-    (_, a0), (s0, _), (lam, _) = res.alpha_samples
-    assert a0 == 5e-13 and lam == res.Lambda < s0
+    (_, a0), (lam, _) = res.alpha_samples
+    assert a0 == 5e-13 and lam == res.Lambda < 1e-6
     assert abs(lam - _quadratic_root(5e-13, 1e-7)) <= np.spacing(lam)
+
+
+def test_growth_verdict_from_alpha0_alone():
+    # alpha(0) <= 0 is stable outright (alpha is nonincreasing), and one
+    # evaluation is the whole solve
+    for e, status in (([-1.0, -2.0], "stable"), ([0.0, -1.0], "stable-marginal")):
+        res = solve_growth_rate(_two_block_forms(e, [1.0, 1.0]))
+        assert res.status == status
+        assert res.alpha_samples == ((0.0, e[0]),) and res.evaluations == 1
+
+
+def test_growth_positive_bound_skips_the_probe():
+    # (e - s0 v)/j = 2 - 3e-6 > 0 at the alpha(0) maximizer: unstable, and
+    # no sample sits at s0
+    res = solve_growth_rate(_two_block_forms([2.0, 0.1], [3.0, 1.0]))
+    assert res.unstable
+    assert 1e-6 * math.sqrt(2.0) not in [s for s, _ in res.alpha_samples]
+    assert res.evaluations == len(res.alpha_samples) + 1
+    assert abs(res.Lambda - _quadratic_root(2.0, 3.0)) <= 2 * np.spacing(res.Lambda)
+
+
+def test_growth_probe_runs_when_the_bound_cannot_decide():
+    # alpha(0) = 0.5 on the first block, whose bound at s0 = 1e-6 is
+    # 0.5 - 1e-6 * 1e6 < 0; the probe at s0 finds the second block,
+    # positive there, and the iteration rises from it
+    res = solve_growth_rate(_two_block_forms([0.5, 0.3], [1e6, 1.0]))
+    (s_a, a0), (s0, a_probe) = res.alpha_samples[:2]
+    assert (s_a, a0, s0) == (0.0, 0.5, 1e-6)
+    assert a_probe == pytest.approx(0.3 - 1e-6, rel=1e-15)
+    assert res.unstable
+    assert abs(res.Lambda - _quadratic_root(0.3, 1.0)) <= 2 * np.spacing(res.Lambda)
+    # no block positive at s0: the probe says stable
+    res = solve_growth_rate(_two_block_forms([0.5, -1.0], [1e6, 1.0]))
+    assert res.status == "stable"
+    assert [s for s, _ in res.alpha_samples] == [0.0, 1e-6]
 
 
 def test_threshold_dichotomy(affine64, params_std):

@@ -326,8 +326,10 @@ def test_band_factor_certifies_the_box_top():
     # just below it; lambda_max is read by dense eigh
     A, B = _box_forms(growth=False)
     lam = float(eigh(A.toarray(), B.toarray(), eigvals_only=True)[-1])
-    assert eigcore._band_cholesky(lam * (1.0 + 1e-6) * B - A) is not None
-    assert eigcore._band_cholesky(lam * (1.0 - 1e-6) * B - A) is None
+    above = eigcore.lower_band(lam * (1.0 + 1e-6) * B - A)
+    below = eigcore.lower_band(lam * (1.0 - 1e-6) * B - A)
+    assert eigcore._band_cholesky(above) is not None
+    assert eigcore._band_cholesky(below) is None
     delta = 1e-6 * max(1.0, abs(lam))
     solve, shift, first = eigcore._shift_factor(A, B, lam * (1.0 + 1e-6) - delta)
     assert first and shift > lam
