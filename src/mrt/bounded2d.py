@@ -166,9 +166,9 @@ def critical_m_2d(r: Rect2D, p: DensityProfile, params: PhysicalParams,
     """Critical field strength on the rectangle: finite in both directions.
 
     λmax(E, D) is read by the slab's pencil, like the slab's per-mode values
-    (dispersion.critical_quotient): ARPACK's top vector of the sparse
-    pencil, refined, and its quotient through the factored terms in long
-    double.
+    (dispersion.critical_quotient): the shift-invert Lanczos top vector of
+    the sparse pencil, refined, and its quotient through the factored
+    terms in long double.
     """
     val, _ = critical_quotient(assemble_2d_quotient(r, p, params, i))
     return math.sqrt(max(val, 0.0))

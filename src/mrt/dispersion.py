@@ -34,14 +34,14 @@ the maximizer before, on a Cholesky factor at σ just above α at the
 iterate before (a bound, since α is nonincreasing and the iterates rise),
 until the quotient settles; a factor just above the settled quotient
 certifies it as the top and refines the vector, and LAPACK takes over when
-it cannot.  The box's matrices are sparse and banded: ARPACK shift-invert
-at a σ certified above λmax by a banded Cholesky factor of σB − A gives
-the top vector, and that same factor refines it; σ starts from the same
-bound at an iterate and from a Lanczos estimate elsewhere.  The pencil
-converts each sparse matrix to LAPACK's lower band storage once, and
-forms A − sC and σB − (A − sC) on those arrays; the CSR matrices serve
-ARPACK's products and the Rayleigh quotients.  B is checked and factored
-once per pencil.
+it cannot.  The box's matrices are sparse and banded: shift-invert
+Lanczos (eigcore's thick-restart engine) at a σ certified above λmax by a
+banded Cholesky factor of σB − A gives the top vector, and that same
+factor refines it; σ starts from the same bound at an iterate and from a
+Lanczos estimate elsewhere.  The pencil converts each sparse matrix to
+LAPACK's lower band storage once, and forms A − sC and σB − (A − sC) on
+those arrays; the CSR matrices serve the Lanczos products and the
+Rayleigh quotients.  B is checked and factored once per pencil.
 
 The stability ratio of compute_cr is one Schur-complement eigenproblem per
 mode (eigcore.psd_ratio_sup); it is the one reported eigenvalue that does
@@ -193,9 +193,9 @@ class _Pencil:
     energies of its maximizer, from which both α(s) and the next growth
     iterate follow; one long-double product per distinct operator serves
     all three energies (modeforms.qform_reader).  An evaluation given an upper bound
-    starts from the previous maximizer x: a sparse one runs ARPACK from x
-    and refines ARPACK's vector with the factor of σB − (A − sC) that
-    certified its shift; a dense one inverse-iterates from x at certified
+    starts from the previous maximizer x: a sparse one runs shift-invert
+    Lanczos from x and refines its vector with the factor of σB − (A − sC)
+    that certified its shift; a dense one inverse-iterates from x at certified
     shifts and refines with a factor that certifies its settled quotient
     as the top (eigcore.top_pair).  A dense evaluation without a bound
     refines LAPACK's vector with a Cholesky factor of that matrix at σ

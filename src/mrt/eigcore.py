@@ -22,12 +22,13 @@ call, or a warm one that does not settle on the top within its budget,
 takes LAPACK's top vector on B's held Cholesky factor (sygst, a standard
 eigh, trtrs: _lapack_top), and refine_top refines it at
 σ = λ + 1e-6·max(1, |λ|).  A sparse top vector (the 2D box) comes from
-ARPACK shift-invert, and the factor that certified its shift refines it.
-ARPACK starts from a fixed or the caller's vector, so the same inputs give
-the same bits.  The LAPACK vector carries an absolute noise floor of order
-eps·‖L⁻¹AL⁻ᵀ‖ (B = LLᵀ), many orders above eps on stiff pencils;
-refinement brings the quotient down to quadrature rounding, which the
-growth-rate fixed point relies on.
+shift-invert Lanczos with thick restarts on the banded factor that
+certified its shift (_lanczos_top, an in-house engine in numpy), and that
+factor refines it.  The engine starts from a fixed or the caller's vector,
+so the same inputs give the same bits.  The LAPACK vector carries an
+absolute noise floor of order eps·‖L⁻¹AL⁻ᵀ‖ (B = LLᵀ), many orders above
+eps on stiff pencils; refinement brings the quotient down to quadrature
+rounding, which the growth-rate fixed point relies on.
 
 pin_blas_threads sets the OpenBLAS builds of numpy and scipy to one thread
 for the rest of the process, as the CLI does before every command.
@@ -46,7 +47,6 @@ import scipy
 import scipy.sparse as sp
 from scipy.linalg import (cholesky, cho_factor, eigh, get_lapack_funcs,
                           LinAlgError)
-from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
 from .errors import NotPositiveDefinite, NotSymmetric, SolverFailure
 
@@ -56,9 +56,16 @@ _COND_LIMIT = 1e15
 # without a bound, and the shift-invert run that improves a poor estimate
 _LANCZOS_TOL = 1e-2
 _REESTIMATE_TOL = 1e-8
-# Lanczos vectors of a shift-invert run whose certified shift sits close
-# above λmax, where the top of the transformed spectrum stands well apart
-_NCV_SHIFT = 6
+# basis sizes of the Lanczos runs that estimate λmax, and of a
+# shift-invert run whose certified shift sits close above λmax, where the
+# top of the transformed spectrum stands well apart
+_BASIS = 20
+_BASIS_SHIFT = 6
+# restarts a Lanczos run may take per unknown before it gives up, and the
+# floor under |θ| in its convergence test: ARPACK's (scipy's eigsh:
+# maxiter = 10n; dsconv: eps^(2/3))
+_RESTARTS_PER_ROW = 10
+_EPS23 = np.finfo(float).eps ** (2.0 / 3.0)
 # inverse-iteration steps that refine a top vector
 _REFINE_ITERS = 3
 # the warm dense path: the inverse-iteration steps it may take before it
@@ -69,6 +76,9 @@ _REFINE_ITERS = 3
 _WARM_STEPS = 30
 _WARM_FLOOR = 32.0
 _WARM_AHEAD = 3
+# LAPACK's symmetric divide-and-conquer eigensolver, for the small projected
+# matrices of _lanczos_top
+_syevd, = get_lapack_funcs(("syevd",), dtype=np.float64)
 
 
 # the thread-count setters exported by the OpenBLAS builds in numpy's
@@ -357,45 +367,99 @@ def _lapack_top(A: np.ndarray, Bf: SPD) -> tuple[float, np.ndarray]:
     return float(lam[0]), x
 
 
-def _arpack_top(A, Bf: SPD, sigma, v0, band: np.ndarray):
-    """ARPACK's top vector of a sparse pencil and the factor of σB − A at
-    the shift that certified it; band is A's lower_band, and every σB − A
-    is formed on it and Bf.band.
+def _lanczos_top(apply, B, v0: np.ndarray, tol: float, m: int
+                 ) -> tuple[float, np.ndarray]:
+    """The top eigenpair (θ, x) of an operator Op self-adjoint in the B
+    inner product, x B-normalized, by Lanczos with thick restarts (Wu &
+    Simon, SIAM J. Matrix Anal. Appl. 22, 2000).  Symmetric only: Op is
+    B⁻¹A or (σB − A)⁻¹B of a symmetric A and SPD B.
+
+    apply(q, Bq) returns Op q, given q and Bq.  The first basis vector is
+    Op v0, in the range of Op, as ARPACK starts its generalized modes.
+    The basis Q of at most m ≥ 2 vectors is held with BQ, and each new
+    vector is B-orthogonalized against Q in two classical Gram–Schmidt
+    passes.  The coefficients of both passes make up its column of the
+    projected matrix T = QᵀB·Op·Q, whose upper triangle is all that is
+    read, so the arrow a restart leaves needs no special case.  As in
+    ARPACK, convergence is tested once the basis is full: the top Ritz pair
+    (θ, s) of T has converged when β·|s_last| ≤ tol·max(|θ|, eps^(2/3)),
+    tol = eps when 0, β being the B-norm of the residual.  Otherwise the
+    top m // 2 Ritz vectors, as many as ARPACK keeps for one wanted
+    eigenvalue, and the residual start the next basis.  A basis that spans
+    the space, or a zero residual, is exact.  The same inputs give the
+    same bits.
+
+    :raises SolverFailure: no convergence within 10n restarts, ARPACK's
+        default budget.
+    """
+    n = v0.shape[0]
+    m = min(m, n)
+    keep = m // 2
+    tol = tol or np.finfo(float).eps
+    Q, BQ, T = np.empty((m + 1, n)), np.empty((m + 1, n)), np.zeros((m, m))
+    v = apply(v0, B @ v0)
+    Bv = B @ v
+    norm = np.sqrt(v @ Bv)
+    np.divide(v, norm, out=Q[0])
+    np.divide(Bv, norm, out=BQ[0])
+    k = 0
+    for _ in range(_RESTARTS_PER_ROW * n + 1):
+        for j in range(k, m):
+            w = apply(Q[j], BQ[j])
+            h = BQ[:j + 1] @ w
+            w = w - h @ Q[:j + 1]
+            h2 = BQ[:j + 1] @ w
+            w = w - h2 @ Q[:j + 1]
+            T[:j + 1, j] = h + h2
+            Bw = B @ w
+            beta = np.sqrt(w @ Bw)
+            k = j + 1
+            if beta == 0.0:
+                break
+            np.divide(w, beta, out=Q[k])
+            np.divide(Bw, beta, out=BQ[k])
+        theta, S, info = _syevd(T[:k, :k], lower=0)
+        if info != 0:
+            raise SolverFailure(f"syevd failed on the Lanczos matrix (info {info})")
+        if k == n or beta * abs(S[-1, -1]) <= tol * max(abs(theta[-1]), _EPS23):
+            return float(theta[-1]), S[:, -1] @ Q[:k]
+        Y = S[:, -keep:].T
+        Q[:keep], BQ[:keep] = Y @ Q[:m], Y @ BQ[:m]
+        Q[keep], BQ[keep] = Q[m], BQ[m]
+        T[:] = 0.0
+        T[:keep, :keep] = np.diag(theta[-keep:])
+        k = keep
+    raise SolverFailure(
+        f"Lanczos did not converge in {_RESTARTS_PER_ROW * n} restarts")
+
+
+def _sparse_top(A, Bf: SPD, sigma, v0, band: np.ndarray):
+    """The top vector of a sparse pencil (_lanczos_top) and the factor of
+    σB − A at the shift that certified it; band is A's lower_band, and
+    every σB − A is formed on it and Bf.band.
 
     Every vector comes from shift-invert at a certified σ.  Without a
-    bound, a loose Lanczos run supplies an estimate from below and the
-    start vector.  When σ has to climb past its first try, the estimate was
-    poor (a clustered top, as on the vertical-field box): a loose
-    shift-invert run at that σ improves it and σ is certified again from
-    there, so that the final run sits close above λmax, where the top of
-    the transformed spectrum stands apart.
+    bound, a loose Lanczos run on B⁻¹A supplies an estimate from below and
+    the start vector.  When σ has to climb past its first try, the
+    estimate was poor (a clustered top, as on the vertical-field box): a
+    loose shift-invert run at that σ improves it and σ is certified again
+    from there, so that the final run sits close above λmax, where the top
+    of the transformed spectrum stands apart.
     """
-    n = A.shape[0]
+    B = Bf.matrix
     if v0 is None:
-        v0 = np.random.default_rng(0).standard_normal(n)
-
-    def shift_invert(solve, shift, v0, tol, ncv):
-        OPinv = LinearOperator((n, n), matvec=lambda b: -solve(b), dtype=float)
-        return eigsh(A, k=1, M=Bf.matrix, sigma=shift, OPinv=OPinv,
-                     which="LM", v0=v0, ncv=min(ncv, n), tol=tol)
-
-    try:
-        if sigma is None:
-            Minv = LinearOperator((n, n), matvec=Bf.solve, dtype=float)
-            theta, V = eigsh(A, k=1, M=Bf.matrix, Minv=Minv, which="LA", v0=v0,
-                             tol=_LANCZOS_TOL)
-            sigma, v0 = float(theta[0]), V[:, 0]
-        bands = (band, Bf.band)
-        solve, shift, close = _shift_factor(A, Bf.matrix, sigma, bands)
-        if not close:
-            lam, V = shift_invert(solve, shift, v0, _REESTIMATE_TOL, 20)
-            solve, shift, _ = _shift_factor(A, Bf.matrix, float(lam[0]), bands)
-            v0 = V[:, 0]
-        _, V = shift_invert(solve, shift, v0, 0.0, _NCV_SHIFT)
-    except ArpackNoConvergence as e:
-        raise SolverFailure(f"ARPACK: {e}") from None
-    v = V[:, 0]
-    ortho = abs(float(v @ (Bf.matrix @ v)) - 1.0)
+        v0 = np.random.default_rng(0).standard_normal(A.shape[0])
+    if sigma is None:
+        sigma, v0 = _lanczos_top(lambda q, Bq: Bf.solve(A @ q), B, v0,
+                                 _LANCZOS_TOL, _BASIS)
+    bands = (band, Bf.band)
+    solve, shift, close = _shift_factor(A, B, sigma, bands)
+    if not close:
+        theta, v0 = _lanczos_top(lambda q, Bq: solve(Bq), B, v0,
+                                 _REESTIMATE_TOL, _BASIS)
+        solve, shift, _ = _shift_factor(A, B, shift - 1.0 / theta, bands)
+    _, v = _lanczos_top(lambda q, Bq: solve(Bq), B, v0, 0.0, _BASIS_SHIFT)
+    ortho = abs(float(v @ (B @ v)) - 1.0)
     if ortho > 1e-8:
         raise SolverFailure(f"B-orthonormality defect {ortho:.3e} exceeds 1e-8")
     return solve, v
@@ -416,25 +480,25 @@ def top_pair(A, B, sigma: float | None = None, v0: np.ndarray | None = None,
     certified as the top (_warm_top); when that fails within its budget,
     the cold path.  Dense otherwise (cold): LAPACK's top vector on the
     held Cholesky factor of B (_lapack_top), refined by refine_top.
-    Sparse: ARPACK shift-invert at a σ that a banded Cholesky factor of
-    σB − A certifies above λmax, searched upward from sigma or else from
-    a Lanczos estimate; that factor refines the vector.  v0 is
-    ARPACK's start vector, a fixed one when None.  checked says that A is
-    known to be symmetric bit for bit, as a pencil that checked its
-    matrices once knows of A − sC, and skips the check.  band is sparse
+    Sparse: shift-invert Lanczos (_lanczos_top) at a σ that a banded
+    Cholesky factor of σB − A certifies above λmax, searched upward from
+    sigma or else from a Lanczos estimate on B⁻¹A; that factor refines the
+    vector.  v0 is the Lanczos start vector, a fixed one when None.
+    checked says that A is known to be symmetric bit for bit, as a pencil
+    that checked its matrices once knows of A − sC, and skips the check.  band is sparse
     A's lower_band when the caller holds it, as the pencil does; B's is
     the SPD's.
 
     :raises NotSymmetric: A fails the symmetry tolerance.
-    :raises SolverFailure: ARPACK did not converge, or its vector is not
-        B-normalized.
+    :raises SolverFailure: a Lanczos run did not converge within its
+        restart budget, or its vector is not B-normalized.
     """
     B = B if isinstance(B, SPD) else spd_factor(B)
     if not checked:
         A = require_symmetric(A, "A")
     if sp.issparse(B.matrix):
         band = lower_band(A) if band is None else band
-        solve, v = _arpack_top(A, B, sigma, v0, band)
+        solve, v = _sparse_top(A, B, sigma, v0, band)
         x = _inverse_iteration(solve, B.matrix, v)
     else:
         x = None

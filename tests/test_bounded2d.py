@@ -231,7 +231,7 @@ def test_growth_rate_2d_matches_dense_route(params, n):
 
 @pytest.mark.parametrize("i", [1, 3])
 def test_box_growth_alpha_samples_match_dense_eigh(params, i):
-    # each alpha(s) is read from an ARPACK vector refined with the factor
+    # each alpha(s) is read from a Lanczos vector refined with the factor
     # that certified its shift; it matches the dense top eigenvalue at the
     # same s (both directions re-certify a shift that had to climb)
     r, prof = _square(32), _profile()
@@ -304,3 +304,27 @@ def test_box_growth_converts_each_matrix_to_band_once(params, i, monkeypatch):
     res = growth_rate_2d(_square(16), _profile(), params, 0.12, i)
     assert res.unstable
     assert len(converted) == len(set(converted)) == 3
+
+
+@pytest.mark.parametrize("i, runs, applications", [(1, 9, 128), (3, 11, 227)])
+def test_box_growth_operator_applications_per_solve(params, i, runs,
+                                                    applications, monkeypatch):
+    # the machine-independent cost of a 16² box growth solve: the Lanczos
+    # runs of its sparse top pairs (the alpha(0) estimate, the re-estimates
+    # of field 3's clustered top and one shift-invert run per evaluation)
+    # and the operator applications they make, the start's included
+    counts = []
+
+    def counted(apply, *args, _f=eigcore._lanczos_top):
+        counts.append(0)
+
+        def counted_apply(q, Bq):
+            counts[-1] += 1
+            return apply(q, Bq)
+
+        return _f(counted_apply, *args)
+
+    monkeypatch.setattr(eigcore, "_lanczos_top", counted)
+    res = growth_rate_2d(_square(16), _profile(), params, 0.12, i)
+    assert res.unstable
+    assert (len(counts), sum(counts)) == (runs, applications)

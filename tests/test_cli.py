@@ -322,7 +322,7 @@ def test_bounded2d_critical(tmp_path):
 
 
 def test_box_artifacts_repeat_across_threads(tmp_path):
-    # ARPACK starts from a fixed vector, never a random one, so the box
+    # Lanczos starts from a fixed vector, never a random one, so the box
     # artifacts repeat bit for bit whatever the thread count
     cfg = write_cfg(tmp_path, "b.json", {
         "problem": "bounded2d", "nx": 20, "nz": 20, "field_dir": 1,

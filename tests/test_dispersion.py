@@ -195,7 +195,7 @@ def test_growth_factorizations_per_solve(params_std, monkeypatch):
     # verdict, so no probe runs) factors at the caller's bound and again
     # where its quotient settles, and refines with that second factor.  A
     # sparse evaluation factors once per shift it tries and refines
-    # ARPACK's vector with the factor that certified its shift
+    # the Lanczos vector with the factor that certified its shift
     counts = {"factor": 0, "refine": 0}
     for name, key in (("cholesky", "factor"), ("cho_factor", "factor"),
                       ("_band_cholesky", "factor"), ("refine_top", "refine")):

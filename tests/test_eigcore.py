@@ -6,7 +6,6 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import cho_factor, cho_solve, cholesky, eigh
-from scipy.sparse.linalg import ArpackNoConvergence
 
 from mrt import eigcore
 from mrt.bounded2d import Rect2D, _growth_forms_2d, assemble_2d_quotient
@@ -186,7 +185,8 @@ def test_sparse_top_pair_and_max_rayleigh_match_dense(seed):
 
 
 def test_sparse_top_pair_is_deterministic():
-    # the start vector is fixed, so ARPACK repeats itself bit for bit
+    # the start vector is fixed, so the Lanczos runs repeat themselves bit
+    # for bit
     A, B = _sparse_pencil(4)
     l1, v1 = top_pair(A, B)
     l2, v2 = top_pair(A, B)
@@ -309,15 +309,15 @@ def test_cold_top_keeps_the_b_orthonormality_check():
         eigcore._lapack_top(A, eigcore.SPD(B, held.solve, held.factor))
 
 
-def _box_forms(growth: bool):
-    """Growth (m = 0.12) or quotient forms of the 16² box, field 1, CSR."""
-    r = Rect2D((-1.0, 1.0), (-1.0, 1.0), 16, 16)
+def _box_forms(growth: bool, n: int = 16, i: int = 1):
+    """Growth (m = 0.12) or quotient forms of the n² box, field i, CSR."""
+    r = Rect2D((-1.0, 1.0), (-1.0, 1.0), n, n)
     prof = make_affine_profile(Grid1D("fd2", 1.0, 64), 2.0, 1.0)
     params = PhysicalParams(g=1.0, lambda0=1.0, mu=0.1)
     if growth:
-        f = _growth_forms_2d(r, prof, params, 0.12, 1)
+        f = _growth_forms_2d(r, prof, params, 0.12, i)
         return [_sparse(t, r.nred) for t in (f.terms_E, f.terms_V, f.terms_J)]
-    q = assemble_2d_quotient(r, prof, params, 1)
+    q = assemble_2d_quotient(r, prof, params, i)
     return [_sparse(t, r.nred) for t in (q.terms_E, q.terms_D)]
 
 
@@ -391,14 +391,85 @@ def test_sparse_zero_pivot_mass_raises():
         spd_factor(B)
 
 
-def test_sparse_arpack_no_convergence_is_solver_failure(monkeypatch):
-    def stalled(*args, **kwargs):
-        raise ArpackNoConvergence("no convergence", np.zeros(0), np.zeros((0, 0)))
+def _lanczos_operator(A, B, form):
+    """apply(q, Bq) of B⁻¹A, or of (σB − A)⁻¹B at a σ certified a tenth of
+    the spread above λmax, with that σ (None for B⁻¹A)."""
+    if form == "B^-1 A":
+        Bf = spd_factor(B)
+        return (lambda q, Bq: Bf.solve(A @ q)), None
+    lam = eigh(A.toarray(), B.toarray(), eigvals_only=True)
+    solve, sigma, _ = eigcore._shift_factor(A, B, lam[-1] + 0.1 * (lam[-1] - lam[0]))
+    return (lambda q, Bq: solve(Bq)), sigma
 
-    monkeypatch.setattr(eigcore, "eigsh", stalled)
-    A, B = _sparse_pencil(7)
-    with pytest.raises(SolverFailure, match="ARPACK"):
-        top_pair(A, B)
+
+@pytest.mark.parametrize("m", [4, 6])
+@pytest.mark.parametrize("form", ["B^-1 A", "shift-invert"])
+@pytest.mark.parametrize("case", [0, 1, 2, 3, "clustered"])
+def test_lanczos_top_matches_dense_top(case, form, m):
+    # a basis of m vectors, so that restarts run, reaches dense eigh's top
+    # eigenvalue (sigma - 1/theta in shift-invert) and a B-normalized
+    # eigenvector, and repeats itself bit for bit
+    # "clustered": the 12² box's field-3 quotient pencil, whose top gap is
+    # 4.5e-3 of its spread
+    A, B = _box_forms(False, 12, 3) if case == "clustered" else _sparse_pencil(case)
+    for M in (A, B):
+        # sorted indices: no later call can reorder a row's sum in place
+        M.sum_duplicates()
+    apply, sigma = _lanczos_operator(A, B, form)
+    calls = []
+
+    def counted(q, Bq):
+        calls.append(1)
+        return apply(q, Bq)
+
+    v0 = np.random.default_rng(0).standard_normal(A.shape[0])
+    theta, x = eigcore._lanczos_top(counted, B, v0, 0.0, m)
+    assert len(calls) > 1 + m
+    lam = theta if sigma is None else sigma - 1.0 / theta
+    ref = eigh(A.toarray(), B.toarray(), eigvals_only=True)[-1]
+    assert abs(lam - ref) <= 1e-12 * abs(ref)
+    assert abs(float(x @ (B @ x)) - 1.0) <= 1e-12
+    residual = np.max(np.abs(A @ x - lam * (B @ x)))
+    scale = eigcore.norm_inf(A) + abs(lam) * eigcore.norm_inf(B)
+    assert residual <= 1e-10 * scale * np.max(np.abs(x))
+    theta2, x2 = eigcore._lanczos_top(apply, B, v0, 0.0, m)
+    assert theta2 == theta and np.array_equal(x2, x)
+
+
+def test_lanczos_top_exact_on_an_invariant_basis():
+    # a basis as large as the space, and a start vector that is an
+    # eigenvector (a zero residual after one step), give the exact top
+    A, B = _sparse_pencil(2, n=8, density=0.4)
+    Bf = spd_factor(B)
+    v0 = np.random.default_rng(0).standard_normal(8)
+    theta, x = eigcore._lanczos_top(lambda q, Bq: Bf.solve(A @ q), B, v0,
+                                    0.0, 12)
+    ref = eigh(A.toarray(), B.toarray(), eigvals_only=True)[-1]
+    assert abs(theta - ref) <= 1e-12 * abs(ref)
+    assert abs(float(x @ (B @ x)) - 1.0) <= 1e-12
+    D = sp.diags([3.0, 1.0, -2.0, 0.5]).tocsr()
+    e = np.array([1.0, 0.0, 0.0, 0.0])
+    theta, x = eigcore._lanczos_top(lambda q, Bq: D @ q, sp.identity(4).tocsr(),
+                                    e, 0.0, 3)
+    assert theta == 3.0 and np.array_equal(x, e)
+
+
+def test_lanczos_exhausted_restart_budget_is_solver_failure():
+    # an operator that noise keeps from converging runs the start, the
+    # first basis and 10n restarts of m - m // 2 vectors each, ARPACK's
+    # default budget (maxiter = 10n), and then gives up
+    A, B = _sparse_pencil(7, n=12, density=0.3)
+    rng = np.random.default_rng(0)
+    calls = []
+
+    def noisy(q, Bq):
+        calls.append(1)
+        return A @ q + 1e-3 * rng.standard_normal(q.shape[0])
+
+    n, m = 12, 4
+    with pytest.raises(SolverFailure, match="120 restarts"):
+        eigcore._lanczos_top(noisy, B, np.ones(n), 0.0, m)
+    assert len(calls) == 1 + m + 10 * n * (m - m // 2)
 
 
 def test_hermitian_embedding_oracle_consistency():
